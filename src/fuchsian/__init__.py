@@ -12,14 +12,14 @@ momentum constraints of the overdetermined case.
 from .builder import (
     FuchsViolation,
     LocalConstants,
+    VerificationFailed,
     build_g_system,
     build_h_system,
     construct,
-    g_rhs,
     h_matrix,
-    h_rhs,
     local_constants,
     solve_g,
+    solve_h,
 )
 from .dimension import (
     CaseReport,
@@ -29,7 +29,6 @@ from .dimension import (
     classify,
     exact_quadratic_roots,
     float_obstructions,
-    pinned_columns,
     quadratic_constraints,
     solve_quadratic_float,
     solve_under,
@@ -83,6 +82,7 @@ __all__ = [
     "QuadraticConstraint",
     "RowCertificate",
     "SolveOutcome",
+    "VerificationFailed",
     "VerificationReport",
     "Violation",
     "Z",
@@ -100,9 +100,7 @@ __all__ = [
     "format_rational",
     "frobenius_obstruction",
     "fuchs_defect",
-    "g_rhs",
     "h_matrix",
-    "h_rhs",
     "indicial_roots",
     "instance_from_json_obj",
     "instance_to_json_obj",
@@ -110,7 +108,6 @@ __all__ = [
     "local_constants",
     "local_expansion",
     "parse_rational",
-    "pinned_columns",
     "psi",
     "quadratic_constraints",
     "random_instance",
@@ -118,6 +115,7 @@ __all__ = [
     "rational_sqrt",
     "series_residual",
     "solve_g",
+    "solve_h",
     "solve_quadratic_float",
     "solve_under",
     "validate",

@@ -25,6 +25,18 @@ with the local constants
     delta_j   = -2 psi'(q_j)^2
     epsilon_j = -2 psi'(q_j)^2 * (g1_j - psi''(q_j)/psi'(q_j)).
 
+h_rhs_terms is the one definition of these right-hand sides, as coefficients
+of each row's own momentum; the exact system, the symbolic momentum
+constraints and the float obstruction path all read it.
+
+The h-matrix always has maximal rank, so one elimination settles every
+regime: solve_h returns the unique solution when N = n - 2 or when the
+momenta of an overdetermined instance are consistent, and otherwise the
+particular solution plus free_k times the k-th nullspace vector.  The
+nullspace vectors belong to the non-pivot columns z^(n+3N) .. z^(2d-3), so
+free_k is exactly the coefficient of z^(n+3N+k) in h; the nullspace itself
+is spanned by Omega * z^k with Omega = prod (z - t_i) prod (z - q_j)^3.
+
 Every one of these closed forms is cross-checked against the Laurent-series
 oracle in the test suite; none is taken on faith.
 """
@@ -43,6 +55,14 @@ class FuchsViolation(ValueError):
     """The dropped infinity condition fails: the exponent sum is inadmissible."""
 
 
+class VerificationFailed(RuntimeError):
+    """An exact check that the theory guarantees did not hold.
+
+    Raised instead of an assert so that it survives ``python -O``; the CLI
+    maps it to exit code 3.
+    """
+
+
 @dataclass(frozen=True)
 class LocalConstants:
     """Derived quantities at one apparent point."""
@@ -56,36 +76,21 @@ class LocalConstants:
     epsilon: GaussianRational
 
 
-def g_rhs(instance: FuchsianInstance, kind: str, index: int) -> GaussianRational:
-    """Right-hand side of the g-system value row at a point.
-
-    kind "finite" gives (1 - rho1 - rho2) * psi'(t_i); kind "apparent" gives
-    -psi'(q_j), which forces residue -1 of g/psi there.
-    """
-    require_valid(instance)
-    dpsi = psi(instance).derivative()
-    if kind == "finite":
-        t, pair = instance.finite_points[index]
-        return (GaussianRational(1) - pair.sum) * dpsi(t)
-    if kind == "apparent":
-        q, _ = instance.apparent_points[index]
-        return -dpsi(q)
-    raise ValueError(f"unknown point kind {kind!r}")
-
-
 def build_g_system(instance: FuchsianInstance):
     """Square Vandermonde system for the g coefficients.
 
     Rows are the finite points followed by the apparent points; the redundant
-    infinity row is omitted.  Columns are powers 0 .. n+N-1.
+    infinity row is omitted.  Columns are powers 0 .. n+N-1.  The right-hand
+    side is (1 - rho1 - rho2) * psi'(t_i) at a finite point and -psi'(q_j) at
+    an apparent one, which forces residue -1 of g/psi there.
     """
     require_valid(instance)
     d = instance.n + instance.num_apparent
     points = instance.finite_positions + instance.apparent_positions
     rows = [_power_row(x, d) for x in points]
-    rhs = [g_rhs(instance, "finite", i) for i in range(instance.n)] + [
-        g_rhs(instance, "apparent", j) for j in range(instance.num_apparent)
-    ]
+    dpsi = psi(instance).derivative()
+    rhs = [(GaussianRational(1) - pair.sum) * dpsi(t) for t, pair in instance.finite_points]
+    rhs += [-dpsi(q) for q in instance.apparent_positions]
     return Matrix.from_rows(rows), tuple(rhs)
 
 
@@ -98,7 +103,10 @@ def solve_g(instance: FuchsianInstance) -> Polynomial:
     """
     matrix, rhs = build_g_system(instance)
     outcome = eliminate(matrix, rhs)
-    assert outcome.kind == "unique", "Vandermonde system with distinct nodes must be regular"
+    if outcome.kind != "unique":
+        raise VerificationFailed(
+            f"Vandermonde system with distinct nodes is {outcome.kind}, not regular"
+        )
     g = Polynomial(outcome.particular)
     d = instance.n + instance.num_apparent
     expected_top = GaussianRational(1) + instance.infinity_exponents.sum
@@ -127,28 +135,27 @@ def local_constants(instance: FuchsianInstance, g: Polynomial, j: int) -> LocalC
     )
 
 
-def h_rhs(
-    instance: FuchsianInstance, g: Polynomial, row_kind: str, index: int = 0
-) -> GaussianRational:
-    """Right-hand side of one h-system row."""
+def h_rhs_terms(instance: FuchsianInstance, g: Polynomial) -> list:
+    """Each h-system row's right-hand side as (j, const, lin, quad).
+
+    The row's value is const + lin * p_j + quad * p_j^2 with p_j the momentum
+    of apparent point j (0-based); rows whose value involves no momentum have
+    j = None and lin = quad = 0.  Row order is that of h_matrix.
+    """
     dpsi = psi(instance).derivative()
-    if row_kind == "infinity":
-        return instance.infinity_exponents.product
-    if row_kind == "finite":
-        t, pair = instance.finite_points[index]
+    num = instance.num_apparent
+    terms = [(None, instance.infinity_exponents.product, ZERO, ZERO)]
+    for t, pair in instance.finite_points:
         slope = dpsi(t)
-        return pair.product * slope * slope
-    if row_kind == "apparent_value":
-        return ZERO
-    if row_kind == "apparent_derivative":
-        q, p = instance.apparent_points[index]
+        terms.append((None, pair.product * slope * slope, ZERO, ZERO))
+    terms += [(None, ZERO, ZERO, ZERO)] * num
+    for j, q in enumerate(instance.apparent_positions):
         slope = dpsi(q)
-        return p * slope * slope
-    if row_kind == "apparent_second":
-        consts = local_constants(instance, g, index)
-        p = instance.apparent_points[index][1]
-        return consts.delta * p * p + consts.epsilon * p
-    raise ValueError(f"unknown row kind {row_kind!r}")
+        terms.append((j, ZERO, slope * slope, ZERO))
+    for j in range(num):
+        consts = local_constants(instance, g, j)
+        terms.append((j, ZERO, consts.epsilon, consts.delta))
+    return terms
 
 
 def h_matrix(instance: FuchsianInstance) -> Matrix:
@@ -175,14 +182,36 @@ def h_matrix(instance: FuchsianInstance) -> Matrix:
 
 def build_h_system(instance: FuchsianInstance, g: Polynomial):
     """The h-system matrix together with its right-hand side."""
-    matrix = h_matrix(instance)
-    n, num = instance.n, instance.num_apparent
-    rhs = [h_rhs(instance, g, "infinity")]
-    rhs += [h_rhs(instance, g, "finite", i) for i in range(n)]
-    rhs += [h_rhs(instance, g, "apparent_value", j) for j in range(num)]
-    rhs += [h_rhs(instance, g, "apparent_derivative", j) for j in range(num)]
-    rhs += [h_rhs(instance, g, "apparent_second", j) for j in range(num)]
-    return matrix, tuple(rhs)
+    momenta = instance.momenta
+    rhs = tuple(
+        const if j is None else const + (lin + quad * momenta[j]) * momenta[j]
+        for j, const, lin, quad in h_rhs_terms(instance, g)
+    )
+    return h_matrix(instance), rhs
+
+
+def solve_h(instance: FuchsianInstance, g: Polynomial, free_values=()) -> Polynomial:
+    """h from one elimination of the h-system, with the free values added.
+
+    Returns particular + sum_k free_values[k] * nullspace_basis[k], so
+    free_values[k] becomes the coefficient of z^(n+3N+k).  The number of free
+    values must equal the nullity, n - 2 - N in the underdetermined case and
+    0 otherwise.  Raises VerificationFailed when the system is inconsistent
+    (momenta violating the constraints of the overdetermined case) or its
+    nullity differs from len(free_values).
+    """
+    outcome = eliminate(*build_h_system(instance, g))
+    if outcome.kind == "inconsistent":
+        raise VerificationFailed("h-system is inconsistent")
+    if len(outcome.nullspace_basis) != len(free_values):
+        raise VerificationFailed(
+            f"h-system nullity {len(outcome.nullspace_basis)} != "
+            f"{len(free_values)} free values"
+        )
+    coeffs = list(outcome.particular)
+    for value, vector in zip(free_values, outcome.nullspace_basis):
+        coeffs = [c + value * v for c, v in zip(coeffs, vector)]
+    return Polynomial(coeffs)
 
 
 def construct(instance: FuchsianInstance) -> FuchsianEquation:
@@ -199,10 +228,7 @@ def construct(instance: FuchsianInstance) -> FuchsianEquation:
             "use fuchsian.dimension.solve_under or check_momenta instead"
         )
     g = solve_g(instance)
-    matrix, rhs = build_h_system(instance, g)
-    outcome = eliminate(matrix, rhs)
-    assert outcome.kind == "unique", "square confluent Vandermonde system must be regular"
-    return FuchsianEquation(g, Polynomial(outcome.particular), instance)
+    return FuchsianEquation(g, solve_h(instance, g), instance)
 
 
 def _power_row(x: GaussianRational, width: int) -> list:

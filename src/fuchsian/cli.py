@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .builder import FuchsViolation, construct, h_matrix
+from .builder import FuchsViolation, VerificationFailed, construct, h_matrix
 from .dimension import (
     check_momenta,
     classify,
@@ -48,12 +48,19 @@ def main(argv=None) -> int:
     except FuchsViolation as exc:
         _diag(f"inconsistent instance: {exc}")
         return 2
+    except VerificationFailed as exc:
+        _diag(f"verification failed: {exc}")
+        return 3
     except (OSError, json.JSONDecodeError) as exc:
         _diag(f"cannot read input: {exc}")
         return 1
     except ValueError as exc:
         _diag(str(exc))
         return 1
+
+
+_INPUT_COMMANDS = ("construct", "verify", "analyze", "constraints")
+_COMMANDS = _INPUT_COMMANDS + ("det-check", "gen")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,29 +70,23 @@ def _build_parser() -> argparse.ArgumentParser:
         "with prescribed exponents and apparent singularities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_input in (
-        ("construct", True),
-        ("verify", True),
-        ("analyze", True),
-        ("constraints", True),
-        ("det-check", False),
-        ("gen", False),
-    ):
-        p = sub.add_parser(name)
-        p.add_argument("-i", "--input", help="instance JSON file")
-        p.add_argument("-e", "--equation", help="equation JSON file (verify)")
+    commands = {name: sub.add_parser(name) for name in _COMMANDS}
+    for name, p in commands.items():
+        if name in _INPUT_COMMANDS:
+            p.add_argument("-i", "--input", help="instance JSON file")
         p.add_argument("-o", "--output", help="write the payload here instead of stdout")
-        p.add_argument("--n", type=int, help="number of finite prescribed points")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=5)
-        p.add_argument("--tolerance", type=float, default=1e-9)
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.set_defaults(needs_input=needs_input)
+    commands["verify"].add_argument("-e", "--equation", help="equation JSON file")
+    for name in ("det-check", "gen"):
+        commands[name].add_argument("--n", type=int, help="number of finite prescribed points")
+        commands[name].add_argument("--seed", type=int, default=0)
+    commands["det-check"].add_argument("--trials", type=int, default=5)
+    commands["constraints"].add_argument("--tolerance", type=float, default=1e-9)
     return parser
 
 
 def _dispatch(args) -> int:
-    if args.needs_input:
+    if args.command in _INPUT_COMMANDS:
         if not args.input:
             _diag(f"{args.command} requires --input")
             return 1

@@ -9,7 +9,10 @@ With n prescribed finite points and N apparent ones the h-system has
                 yielding one quadratic constraint on the momenta
 
 In every regime N + (free coefficients) - (constraints) = n - 2, the
-dimension of the space of equations once positions are fixed.
+dimension of the space of equations once positions are fixed.  Every regime
+reaches h through builder.solve_h, one elimination of the h-system: the
+under case adds its free values along the returned nullspace, and the over
+case solves the full system once the momenta pass the constraints.
 
 The constraints come straight out of the elimination certificates: a
 dependent second-derivative row equals a fixed combination of the pivot
@@ -31,14 +34,15 @@ from dataclasses import dataclass
 
 from .builder import (
     FuchsViolation,  # noqa: F401  (re-exported: callers catch it from either module)
-    build_h_system,
+    VerificationFailed,
     h_matrix,
-    h_rhs,
+    h_rhs_terms,
     local_constants,
     solve_g,
+    solve_h,
 )
 from .frobenius import verify
-from .linalg import Matrix, det, eliminate
+from .linalg import eliminate
 from .model import FuchsianEquation, FuchsianInstance, psi, require_valid
 from .polynomials import Polynomial
 from .scalars import ZERO, GaussianRational
@@ -88,37 +92,12 @@ def classify(instance: FuchsianInstance) -> CaseReport:
     )
 
 
-def pinned_columns(instance: FuchsianInstance):
-    """Which h-coefficients take the free values in the under case.
-
-    Tries the trailing columns first; since the infinity row fixes the top
-    coefficient, that choice leaves a singular square system whenever any
-    freedom exists, and the deterministic fallback pins the non-pivot
-    columns found by elimination instead.  Returns (columns, used_fallback).
-    """
-    report = classify(instance)
-    if report.case != "under":
-        raise ValueError(f"instance is {report.case}, not underdetermined")
-    matrix = h_matrix(instance)
-    trailing = tuple(range(matrix.cols - report.h_free_dim, matrix.cols))
-    keep = [c for c in range(matrix.cols) if c not in set(trailing)]
-    reduced = Matrix.from_rows(
-        [[matrix.entry(r, c) for c in keep] for r in range(matrix.rows)]
-    )
-    if det(reduced):
-        return trailing, False
-    outcome = eliminate(matrix, (ZERO,) * matrix.rows)
-    free = tuple(c for c in range(matrix.cols) if c not in set(outcome.pivot_cols))
-    assert len(free) == report.h_free_dim, "maximal-rank claim failed"
-    return free, True
-
-
 def solve_under(instance: FuchsianInstance, free_values) -> FuchsianEquation:
     """Solve the underdetermined case with the given free coefficient values.
 
-    The free values land in the pinned columns (see pinned_columns); the
-    remaining square system is solved exactly and the result is verified by
-    series analysis before being returned.
+    free_values[k] becomes the coefficient of z^(n+3N+k) in h (see
+    builder.solve_h); the result is verified by series analysis before being
+    returned.
     """
     report = classify(instance)
     if report.case != "under":
@@ -129,37 +108,13 @@ def solve_under(instance: FuchsianInstance, free_values) -> FuchsianEquation:
             f"expected {report.h_free_dim} free values, got {len(free_values)}"
         )
     g = solve_g(instance)
-    matrix, rhs = build_h_system(instance, g)
-    columns, _ = pinned_columns(instance)
-    h = _solve_with_pinned(matrix, rhs, columns, free_values)
-    eq = FuchsianEquation(g, h, instance)
-    assert verify(eq).overall, "constructed equation failed series verification"
+    return _verified(FuchsianEquation(g, solve_h(instance, g, free_values), instance))
+
+
+def _verified(eq: FuchsianEquation) -> FuchsianEquation:
+    if not verify(eq).overall:
+        raise VerificationFailed("constructed equation failed series verification")
     return eq
-
-
-def _solve_with_pinned(matrix: Matrix, rhs, pinned_columns_, values) -> Polynomial:
-    """Fix the pinned columns to the given values and solve the rest."""
-    fixed = dict(zip(pinned_columns_, values))
-    keep = [c for c in range(matrix.cols) if c not in fixed]
-    reduced = Matrix.from_rows(
-        [[matrix.entry(r, c) for c in keep] for r in range(matrix.rows)]
-    )
-    adjusted = []
-    for r in range(matrix.rows):
-        value = rhs[r]
-        for c, pin in fixed.items():
-            entry = matrix.entry(r, c)
-            if entry:
-                value = value - entry * pin
-        adjusted.append(value)
-    outcome = eliminate(reduced, adjusted)
-    assert outcome.kind == "unique", f"pinned system not uniquely solvable: {outcome.kind}"
-    full = [ZERO] * matrix.cols
-    for c, pin in fixed.items():
-        full[c] = pin
-    for position, c in enumerate(keep):
-        full[c] = outcome.particular[position]
-    return Polynomial(full)
 
 
 @dataclass(frozen=True)
@@ -224,20 +179,11 @@ class _MomentumPoly:
 
 def _symbolic_rhs(instance: FuchsianInstance, g: Polynomial) -> list:
     """The h-system right-hand side as polynomials in the momenta."""
-    n, num = instance.n, instance.num_apparent
-    dpsi = psi(instance).derivative()
-    rows = [_MomentumPoly(const=instance.infinity_exponents.product)]
-    for i in range(n):
-        rows.append(_MomentumPoly(const=h_rhs(instance, g, "finite", i)))
-    for _ in range(num):
-        rows.append(_MomentumPoly())
-    for j in range(num):
-        slope = dpsi(instance.apparent_positions[j])
-        rows.append(_MomentumPoly(lin={j + 1: slope * slope}))
-    for j in range(num):
-        consts = local_constants(instance, g, j)
-        rows.append(_MomentumPoly(lin={j + 1: consts.epsilon}, quad={j + 1: consts.delta}))
-    return rows
+    return [
+        _MomentumPoly(const) if j is None
+        else _MomentumPoly(const, lin={j + 1: lin}, quad={j + 1: quad})
+        for j, const, lin, quad in h_rhs_terms(instance, g)
+    ]
 
 
 def quadratic_constraints(instance: FuchsianInstance) -> list:
@@ -252,7 +198,8 @@ def quadratic_constraints(instance: FuchsianInstance) -> list:
     g = solve_g(instance)
     matrix = h_matrix(instance)
     outcome = eliminate(matrix, (ZERO,) * matrix.rows)
-    assert outcome.rank == matrix.cols, "maximal-rank claim failed"
+    if outcome.rank != matrix.cols:
+        raise VerificationFailed(f"h-matrix rank {outcome.rank} < {matrix.cols} columns")
     symbolic = _symbolic_rhs(instance, g)
 
     n, num = instance.n, instance.num_apparent
@@ -276,7 +223,10 @@ def quadratic_constraints(instance: FuchsianInstance) -> list:
         constraints.append(
             QuadraticConstraint(j=apparent_index + 1, quad=quad, lin=lin, const_term=const)
         )
-    assert len(constraints) == report.constraint_count
+    if len(constraints) != report.constraint_count:
+        raise VerificationFailed(
+            f"{len(constraints)} constraints, expected {report.constraint_count}"
+        )
     return constraints
 
 
@@ -290,8 +240,8 @@ class MomentaCheck:
 def check_momenta(instance: FuchsianInstance) -> MomentaCheck:
     """Evaluate the constraints at the instance's momenta, exactly.
 
-    On consistency the square pivot subsystem is solved and the verified
-    equation is returned as the witness.
+    On consistency the h-system has a unique solution, and the verified
+    equation built from it is returned as the witness.
     """
     constraints = quadratic_constraints(instance)
     momenta = instance.momenta
@@ -304,14 +254,7 @@ def check_momenta(instance: FuchsianInstance) -> MomentaCheck:
         return MomentaCheck(consistent=False, equation=None, violations=tuple(violations))
 
     g = solve_g(instance)
-    matrix, rhs = build_h_system(instance, g)
-    outcome = eliminate(matrix, (ZERO,) * matrix.rows)
-    rows = list(outcome.pivot_rows)
-    sub = Matrix.from_rows([[matrix.entry(r, c) for c in range(matrix.cols)] for r in rows])
-    sub_outcome = eliminate(sub, tuple(rhs[r] for r in rows))
-    assert sub_outcome.kind == "unique"
-    eq = FuchsianEquation(g, Polynomial(sub_outcome.particular), instance)
-    assert verify(eq).overall, "consistent momenta produced an unverifiable equation"
+    eq = _verified(FuchsianEquation(g, solve_h(instance, g), instance))
     return MomentaCheck(consistent=True, equation=eq, violations=())
 
 
@@ -366,22 +309,15 @@ def float_obstructions(instance: FuchsianInstance, momenta) -> list:
     g = solve_g(instance)
     matrix = h_matrix(instance)
     outcome = eliminate(matrix, (ZERO,) * matrix.rows)
-    n, num = instance.n, instance.num_apparent
+    num = instance.num_apparent
     p = psi(instance)
-    dpsi = p.derivative()
     consts = [local_constants(instance, g, j) for j in range(num)]
-
-    rhs = [instance.infinity_exponents.product.to_complex()]
-    for i in range(n):
-        rhs.append(h_rhs(instance, g, "finite", i).to_complex())
-    rhs.extend([0j] * num)
-    for j in range(num):
-        slope = dpsi(instance.apparent_positions[j]).to_complex()
-        rhs.append(momenta[j] * slope * slope)
-    for j in range(num):
-        delta = consts[j].delta.to_complex()
-        epsilon = consts[j].epsilon.to_complex()
-        rhs.append(delta * momenta[j] ** 2 + epsilon * momenta[j])
+    rhs = []
+    for j, const, lin, quad in h_rhs_terms(instance, g):
+        value = const.to_complex()
+        if j is not None:
+            value += (lin.to_complex() + quad.to_complex() * momenta[j]) * momenta[j]
+        rhs.append(value)
 
     rows = list(outcome.pivot_rows)
     float_rows = [

@@ -14,8 +14,11 @@ the two-element list [re, im] of such strings.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import isqrt
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def format_rational(value: Fraction) -> str:
@@ -26,12 +29,17 @@ def format_rational(value: Fraction) -> str:
 
 
 def parse_rational(text) -> Fraction:
-    """Parse "p/q" / "p" strings; plain ints are accepted as well."""
+    """Parse "p/q" / "p" strings; plain ints are accepted as well.
+
+    Strings must match [+-]?digits(/digits)? exactly: no whitespace,
+    decimal points, exponents or underscores.  Python's limit on the digits
+    of an int converted from a string bounds the size of what is accepted.
+    """
     if isinstance(text, bool):
         raise ValueError(f"not a rational: {text!r}")
     if isinstance(text, int):
         return Fraction(text)
-    if isinstance(text, str):
+    if isinstance(text, str) and _RATIONAL.fullmatch(text):
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:

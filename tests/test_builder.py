@@ -13,17 +13,20 @@ import pytest
 
 from fuchsian.builder import (
     FuchsViolation,
+    VerificationFailed,
     build_g_system,
     build_h_system,
     construct,
-    g_rhs,
     h_matrix,
-    h_rhs,
+    h_rhs_terms,
     local_constants,
     solve_g,
+    solve_h,
 )
+from fuchsian.dimension import quadratic_constraints
+from fuchsian.frobenius import verify
 from fuchsian.linalg import Matrix, det
-from fuchsian.model import FuchsianInstance, fuchs_defect, psi
+from fuchsian.model import FuchsianEquation, FuchsianInstance, fuchs_defect, psi
 from fuchsian.polynomials import Polynomial, laurent_expand
 from fuchsian.sampling import random_instance
 from fuchsian.scalars import ZERO, GaussianRational
@@ -43,11 +46,11 @@ N2N1 = FuchsianInstance([(0, (0, 1)), (1, (0, 1))], (-1, -1), [(2, 3)])
 
 
 def test_g_rhs_examples():
-    assert g_rhs(EXAMPLE_A, "finite", 0) == gr(-4)  # 4 * psi'(0) = 4 * (-1)
-    assert g_rhs(EXAMPLE_A, "finite", 1) == ZERO  # 1 - 0 - 1 = 0
-    assert g_rhs(N2N1, "apparent", 0) == gr(-2)  # -psi'(2), psi' = 3z^2-6z+2
-    with pytest.raises(ValueError, match="point kind"):
-        g_rhs(EXAMPLE_A, "nowhere", 0)
+    _, rhs = build_g_system(EXAMPLE_A)
+    assert rhs[0] == gr(-4)  # 4 * psi'(0) = 4 * (-1)
+    assert rhs[1] == ZERO  # 1 - 0 - 1 = 0
+    _, rhs = build_g_system(N2N1)
+    assert rhs[2] == gr(-2)  # -psi'(2), psi' = 3z^2-6z+2
 
 
 def test_build_g_system_example_a():
@@ -75,14 +78,20 @@ def test_solve_g_fuchs_violation():
 
 
 def test_h_rhs_examples():
-    g = solve_g(EXAMPLE_A)
-    assert h_rhs(EXAMPLE_A, g, "finite", 0) == ZERO
-    assert h_rhs(EXAMPLE_A, g, "infinity") == gr(2)
+    _, rhs = build_h_system(EXAMPLE_A, solve_g(EXAMPLE_A))
+    assert rhs[1] == ZERO  # finite row at t = 0
+    assert rhs[0] == gr(2)  # infinity row
     g2 = solve_g(N2N1)
-    assert h_rhs(N2N1, g2, "apparent_derivative", 0) == gr(12)  # 3 * psi'(2)^2
-    assert h_rhs(N2N1, g2, "apparent_value", 0) == ZERO
-    with pytest.raises(ValueError, match="row kind"):
-        h_rhs(EXAMPLE_A, g, "diagonal", 0)
+    # rows: infinity, t = 0, t = 1, value, first and second derivative at q = 2
+    _, rhs = build_h_system(N2N1, g2)
+    assert rhs[4] == gr(12)  # 3 * psi'(2)^2
+    assert rhs[3] == ZERO
+    consts = local_constants(N2N1, g2, 0)
+    assert h_rhs_terms(N2N1, g2)[3:] == [
+        (None, ZERO, ZERO, ZERO),
+        (0, ZERO, gr(4), ZERO),
+        (0, ZERO, consts.epsilon, consts.delta),
+    ]
 
 
 def test_h_system_shapes():
@@ -177,10 +186,11 @@ def test_oracle_agreement():
             p = psi(inst)
             dpsi = p.derivative()
             g = solve_g(inst)
+            _, g_rhs = build_g_system(inst)
             eq = construct(inst)
             for i, (t, pair) in enumerate(inst.finite_points):
                 series = laurent_expand(g, p, t, 3)
-                assert series.coefficient(-1) * dpsi(t) == g_rhs(inst, "finite", i)
+                assert series.coefficient(-1) * dpsi(t) == g_rhs[i]
                 h_series = laurent_expand(eq.h, p * p, t, 3)
                 assert h_series.coefficient(-2) == pair.product
             for j, (q, momentum) in enumerate(inst.apparent_points):
@@ -263,3 +273,76 @@ def test_redundancy_tracks_defect():
         assert fuchs_defect(bumped) == gr(1)
         with pytest.raises(FuchsViolation):
             solve_g(bumped)
+
+
+def _small_gaussian(rng):
+    return gr(Fraction(rng.randint(-5, 5), rng.randint(1, 3)), Fraction(rng.randint(-3, 3), 2))
+
+
+def _consistent_over(base, rng):
+    """An instance with base's positions and N = n - 1 whose momenta pass its
+    one constraint.
+
+    The finite exponent products are made zero (keeping the sums, hence g),
+    the pair at infinity becomes (x, s - x) and only p_N may be nonzero, so
+    the constraint reads a p^2 + b p + gamma x (s - x) = 0.  (p, x) = (0, 0)
+    lies on that conic, and the line x = m p meets it again at a
+    Gaussian-rational point.
+    """
+    n = base.n
+    finite = [(t, (0, pair.sum)) for t, pair in base.finite_points]
+    s = base.infinity_exponents.sum
+    qs = base.apparent_positions
+
+    def instance(x, p):
+        apparent = [(q, ZERO) for q in qs[:-1]] + [(qs[-1], p)]
+        return FuchsianInstance(finite, (x, s - x), apparent)
+
+    (c,) = quadratic_constraints(instance(ZERO, ZERO))
+    assert c.const_term == ZERO
+    a, b = c.quad[n - 1], c.lin.get(n - 1, ZERO)
+    (c2,) = quadratic_constraints(instance(gr(2), ZERO))
+    gamma = c2.const_term / (2 * (s - 2))
+    m = _small_gaussian(rng)
+    while not a - gamma * m * m:
+        m = _small_gaussian(rng)
+    p = -(b + gamma * m * s) / (a - gamma * m * m)
+    return instance(m * p, p)
+
+
+def test_solve_h_all_regimes():
+    # 108 seeded instances with n <= 6, a third each square, under and
+    # consistent over, every other one at Gaussian positions.  The one solve
+    # must satisfy its own system exactly, put free_k on z^(n+3N+k), and
+    # produce equations that pass verification (checked on every seventh).
+    rng = random.Random(2026)
+    for k in range(108):
+        case = ("square", "under", "over")[k % 3]
+        n = rng.randint(3 if case == "under" else 2, 4 if case == "over" else 6)
+        num = rng.randint(0, n - 3) if case == "under" else n - 2 + (case == "over")
+        inst = random_instance(n, num, seed=rng.randint(0, 10**6))
+        if k % 2:
+            inst = inst.shifted(gr(rng.randint(-3, 3), rng.choice([-2, -1, 1, 2])))
+        if case == "over":
+            inst = _consistent_over(inst, rng)
+        free = [_small_gaussian(rng) for _ in range(max(n - 2 - num, 0))]
+        g = solve_g(inst)
+        h = solve_h(inst, g, free)
+        matrix, rhs = build_h_system(inst, g)
+        coeffs = h.padded(matrix.cols)
+        for r in range(matrix.rows):
+            row = sum((e * x for e, x in zip(matrix.row(r), coeffs)), ZERO)
+            assert row == rhs[r], (k, case, r)
+        assert h.coefficient(matrix.cols - 1) == inst.infinity_exponents.product
+        for i, value in enumerate(free):
+            assert h.coefficient(n + 3 * num + i) == value
+        if k % 7 == 0:
+            assert verify(FuchsianEquation(g, h, inst)).overall, (k, case)
+
+
+def test_solve_h_rejects_wrong_nullity():
+    g = solve_g(EXAMPLE_C)
+    with pytest.raises(VerificationFailed, match="nullity"):
+        solve_h(EXAMPLE_C, g, [ZERO])
+    with pytest.raises(VerificationFailed, match="inconsistent"):
+        solve_h(N2N1, solve_g(N2N1))

@@ -1,6 +1,11 @@
 """CLI: exit codes, JSON payloads, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 from fuchsian.cli import main
 from fuchsian.model import (
@@ -191,3 +196,49 @@ def test_generated_round_trips_exit_zero(tmp_path):
 def test_gen_requires_n():
     assert main(["gen"]) == 1
     assert main(["det-check"]) == 1
+
+
+def test_flags_belong_to_their_subcommands(tmp_path):
+    src = tmp_path / "a.json"
+    _write_instance(src, EXAMPLE_A)
+    over = tmp_path / "over.json"
+    _write_instance(over, N2N1_BAD)
+    for misplaced in (["--trials", "99"], ["--tolerance", "5"], ["--n", "7"], ["-e", str(src)]):
+        assert main(["construct", "-i", str(src), *misplaced]) == 1, misplaced
+    assert main(["analyze", "-i", str(src), "--seed", "3"]) == 1
+    assert main(["gen", "--n", "3", "--trials", "2"]) == 1
+    assert main(["det-check", "--n", "3", "-i", str(src)]) == 1
+    out = tmp_path / "c.json"
+    assert main(["constraints", "-i", str(over), "--tolerance", "1e-6", "-o", str(out)]) == 0
+
+
+def test_verification_failure_exits_3_under_optimize(tmp_path):
+    # The checks behind exit 3 are exceptions, not asserts, so they hold
+    # under python -O.  verify is patched to fail in the under and over paths.
+    under = tmp_path / "under.json"
+    good = tmp_path / "good.json"
+    _write_instance(under, UNDER3)
+    _write_instance(good, N2N1_GOOD)
+    script = textwrap.dedent(
+        f"""
+        import sys
+        import fuchsian.dimension
+        from fuchsian.cli import main
+
+        class Failing:
+            overall = False
+
+        if not sys.flags.optimize:
+            sys.exit("asserts are live; this check needs python -O")
+        fuchsian.dimension.verify = lambda eq: Failing()
+        codes = [main(["construct", "-i", path]) for path in ({str(under)!r}, {str(good)!r})]
+        sys.exit(0 if codes == [3, 3] else 1)
+        """
+    )
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count("fuchsian: verification failed") == 2

@@ -11,7 +11,6 @@ from fuchsian.dimension import (
     classify,
     exact_quadratic_roots,
     float_obstructions,
-    pinned_columns,
     quadratic_constraints,
     solve_quadratic_float,
     solve_under,
@@ -53,27 +52,21 @@ def test_classify_json_shape():
     }
 
 
-def test_pinned_columns_fallback():
-    # The trailing choice would pin the top coefficient, which the infinity
-    # row already fixes, so the deterministic fallback must kick in.
-    cols, used_fallback = pinned_columns(UNDER3)
-    assert used_fallback
-    assert cols == (3,)  # n + 3N = 3 for n=3, N=0
-    with pytest.raises(ValueError):
-        pinned_columns(N2N1)
-
-
 def test_solve_under_free_values():
     eq0 = solve_under(UNDER3, [0])
     eq1 = solve_under(UNDER3, [1])
     assert eq0.h != eq1.h
     assert verify(eq0).overall and verify(eq1).overall
+    # the free value is the coefficient of z^(n+3N) = z^3; the infinity row
+    # fixes the top coefficient, so it can never be the free one
     assert eq0.h.coefficient(3) == ZERO
     assert eq1.h.coefficient(3) == gr(1)
     with pytest.raises(ValueError):
         solve_under(UNDER3, [0, 0])
     with pytest.raises(ValueError):
         solve_under(random_instance(3, seed=2), [0])
+    with pytest.raises(ValueError):
+        solve_under(N2N1, [])
 
 
 def test_under_nullspace_dimension():

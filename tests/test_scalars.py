@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import fuchsian.scalars
 from fuchsian.scalars import (
     GaussianRational,
     format_rational,
@@ -116,14 +117,27 @@ def test_serialization():
     assert parse_rational("3/2") == Fraction(3, 2)
     assert parse_rational("-7") == Fraction(-7)
     assert parse_rational(5) == Fraction(5)
+    assert parse_rational("+3/4") == Fraction(3, 4)
     value = gr(Fraction(-1, 3), Fraction(2, 7))
     assert value.to_pair() == ["-1/3", "2/7"]
     assert GaussianRational.from_pair(value.to_pair()) == value
 
 
 def test_parse_errors():
-    for bad in ("", "1/0", "x", None, 1.5, True):
+    for bad in ("", "1/0", "x", None, 1.5, True, "1" * 5000):  # int's digit cap
         with pytest.raises(ValueError):
             parse_rational(bad)
     with pytest.raises(ValueError):
         GaussianRational.from_pair(["1"])
+
+
+def test_parse_rejects_loose_grammar(monkeypatch):
+    # Only [+-]?digits(/digits)? reaches Fraction; exponent notation would
+    # otherwise let "1e20000" expand into a 20001-digit integer.
+    def refuse(*args):
+        raise AssertionError(f"Fraction received {args!r}")
+
+    monkeypatch.setattr(fuchsian.scalars, "Fraction", refuse)
+    for bad in ("1.5", "1e3", "1_0", " 3 ", "3\n", "1e20000", "1/2/3", "/2", "+-1", "\u0663"):
+        with pytest.raises(ValueError, match="not a rational"):
+            parse_rational(bad)
