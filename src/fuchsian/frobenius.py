@@ -2,7 +2,9 @@
 
 Nothing in this module reuses the linear systems of the builder: every check
 re-derives local data from the coefficient polynomials by exact Laurent
-expansion, so a bug in the construction cannot hide behind itself.
+expansion, so a bug in the construction cannot hide behind itself.  At each
+point psi is expanded once: its truncated Taylor head divides g's, and its
+square divides h's, so no full Taylor shift and no psi^2 is ever built.
 
 At a finite point the indicial polynomial is r*(r-1) + g0*r + h0 where g0 is
 the residue of g/psi and h0 the order -2 coefficient of h/psi^2.  At
@@ -34,7 +36,7 @@ from .model import (
     psi,
     require_valid,
 )
-from .polynomials import LaurentSeries, Polynomial, laurent_expand
+from .polynomials import LaurentSeries, Polynomial
 from .scalars import ZERO, GaussianRational
 
 #: Series depth used by verify(); the resonance sits at s = 2, so the default
@@ -70,7 +72,8 @@ def local_expansion(eq: FuchsianEquation, point, terms: int = DEFAULT_DEPTH + 2)
 
     At infinity the expansions are taken in the coordinate x = 1/z of the
     raw coefficient functions, scaled so that the top coefficients of g and
-    h appear at orders -1 and -2 respectively.
+    h appear at orders -1 and -2 respectively: reversed g and h are divided
+    by x * psi_rev and by its square.
     """
     if terms < 3:
         raise ValueError("terms must be >= 3")
@@ -79,15 +82,14 @@ def local_expansion(eq: FuchsianEquation, point, terms: int = DEFAULT_DEPTH + 2)
         d = eq.instance.n + eq.instance.num_apparent
         g_rev = Polynomial(tuple(reversed(eq.g.padded(d))))
         h_rev = Polynomial(tuple(reversed(eq.h.padded(2 * d - 1))))
-        psi_rev = Polynomial(tuple(reversed(p.padded(d + 1))))
-        x = Polynomial((0, 1))
-        g_series = laurent_expand(g_rev, x * psi_rev, 0, terms)
-        h_series = laurent_expand(h_rev, x * x * psi_rev * psi_rev, 0, terms)
-        return LocalExpansion(point=INFINITY, g_series=g_series, h_series=h_series)
-    point = GaussianRational.coerce(point)
-    g_series = laurent_expand(eq.g, p, point, terms)
-    h_series = laurent_expand(eq.h, p * p, point, terms)
-    return LocalExpansion(point=point, g_series=g_series, h_series=h_series)
+        x_psi_rev = Polynomial((ZERO,) + tuple(reversed(p.padded(d + 1))))
+        g_head, h_head, psi_head = (f.taylor(ZERO, terms) for f in (g_rev, h_rev, x_psi_rev))
+    else:
+        point = GaussianRational.coerce(point)
+        g_head, h_head, psi_head = (f.taylor(point, terms) for f in (eq.g, eq.h, p))
+    return LocalExpansion(
+        point=point, g_series=g_head / psi_head, h_series=h_head / (psi_head * psi_head)
+    )
 
 
 def indicial_roots(local: LocalExpansion) -> Indicial:

@@ -7,10 +7,11 @@ a base point, the order of its first stored coefficient and a finite window
 of coefficients; asking for a coefficient above the stored window is an
 error, never a silent zero.
 
-Expansions of rational functions num/den at a point are computed by exact
-power-series inversion of the unit part of den, which works uniformly at
-ordinary points and at poles and serves as the independent oracle for every
-closed-form constant elsewhere in the package.
+Expansions of rational functions num/den at a point compute only the Taylor
+heads the window needs, by repeated synthetic division, and divide them by
+exact power-series inversion of the unit part of den.  This works uniformly
+at ordinary points and at poles and serves as the independent oracle for
+every closed-form constant elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -87,12 +88,15 @@ class Polynomial:
 
     def shift(self, a) -> Polynomial:
         """Taylor shift: the polynomial q with q(x) = p(x + a)."""
-        a = GaussianRational.coerce(a)
-        result = Polynomial.zero()
-        step = Polynomial((a, 1))
-        for c in reversed(self.coeffs):
-            result = result * step + Polynomial((c,))
-        return result
+        order, head = _taylor_head(self.coeffs, GaussianRational.coerce(a), len(self.coeffs))
+        return Polynomial([ZERO] * order + head)
+
+    def taylor(self, at, terms: int) -> LaurentSeries:
+        """Window of `terms` Taylor coefficients at `at`, from p's order there."""
+        if terms < 1:
+            raise ValueError("terms must be >= 1")
+        at = GaussianRational.coerce(at)
+        return LaurentSeries(at, *_taylor_head(self.coeffs, at, terms))
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
@@ -221,6 +225,35 @@ class LaurentSeries:
     def residue(self) -> GaussianRational:
         return self.coefficient(-1)
 
+    def __mul__(self, other):
+        """Truncated product; its window is as long as the shorter factor's."""
+        if not isinstance(other, LaurentSeries):
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        out = [
+            sum((a[j] * b[i - j] for j in range(1, i + 1)), a[0] * b[i])
+            for i in range(min(len(a), len(b)))
+        ]
+        return LaurentSeries(self.base_point, self.min_order + other.min_order, out)
+
+    def __truediv__(self, other):
+        """Truncated quotient, as long as the shorter window; 0 / s is 0."""
+        if not isinstance(other, LaurentSeries):
+            return NotImplemented
+        if other.is_zero:
+            raise ZeroDivisionError("divisor series is zero in its window")
+        if self.is_zero:
+            return self
+        v, u = self.coeffs, other.coeffs
+        inv_u0 = ONE / u[0]
+        out = []
+        for i in range(min(len(v), len(u))):
+            acc = v[i]
+            for j in range(1, i + 1):
+                acc = acc - u[j] * out[i - j]
+            out.append(acc * inv_u0)
+        return LaurentSeries(self.base_point, self.min_order - other.min_order, out)
+
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
@@ -245,28 +278,26 @@ def laurent_expand(num: Polynomial, den: Polynomial, at, terms: int) -> LaurentS
 
     Writes den = (z-a)^m * u(z) with u(a) != 0; the expansion starts at
     min_order = ord_a(num) - m and is computed by power-series inversion of
-    the shifted unit u.  A zero numerator yields the zero window at order 0.
+    the Taylor head of u.  A zero numerator yields the zero window at order 0.
     """
     if den.is_zero:
         raise ZeroDivisionError("denominator is the zero polynomial")
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    at = GaussianRational.coerce(at)
-    if num.is_zero:
-        return LaurentSeries(at, 0, (ZERO,) * terms)
+    return num.taylor(at, terms) / den.taylor(at, terms)
 
-    num_local = num.shift(at).coeffs
-    den_local = den.shift(at).coeffs
-    k = next(i for i, c in enumerate(num_local) if c)
-    m = next(i for i, c in enumerate(den_local) if c)
-    v = num_local[k:]
-    u = den_local[m:]
 
-    inv_u0 = ONE / u[0]
-    out = []
-    for i in range(terms):
-        acc = v[i] if i < len(v) else ZERO
-        for j in range(1, min(i, len(u) - 1) + 1):
-            acc = acc - u[j] * out[i - j]
-        out.append(acc * inv_u0)
-    return LaurentSeries(at, k - m, tuple(out))
+def _taylor_head(coeffs, at: GaussianRational, terms: int):
+    """Order at `at` of sum c_i z^i and its first `terms` Taylor coefficients
+    from that order on (zero-padded; order 0 for the zero polynomial).  Each
+    in-place synthetic division by (z - at) leaves the next one as remainder.
+    """
+    work = list(coeffs)
+    order, head = 0, []
+    while work and len(head) < terms:
+        for i in range(len(work) - 2, -1, -1):
+            work[i] = work[i] + at * work[i + 1]
+        remainder = work.pop(0)
+        if head or remainder:
+            head.append(remainder)
+        else:
+            order += 1
+    return order, head + [ZERO] * (terms - len(head))

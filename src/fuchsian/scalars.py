@@ -35,16 +35,17 @@ def parse_rational(text) -> Fraction:
     decimal points, exponents or underscores.  Python's limit on the digits
     of an int converted from a string bounds the size of what is accepted.
     """
-    if isinstance(text, bool):
-        raise ValueError(f"not a rational: {text!r}")
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, str) and _RATIONAL.fullmatch(text):
         try:
             return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {text!r}") from exc
-    raise ValueError(f"not a rational: {text!r}")
+        except (ValueError, ZeroDivisionError):
+            pass
+    quoted = repr(text)  # capped: the CLI echoes this message to stderr
+    if len(quoted) > 40:
+        quoted = f"{quoted[:40]}... ({len(quoted)} characters)"
+    raise ValueError(f"not a rational: {quoted}")
 
 
 def rational_sqrt(value: Fraction) -> Fraction | None:

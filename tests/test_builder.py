@@ -23,7 +23,6 @@ from fuchsian.builder import (
     solve_g,
     solve_h,
 )
-from fuchsian.dimension import quadratic_constraints
 from fuchsian.frobenius import verify
 from fuchsian.linalg import Matrix, det
 from fuchsian.model import FuchsianEquation, FuchsianInstance, fuchs_defect, psi
@@ -275,57 +274,13 @@ def test_redundancy_tracks_defect():
             solve_g(bumped)
 
 
-def _small_gaussian(rng):
-    return gr(Fraction(rng.randint(-5, 5), rng.randint(1, 3)), Fraction(rng.randint(-3, 3), 2))
-
-
-def _consistent_over(base, rng):
-    """An instance with base's positions and N = n - 1 whose momenta pass its
-    one constraint.
-
-    The finite exponent products are made zero (keeping the sums, hence g),
-    the pair at infinity becomes (x, s - x) and only p_N may be nonzero, so
-    the constraint reads a p^2 + b p + gamma x (s - x) = 0.  (p, x) = (0, 0)
-    lies on that conic, and the line x = m p meets it again at a
-    Gaussian-rational point.
-    """
-    n = base.n
-    finite = [(t, (0, pair.sum)) for t, pair in base.finite_points]
-    s = base.infinity_exponents.sum
-    qs = base.apparent_positions
-
-    def instance(x, p):
-        apparent = [(q, ZERO) for q in qs[:-1]] + [(qs[-1], p)]
-        return FuchsianInstance(finite, (x, s - x), apparent)
-
-    (c,) = quadratic_constraints(instance(ZERO, ZERO))
-    assert c.const_term == ZERO
-    a, b = c.quad[n - 1], c.lin.get(n - 1, ZERO)
-    (c2,) = quadratic_constraints(instance(gr(2), ZERO))
-    gamma = c2.const_term / (2 * (s - 2))
-    m = _small_gaussian(rng)
-    while not a - gamma * m * m:
-        m = _small_gaussian(rng)
-    p = -(b + gamma * m * s) / (a - gamma * m * m)
-    return instance(m * p, p)
-
-
-def test_solve_h_all_regimes():
+def test_solve_h_all_regimes(regime_instances):
     # 108 seeded instances with n <= 6, a third each square, under and
     # consistent over, every other one at Gaussian positions.  The one solve
     # must satisfy its own system exactly, put free_k on z^(n+3N+k), and
     # produce equations that pass verification (checked on every seventh).
-    rng = random.Random(2026)
-    for k in range(108):
-        case = ("square", "under", "over")[k % 3]
-        n = rng.randint(3 if case == "under" else 2, 4 if case == "over" else 6)
-        num = rng.randint(0, n - 3) if case == "under" else n - 2 + (case == "over")
-        inst = random_instance(n, num, seed=rng.randint(0, 10**6))
-        if k % 2:
-            inst = inst.shifted(gr(rng.randint(-3, 3), rng.choice([-2, -1, 1, 2])))
-        if case == "over":
-            inst = _consistent_over(inst, rng)
-        free = [_small_gaussian(rng) for _ in range(max(n - 2 - num, 0))]
+    for k, (case, inst, free) in enumerate(regime_instances(2026, 108)):
+        n, num = inst.n, inst.num_apparent
         g = solve_g(inst)
         h = solve_h(inst, g, free)
         matrix, rhs = build_h_system(inst, g)

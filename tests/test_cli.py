@@ -242,3 +242,13 @@ def test_verification_failure_exits_3_under_optimize(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.count("fuchsian: verification failed") == 2
+
+
+def test_oversized_rational_gives_short_diagnostic(tmp_path, capsys):
+    obj = instance_to_json_obj(EXAMPLE_A)
+    obj["finite_points"][0]["exponents"][1][0] = "1" * 5000
+    src = tmp_path / "big.json"
+    src.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["construct", "-i", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert "not a rational" in err and len(err) < 200, err

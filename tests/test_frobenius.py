@@ -1,12 +1,17 @@
 """Series verification: local data, indicial roots, the obstruction recursion."""
 
+import ast
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from fuchsian.builder import construct
+import fuchsian.frobenius
+from fuchsian.builder import construct, solve_g, solve_h
 from fuchsian.frobenius import (
+    DEFAULT_DEPTH,
     LocalExpansion,
     frobenius_obstruction,
     indicial_roots,
@@ -15,8 +20,8 @@ from fuchsian.frobenius import (
     series_residual,
     verify,
 )
-from fuchsian.model import INFINITY, ExponentPair, FuchsianEquation, FuchsianInstance
-from fuchsian.polynomials import LaurentSeries, Polynomial
+from fuchsian.model import INFINITY, ExponentPair, FuchsianEquation, FuchsianInstance, psi
+from fuchsian.polynomials import LaurentSeries, Polynomial, laurent_expand
 from fuchsian.sampling import random_instance
 from fuchsian.scalars import ZERO, GaussianRational
 
@@ -226,3 +231,55 @@ def test_report_json_stable_shape():
         "log_free",
         "residual_ok",
     ]
+
+
+def test_local_expansion_matches_generic_laurent(regime_instances):
+    # Expanding psi once per point and squaring its truncated head must give
+    # exactly the generic expansions of g/psi and h/psi^2, with the full
+    # products psi*psi (and x^2 psi_rev^2 at infinity) as denominators, at
+    # every point of P, Q and infinity, and on every sixth instance at an
+    # ordinary point (Im 3 is off every position).
+    terms = DEFAULT_DEPTH + 2
+    x = Polynomial((0, 1))
+    for k, (case, inst, free) in enumerate(regime_instances(4242, 102)):
+        g = solve_g(inst)
+        eq = FuchsianEquation(g, solve_h(inst, g, free), inst)
+        p = psi(inst)
+        points = [t for t, _ in inst.finite_points] + list(inst.apparent_positions)
+        for point in points + [gr(Fraction(1, 2), 3)] * (k % 6 == 0):
+            local = local_expansion(eq, point)
+            assert local.g_series == laurent_expand(eq.g, p, point, terms), (case, point)
+            assert local.h_series == laurent_expand(eq.h, p * p, point, terms), (case, point)
+        d = inst.n + inst.num_apparent
+        g_rev = Polynomial(tuple(reversed(eq.g.padded(d))))
+        h_rev = Polynomial(tuple(reversed(eq.h.padded(2 * d - 1))))
+        psi_rev = Polynomial(tuple(reversed(p.padded(d + 1))))
+        local = local_expansion(eq, INFINITY)
+        assert local.point is INFINITY
+        assert local.g_series == laurent_expand(g_rev, x * psi_rev, 0, terms), case
+        assert local.h_series == laurent_expand(h_rev, x * x * psi_rev * psi_rev, 0, terms), case
+
+
+def test_frobenius_imports_only_model_polynomials_scalars():
+    # The verifier stays independent of construction: besides the standard
+    # library it may import only these three package modules.
+    allowed = {"model", "polynomials", "scalars"}
+    tree = ast.parse(Path(fuchsian.frobenius.__file__).read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                imported.append("fuchsian." + node.module)
+            else:
+                imported += ["fuchsian." + alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append(node.module)
+    assert imported
+    for name in imported:
+        top, _, rest = name.partition(".")
+        if top == "fuchsian":
+            assert rest in allowed, name
+        else:
+            assert top in sys.stdlib_module_names or top == "__future__", name

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from fuchsian.polynomials import LaurentSeries, Polynomial, Z, laurent_expand
 from fuchsian.scalars import ZERO, GaussianRational
@@ -150,6 +153,50 @@ def test_laurent_times_denominator_reproduces_numerator():
                 assert acc == num_local[k]
             elif k < 0:
                 assert acc == ZERO
+
+
+_gaussians = st.builds(
+    lambda a, b, c, d: GaussianRational(Fraction(a, c), Fraction(b, d)),
+    st.integers(-5, 5), st.integers(-5, 5), st.integers(1, 3), st.integers(1, 3),
+)
+_polys = st.lists(_gaussians, max_size=6).map(Polynomial)
+
+
+def _taylor_by_derivatives(p, at):
+    """Order of p at `at` and its Taylor coefficients p^(j)(at)/j! from there
+    on, by evaluating derivatives: no shift and no synthetic division."""
+    coeffs = [p(at)] + [p.derivative(j)(at) / factorial(j) for j in range(1, len(p.coeffs))]
+    order = next(j for j, c in enumerate(coeffs) if c)
+    return order, coeffs[order:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(num_unit=_polys, k=st.integers(0, 3), den_unit=_polys, m=st.integers(0, 3),
+       at=_gaussians, terms=st.integers(1, 8))
+@example(num_unit=Polynomial.zero(), k=0, den_unit=Polynomial((1, 2)), m=1,
+         at=gr(1, -1), terms=4)
+@example(num_unit=Polynomial((3, 1)), k=2, den_unit=Polynomial((1, 0, 1)), m=3,
+         at=gr(Fraction(1, 2), 2), terms=1)
+def test_laurent_expand_matches_derivative_oracle(num_unit, k, den_unit, m, at, terms):
+    # num = num_unit (z-a)^k vanishes to order >= k at a, den has a root of
+    # multiplicity >= m there; the window must be the quotient of the two
+    # Taylor heads, which the oracle computes from derivatives.
+    root = Polynomial((-at, 1))
+    num, den = num_unit * root**k, den_unit * root**m
+    assume(not den.is_zero)
+    series = laurent_expand(num, den, at, terms)
+    if num.is_zero:
+        assert series == LaurentSeries(at, 0, (ZERO,) * terms)
+        return
+    num_order, v = _taylor_by_derivatives(num, at)
+    den_order, u = _taylor_by_derivatives(den, at)
+    assert num_order >= k and den_order >= m
+    assert num.shift(at) == Polynomial([ZERO] * num_order + v)
+    assert series.min_order == num_order - den_order
+    assert len(series.coeffs) == terms
+    for i in range(terms):
+        acc = sum((u[j] * series.coeffs[i - j] for j in range(min(i + 1, len(u)))), ZERO)
+        assert acc == (v[i] if i < len(v) else ZERO)
 
 
 def test_series_window_contract():

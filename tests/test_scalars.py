@@ -141,3 +141,16 @@ def test_parse_rejects_loose_grammar(monkeypatch):
     for bad in ("1.5", "1e3", "1_0", " 3 ", "3\n", "1e20000", "1/2/3", "/2", "+-1", "\u0663"):
         with pytest.raises(ValueError, match="not a rational"):
             parse_rational(bad)
+
+
+def test_parse_error_message_is_capped():
+    # A rejected input is quoted only up to 40 characters, whatever its size.
+    for bad in ("1" * 5000, "1e" + "9" * 5000, ["1"] * 2000):
+        with pytest.raises(ValueError, match="not a rational") as info:
+            parse_rational(bad)
+        message = str(info.value)
+        assert len(message) < 100, message
+        assert f"({len(repr(bad))} characters)" in message
+    with pytest.raises(ValueError) as info:
+        parse_rational("1.5")
+    assert str(info.value) == "not a rational: '1.5'"
