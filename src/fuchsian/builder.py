@@ -242,13 +242,12 @@ def _power_row(x: GaussianRational, width: int) -> list:
 
 def _derivative_row(x: GaussianRational, width: int, order: int) -> list:
     """Row of the order-th derivative of (1, z, z^2, ...) evaluated at x."""
-    row = []
-    for k in range(width):
+    row = [ZERO] * min(order, width)
+    power = GaussianRational(1)  # x ** (k - order)
+    for k in range(order, width):
         factor = 1
         for step in range(order):
             factor *= k - step
-        if factor == 0:
-            row.append(ZERO)
-        else:
-            row.append(GaussianRational(factor) * x ** (k - order))
+        row.append(power * factor)
+        power = power * x
     return row

@@ -12,13 +12,20 @@ heads the window needs, by repeated synthetic division, and divide them by
 exact power-series inversion of the unit part of den.  This works uniformly
 at ordinary points and at poles and serves as the independent oracle for
 every closed-form constant elsewhere in the package.
+
+Synthetic division, series products and series quotients run on plain ints:
+the inputs are written over a common denominator once (the point at = A/e
+too), the inner loops multiply and add Gaussian integers, and each output
+coefficient becomes a canonical GaussianRational once.  The quotient is
+fraction-free: O_i = out_i * u_0^(i+1) obeys an integer recursion, so only
+the final division by u_0^(i+1) brings in a denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import ONE, ZERO, GaussianRational
+from .scalars import ONE, ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
 
 
 class Polynomial:
@@ -229,11 +236,18 @@ class LaurentSeries:
         """Truncated product; its window is as long as the shorter factor's."""
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        out = [
-            sum((a[j] * b[i - j] for j in range(1, i + 1)), a[0] * b[i])
-            for i in range(min(len(a), len(b)))
-        ]
+        da, ar, ai = to_gaussian_ints(self.coeffs)
+        db, br, bi = to_gaussian_ints(other.coeffs)
+        out = []
+        for i in range(min(len(ar), len(br))):
+            pairs = [(j, i - j) for j in range(i + 1)]
+            out.append(
+                from_gaussian_ints(
+                    sum(ar[j] * br[k] - ai[j] * bi[k] for j, k in pairs),
+                    sum(ar[j] * bi[k] + ai[j] * br[k] for j, k in pairs),
+                    da * db,
+                )
+            )
         return LaurentSeries(self.base_point, self.min_order + other.min_order, out)
 
     def __truediv__(self, other):
@@ -244,14 +258,32 @@ class LaurentSeries:
             raise ZeroDivisionError("divisor series is zero in its window")
         if self.is_zero:
             return self
-        v, u = self.coeffs, other.coeffs
-        inv_u0 = ONE / u[0]
-        out = []
-        for i in range(min(len(v), len(u))):
-            acc = v[i]
+        # With v = V / dv and u = U / du over Gaussian integers, the quotient
+        # is (du / dv) * o where o = V / U; O_i = o_i * U_0^(i+1) obeys
+        # O_i = U_0^i V_i - sum_(j=1..i) U_j U_0^(j-1) O_(i-j), all in ints.
+        dv, vr, vi = to_gaussian_ints(self.coeffs)
+        du, ur, ui = to_gaussian_ints(other.coeffs)
+        length = min(len(vr), len(ur))
+        u0r, u0i = ur[0], ui[0]
+        powers = [(1, 0)]  # U_0^k
+        for _ in range(length):
+            pr, pi = powers[-1]
+            powers.append((pr * u0r - pi * u0i, pr * u0i + pi * u0r))
+        weights = [None] + [  # U_j U_0^(j-1)
+            (ur[j] * pr - ui[j] * pi, ur[j] * pi + ui[j] * pr)
+            for j, (pr, pi) in zip(range(1, length), powers)
+        ]
+        big_o, out = [], []
+        for i in range(length):
+            pr, pi = powers[i]
+            acc_r, acc_i = pr * vr[i] - pi * vi[i], pr * vi[i] + pi * vr[i]
             for j in range(1, i + 1):
-                acc = acc - u[j] * out[i - j]
-            out.append(acc * inv_u0)
+                (wr, wi), (xr, xi) = weights[j], big_o[i - j]
+                acc_r -= wr * xr - wi * xi
+                acc_i -= wr * xi + wi * xr
+            big_o.append((acc_r, acc_i))
+            pr, pi = powers[i + 1]
+            out.append(from_gaussian_ints(acc_r * du, acc_i * du, dv * pr, dv * pi))
         return LaurentSeries(self.base_point, self.min_order - other.min_order, out)
 
     def __eq__(self, other):
@@ -287,17 +319,37 @@ def laurent_expand(num: Polynomial, den: Polynomial, at, terms: int) -> LaurentS
 
 def _taylor_head(coeffs, at: GaussianRational, terms: int):
     """Order at `at` of sum c_i z^i and its first `terms` Taylor coefficients
-    from that order on (zero-padded; order 0 for the zero polynomial).  Each
-    in-place synthetic division by (z - at) leaves the next one as remainder.
+    from that order on (zero-padded; order 0 for the zero polynomial).
+
+    Synthetic division by (z - at) on ints: with at = A/e and the c_i over a
+    common denominator D, W_i = D * e^(deg-i) * w_i turns the step
+    w_i += at * w_(i+1) into W_i += A * W_(i+1).  After step k the remainder
+    W_k divided by D * e^(deg-k) is the k-th Taylor coefficient.
     """
-    work = list(coeffs)
+    den, wr, wi = to_gaussian_ints(coeffs)
+    e, (a,), (b,) = to_gaussian_ints([at])
+    deg = len(coeffs) - 1
+    powers = [1]
+    for _ in range(deg):
+        powers.append(powers[-1] * e)
+    for i in range(deg + 1):
+        wr[i] *= powers[deg - i]
+        wi[i] *= powers[deg - i]
+    real = not b and not any(wi)
     order, head = 0, []
-    while work and len(head) < terms:
-        for i in range(len(work) - 2, -1, -1):
-            work[i] = work[i] + at * work[i + 1]
-        remainder = work.pop(0)
-        if head or remainder:
-            head.append(remainder)
+    for k in range(deg + 1):
+        if len(head) == terms:
+            break
+        if real:
+            for i in range(deg - 1, k - 1, -1):
+                wr[i] += a * wr[i + 1]
+        else:
+            for i in range(deg - 1, k - 1, -1):
+                x, y = wr[i + 1], wi[i + 1]
+                wr[i] += a * x - b * y
+                wi[i] += a * y + b * x
+        if head or wr[k] or wi[k]:
+            head.append(from_gaussian_ints(wr[k], wi[k], den * powers[deg - k]))
         else:
             order += 1
     return order, head + [ZERO] * (terms - len(head))

@@ -10,13 +10,19 @@ equality for free.
 Serialization convention (shared with the CLI): a rational is the string
 "p/q" with q > 0 in lowest terms, or just "p" when q == 1; a complex value is
 the two-element list [re, im] of such strings.
+
+The exact kernels of the linear algebra and series code do their inner
+arithmetic on plain ints: ``to_gaussian_ints`` writes a vector over one
+common denominator, and ``from_gaussian_ints`` turns each result back into a
+canonical value, so gcds are paid once per output rather than once per
+operation.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
@@ -130,10 +136,13 @@ class GaussianRational:
         a, b = self.re, self.im
         c, d = other.re, other.im
         result = object.__new__(GaussianRational)
-        # Real operands dominate in practice; skip the cross terms for them.
-        if b.numerator == 0 and d.numerator == 0:
+        # Real factors dominate in practice; skip the products they zero out.
+        if not d.numerator:
             result.re = a * c
-            result.im = b
+            result.im = b * c if b.numerator else b
+        elif not b.numerator:
+            result.re = a * c
+            result.im = a * d
         else:
             result.re = a * c - b * d
             result.im = a * d + b * c
@@ -259,6 +268,27 @@ class GaussianRational:
         if not isinstance(obj, (list, tuple)) or len(obj) != 2:
             raise ValueError(f"not a complex [re, im] pair: {obj!r}")
         return cls(parse_rational(obj[0]), parse_rational(obj[1]))
+
+
+def to_gaussian_ints(values) -> tuple:
+    """(den, re, im): a common denominator den > 0 and int lists with
+    values[k] == (re[k] + im[k]*i) / den; den is the lcm of all denominators."""
+    den = lcm(*(v.re.denominator for v in values), *(v.im.denominator for v in values))
+    return (
+        den,
+        [v.re.numerator * (den // v.re.denominator) for v in values],
+        [v.im.numerator * (den // v.im.denominator) for v in values],
+    )
+
+
+def from_gaussian_ints(re: int, im: int, den: int, den_im: int = 0) -> GaussianRational:
+    """The canonical value (re + im*i) / (den + den_im*i) of Gaussian integers."""
+    if den_im:
+        re, im, den = re * den + im * den_im, im * den - re * den_im, den * den + den_im * den_im
+    result = object.__new__(GaussianRational)
+    result.re = Fraction(re, den)
+    result.im = Fraction(im, den)
+    return result
 
 
 ZERO = GaussianRational(0)

@@ -1,0 +1,183 @@
+"""The Fraction algorithms that the package's integer kernels replaced.
+
+They run every step on canonical GaussianRational values, one gcd per
+operation, exactly as the package did before its elimination and series code
+moved to Gaussian integers over a common denominator.  The differential
+tests compare the kernels with them; nothing in the package imports this
+module.
+"""
+
+from fuchsian.linalg import Matrix, RowCertificate, SolveOutcome
+from fuchsian.scalars import ONE, ZERO, GaussianRational
+
+
+def _echelon(matrix: Matrix):
+    """Forward elimination; returns (work rows, transform rows, pivots).
+
+    transform tracks the row operations, so transform @ original == work at
+    all times; a dependent row r therefore satisfies
+    sum_k transform[r][k] * original_row_k == 0 with transform[r][r] == 1.
+    """
+    m, n = matrix.rows, matrix.cols
+    work = [list(matrix.row(i)) for i in range(m)]
+    transform = [[ZERO] * m for _ in range(m)]
+    for i in range(m):
+        transform[i][i] = GaussianRational(1)
+    used = [False] * m
+    pivots = []
+    for col in range(n):
+        piv = None
+        for r in range(m):
+            if not used[r] and work[r][col]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        used[piv] = True
+        pivots.append((piv, col))
+        piv_work, piv_tr = work[piv], transform[piv]
+        for r in range(m):
+            if used[r] or not work[r][col]:
+                continue
+            factor = work[r][col] / piv_work[col]
+            work[r] = [a if not b else a - factor * b for a, b in zip(work[r], piv_work)]
+            transform[r] = [
+                a if not b else a - factor * b for a, b in zip(transform[r], piv_tr)
+            ]
+    return work, transform, pivots
+
+
+def eliminate(matrix: Matrix, rhs) -> SolveOutcome:
+    """Solve matrix * x = rhs exactly, classifying the outcome.
+
+    Produces a particular solution (free variables set to zero) unless the
+    system is inconsistent, a nullspace basis (one vector per free column),
+    and one certificate per dependent row.
+    """
+    rhs = tuple(GaussianRational.coerce(v) for v in rhs)
+    if len(rhs) != matrix.rows:
+        raise ValueError(f"rhs length {len(rhs)} != row count {matrix.rows}")
+    m, n = matrix.rows, matrix.cols
+    work, transform, pivots = _echelon(matrix)
+    pivot_row_set = {r for r, _ in pivots}
+
+    certificates = []
+    consistent = True
+    reduced_rhs = [
+        sum((transform[r][k] * rhs[k] for k in range(m)), ZERO) for r in range(m)
+    ]
+    for r in range(m):
+        if r in pivot_row_set:
+            continue
+        combo = tuple(
+            (k, -transform[r][k]) for k, _ in pivots if transform[r][k]
+        )
+        certificates.append(RowCertificate(row=r, combination=combo))
+        if reduced_rhs[r]:
+            consistent = False
+
+    free_cols = [c for c in range(n) if c not in {c for _, c in pivots}]
+
+    nullspace = []
+    for free in free_cols:
+        vec = [ZERO] * n
+        vec[free] = GaussianRational(1)
+        for r, c in reversed(pivots):
+            acc = ZERO
+            for j in range(n):
+                if j != c and work[r][j]:
+                    acc = acc + work[r][j] * vec[j]
+            vec[c] = -acc / work[r][c]
+        nullspace.append(tuple(vec))
+
+    particular = None
+    if consistent:
+        x = [ZERO] * n
+        for r, c in reversed(pivots):
+            acc = reduced_rhs[r]
+            for j in range(n):
+                if j != c and work[r][j]:
+                    acc = acc - work[r][j] * x[j]
+            x[c] = acc / work[r][c]
+        particular = tuple(x)
+
+    if not consistent:
+        kind = "inconsistent"
+    elif free_cols:
+        kind = "underdetermined"
+    else:
+        kind = "unique"
+    return SolveOutcome(
+        kind=kind,
+        particular=particular,
+        nullspace_basis=tuple(nullspace),
+        dependent_row_certificates=tuple(certificates),
+        pivot_rows=tuple(r for r, _ in pivots),
+        pivot_cols=tuple(c for _, c in pivots),
+    )
+
+
+def rank(matrix: Matrix) -> int:
+    """Exact rank."""
+    _, _, pivots = _echelon(matrix)
+    return len(pivots)
+
+
+def det(matrix: Matrix) -> GaussianRational:
+    """Exact determinant of a square matrix."""
+    if matrix.rows != matrix.cols:
+        raise ValueError(f"determinant of a non-square {matrix.rows}x{matrix.cols} matrix")
+    work, _, pivots = _echelon(matrix)
+    if len(pivots) < matrix.rows:
+        return ZERO
+    # Row operations preserve the determinant; reordering rows so that the
+    # i-th pivot row comes i-th makes `work` upper triangular.
+    order = [r for r, _ in pivots]
+    inversions = sum(
+        1
+        for i in range(len(order))
+        for j in range(i + 1, len(order))
+        if order[i] > order[j]
+    )
+    result = GaussianRational(1) if inversions % 2 == 0 else GaussianRational(-1)
+    for r, c in pivots:
+        result = result * work[r][c]
+    return result
+
+
+def taylor_head(coeffs, at: GaussianRational, terms: int):
+    """Order at `at` of sum c_i z^i and its first `terms` Taylor coefficients
+    from that order on (zero-padded; order 0 for the zero polynomial).  Each
+    in-place synthetic division by (z - at) leaves the next one as remainder.
+    """
+    work = list(coeffs)
+    order, head = 0, []
+    while work and len(head) < terms:
+        for i in range(len(work) - 2, -1, -1):
+            work[i] = work[i] + at * work[i + 1]
+        remainder = work.pop(0)
+        if head or remainder:
+            head.append(remainder)
+        else:
+            order += 1
+    return order, head + [ZERO] * (terms - len(head))
+
+
+def series_product(a, b):
+    """Truncated product of two coefficient windows (shorter length)."""
+    return [
+        sum((a[j] * b[i - j] for j in range(1, i + 1)), a[0] * b[i])
+        for i in range(min(len(a), len(b)))
+    ]
+
+
+def series_quotient(v, u):
+    """Truncated quotient of coefficient windows, u[0] != 0 (shorter length)."""
+    inv_u0 = ONE / u[0]
+    out = []
+    for i in range(min(len(v), len(u))):
+        acc = v[i]
+        for j in range(1, i + 1):
+            acc = acc - u[j] * out[i - j]
+        out.append(acc * inv_u0)
+    return out

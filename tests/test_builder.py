@@ -8,12 +8,14 @@ independent cofactor-expansion solver on a frozen fixture.
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from fuchsian.builder import (
     FuchsViolation,
     VerificationFailed,
+    _derivative_row,
     build_g_system,
     build_h_system,
     construct,
@@ -234,6 +236,17 @@ def _node_product(inst):
         for b in range(a + 1, len(qs)):
             product = product * (qs[a] - qs[b]) ** 9
     return product
+
+
+def test_derivative_row_matches_power_formula():
+    # The running power of x gives k!/(k-order)! * x^(k-order) per entry.
+    for x in (gr(0), gr(Fraction(3, 2)), gr(-1, 2)):
+        for order, width in ((1, 6), (2, 6), (2, 1), (3, 2)):
+            want = [
+                ZERO if k < order else x ** (k - order) * (factorial(k) // factorial(k - order))
+                for k in range(width)
+            ]
+            assert _derivative_row(x, width, order) == want
 
 
 def test_determinant_product_formula():

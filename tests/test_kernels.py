@@ -1,0 +1,167 @@
+"""The integer kernels against the Fraction algorithms they replaced.
+
+Elimination, rank, determinant, Taylor heads and series products and
+quotients are each uniquely determined, so the kernels must return exactly
+what `fraction_reference` computes one canonical GaussianRational step at a
+time.
+"""
+
+import dataclasses
+import random
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import fraction_reference as ref
+from fuchsian.builder import build_g_system, build_h_system, solve_g
+from fuchsian.linalg import Matrix, _echelon, _scaled_rows, det, eliminate, rank
+from fuchsian.polynomials import LaurentSeries, _taylor_head
+from fuchsian.scalars import ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
+
+
+def _entry(rng, complex_entries):
+    if rng.random() < 0.25:
+        return ZERO
+    im = Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if complex_entries else 0
+    return GaussianRational(Fraction(rng.randint(-6, 6), rng.randint(1, 5)), im)
+
+
+def _matrices(seed):
+    """(label, matrix, rhs) for square, wide, tall, rank-deficient, zero-row,
+    zero-column, inconsistent and 1x1 systems, real and Gaussian."""
+    rng = random.Random(seed)
+    for k in range(160):
+        complex_entries = k % 2 == 1
+        kind = ("square", "wide", "tall", "deficient", "zero_row", "zero_col",
+                "inconsistent", "one")[k % 8]
+        rows, cols = {
+            "square": (rng.randint(2, 6),) * 2,
+            "wide": (rng.randint(1, 4), rng.randint(5, 7)),
+            "tall": (rng.randint(5, 7), rng.randint(1, 4)),
+            "one": (1, 1),
+        }.get(kind, (rng.randint(2, 6), rng.randint(2, 6)))
+        grid = [[_entry(rng, complex_entries) for _ in range(cols)] for _ in range(rows)]
+        rhs = [_entry(rng, complex_entries) for _ in range(rows)]
+        if kind in ("deficient", "inconsistent"):
+            # the last row (and its rhs, unless inconsistent) is a combination
+            a, b = _entry(rng, True) or GaussianRational(2), _entry(rng, complex_entries)
+            grid[-1] = [a * x + b * y for x, y in zip(grid[0], grid[-2])]
+            rhs[-1] = a * rhs[0] + b * rhs[-2] + int(kind == "inconsistent")
+        elif kind == "zero_row":
+            grid[rng.randrange(rows)] = [ZERO] * cols
+        elif kind == "zero_col":
+            col = rng.randrange(cols)
+            for row in grid:
+                row[col] = ZERO
+        yield kind, Matrix.from_rows(grid), rhs
+
+
+def _assert_same_outcome(matrix, rhs):
+    got, want = eliminate(matrix, rhs), ref.eliminate(matrix, rhs)
+    for field in dataclasses.fields(want):
+        assert getattr(got, field.name) == getattr(want, field.name), field.name
+    return got
+
+
+def _assert_same_rank_det(matrix):
+    assert rank(matrix) == ref.rank(matrix)
+    if matrix.rows == matrix.cols:
+        assert det(matrix) == ref.det(matrix)
+
+
+def test_elimination_matches_fraction_reference():
+    kinds = set()
+    for kind, matrix, rhs in _matrices(404):
+        outcome = _assert_same_outcome(matrix, rhs)
+        _assert_same_rank_det(matrix)
+        kinds.add((kind, outcome.kind))
+    # every shape ran, and every outcome kind was met
+    assert {k for k, _ in kinds} >= {"square", "wide", "tall", "one", "zero_row", "zero_col"}
+    assert {o for _, o in kinds} == {"unique", "underdetermined", "inconsistent"}
+    assert ("inconsistent", "inconsistent") in kinds
+
+
+def test_zero_and_unit_edge_cases():
+    for matrix in (Matrix.from_rows([[0]]), Matrix.from_rows([[0, 0], [0, 0]]),
+                   Matrix.from_rows([[GaussianRational(0, Fraction(2, 3))]])):
+        _assert_same_rank_det(matrix)
+        _assert_same_outcome(matrix, [GaussianRational(1)] * matrix.rows)
+        _assert_same_outcome(matrix, [ZERO] * matrix.rows)
+
+
+def test_g_and_h_systems_match_fraction_reference(regime_instances):
+    for _, inst, _ in regime_instances(505, 24):
+        g_matrix, g_rhs = build_g_system(inst)
+        _assert_same_outcome(g_matrix, g_rhs)
+        _assert_same_rank_det(g_matrix)
+        h_matrix, h_rhs = build_h_system(inst, solve_g(inst))
+        _assert_same_outcome(h_matrix, h_rhs)
+        _assert_same_rank_det(h_matrix)
+
+
+def test_elimination_keeps_rows_primitive():
+    # Rows with content 1 going in stay primitive: every update divides out
+    # its content, so coefficients do not grow by a factor per step.
+    rng = random.Random(606)
+    for k in range(30):
+        size = rng.randint(2, 6)
+        grid = [[GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9) * (k % 2))
+                 for _ in range(size)] for _ in range(size)]
+        for row in grid:
+            row[rng.randrange(size)] = GaussianRational(1)
+        rows, real, _ = _scaled_rows(grid, transform=False)
+        _echelon(rows, size, real)
+        for row in rows:
+            assert gcd(*row) in (0, 1)  # 0 for a row that vanished
+
+
+def test_scale_helpers_round_trip():
+    rng = random.Random(707)
+    for k in range(50):
+        values = [_entry(rng, k % 2 == 1) for _ in range(rng.randint(0, 6))]
+        den, re, im = to_gaussian_ints(values)
+        assert den > 0
+        assert [from_gaussian_ints(a, b, den) for a, b in zip(re, im)] == values
+        for value in values:
+            assert den % value.re.denominator == 0 and den % value.im.denominator == 0
+    # a Gaussian denominator: (1 + 2i) / (1 - i) = (-1 + 3i) / 2
+    assert from_gaussian_ints(1, 2, 1, -1) == GaussianRational(Fraction(-1, 2), Fraction(3, 2))
+
+
+_gaussians = st.builds(
+    lambda a, b, c, d: GaussianRational(Fraction(a, c), Fraction(b, d)),
+    st.integers(-7, 7), st.integers(-7, 7), st.integers(1, 6), st.integers(1, 6),
+)
+_reals = st.builds(lambda a, c: GaussianRational(Fraction(a, c)), st.integers(-7, 7),
+                   st.integers(1, 6))
+_coefficients = st.one_of(_gaussians, _reals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.lists(_coefficients, max_size=9), b=st.lists(_coefficients, max_size=9),
+       a_order=st.integers(-4, 4), b_order=st.integers(-4, 4))
+@example(a=[GaussianRational(1)], b=[GaussianRational(0, 1)] * 5, a_order=-2, b_order=3)
+def test_series_product_and_quotient_match_convolution(a, b, a_order, b_order):
+    at = GaussianRational(Fraction(1, 3), 2)
+    x, y = LaurentSeries(at, a_order, a), LaurentSeries(at, b_order, b)
+    product = x * y
+    assert product == LaurentSeries(
+        at, x.min_order + y.min_order, ref.series_product(x.coeffs, y.coeffs)
+    )
+    assert len(product.coeffs) <= min(len(x.coeffs), len(y.coeffs))
+    if not y.is_zero:
+        want = x if x.is_zero else LaurentSeries(
+            at, x.min_order - y.min_order, ref.series_quotient(x.coeffs, y.coeffs)
+        )
+        assert x / y == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=st.lists(_coefficients, max_size=10), at=_coefficients,
+       terms=st.integers(1, 12))
+@example(coeffs=[ZERO, ZERO, GaussianRational(3)], at=ZERO, terms=2)
+@example(coeffs=[ZERO, ZERO], at=GaussianRational(1, 1), terms=3)
+def test_taylor_head_matches_fraction_reference(coeffs, at, terms):
+    assert _taylor_head(coeffs, at, terms) == ref.taylor_head(coeffs, at, terms)

@@ -86,6 +86,19 @@ def test_field_axioms_random():
         assert a + (-a) == GaussianRational(0)
 
 
+def test_products_with_a_real_factor():
+    # Real x complex and complex x real take two products, not four; the
+    # result must equal the four-product formula either way round.
+    rng = random.Random(31)
+    for _ in range(100):
+        a, b = _random_gr(rng), _random_gr(rng)
+        real = GaussianRational(a.re)
+        want = GaussianRational(real.re * b.re, real.re * b.im)
+        assert real * b == want and b * real == want
+        assert (real * real).im == 0 and real * real == GaussianRational(a.re * a.re)
+        assert a * b == GaussianRational(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+
+
 def test_rational_sqrt():
     assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
     assert rational_sqrt(Fraction(2)) is None
