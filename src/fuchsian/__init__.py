@@ -1,10 +1,10 @@
 """Second-order Fuchsian equations with prescribed exponents and apparent
 singularities, constructed and independently verified in exact arithmetic.
 
-The construction solves a Vandermonde system for the w'-coefficient and a
-confluent Vandermonde system for the w-coefficient; verification re-derives
-every local quantity by Laurent expansion and runs the power-series
-recursion at each apparent point.  For apparent-point counts other than
+The construction writes the w'-coefficient down by partial fractions and
+solves a confluent Vandermonde system for the w-coefficient; verification
+re-derives every local quantity by Laurent expansion and runs the
+power-series recursion at each apparent point.  For apparent-point counts other than
 n - 2 the dimension module counts free parameters and builds the quadratic
 momentum constraints of the overdetermined case.
 """

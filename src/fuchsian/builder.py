@@ -1,12 +1,17 @@
 """Assembly and solution of the two linear systems behind the construction.
 
-The coefficient polynomial g of the w'-term is pinned by one value condition
-per finite point: g(t_i) = (1 - rho1 - rho2) * psi'(t_i) at a prescribed
-point and g(q_j) = -psi'(q_j) at an apparent one.  Adding the top-coefficient
-condition at infinity makes one condition too many, but the residue theorem
-renders the infinity condition redundant exactly when the exponent sum is
-admissible; we therefore always drop the infinity row, solve the remaining
-square Vandermonde system, and re-check the dropped condition afterwards.
+The coefficient polynomial g of the w'-term is pinned by its residues: g/psi
+has residue c = 1 - rho1 - rho2 at a prescribed point t_i and c = -1 at an
+apparent point q_j.  With deg g < deg psi this is the partial-fraction sum
+
+    g / psi = sum_k c_k / (z - x_k),   g = sum_k c_k * psi / (z - x_k),
+
+so g needs no linear system: each term is psi deflated by one root.  (The
+same conditions, read as g(x_k) = c_k psi'(x_k), form the square Vandermonde
+system of build_g_system, which the tests keep as the oracle.)  The top
+coefficient of g is sum_k c_k; the condition at infinity asks for 1 + l1 + l2,
+and the two differ by exactly the exponent-sum defect, so solve_g re-checks
+that condition and rejects an inadmissible instance.
 
 The h-system stacks one top-coefficient row for infinity, value rows at all
 points, and first- plus second-derivative rows at the apparent points:
@@ -26,7 +31,7 @@ with the local constants
     epsilon_j = -2 psi'(q_j)^2 * (g1_j - psi''(q_j)/psi'(q_j)).
 
 h_rhs_terms is the one definition of these right-hand sides, as coefficients
-of each row's own momentum; the exact system, the symbolic momentum
+of each row's own momentum; the exact system, the quadratic momentum
 constraints and the float obstruction path all read it.
 
 The h-matrix always has maximal rank, so one elimination settles every
@@ -48,11 +53,11 @@ from dataclasses import dataclass
 from .linalg import Matrix, eliminate
 from .model import FuchsianEquation, FuchsianInstance, fuchs_defect, psi, require_valid
 from .polynomials import Polynomial
-from .scalars import ZERO, GaussianRational
+from .scalars import ONE, ZERO, GaussianRational
 
 
 class FuchsViolation(ValueError):
-    """The dropped infinity condition fails: the exponent sum is inadmissible."""
+    """The condition at infinity fails: the exponent sum is inadmissible."""
 
 
 class VerificationFailed(RuntimeError):
@@ -95,21 +100,24 @@ def build_g_system(instance: FuchsianInstance):
 
 
 def solve_g(instance: FuchsianInstance) -> Polynomial:
-    """The unique g, with the dropped infinity condition re-checked.
+    """The unique g, by partial fractions, with the infinity condition checked.
 
     Raises FuchsViolation when the instance's exponent sum is inadmissible,
-    which is exactly when the recovered top coefficient disagrees with
-    1 + l1 + l2.
+    which is exactly when the top coefficient disagrees with 1 + l1 + l2.
     """
-    matrix, rhs = build_g_system(instance)
-    outcome = eliminate(matrix, rhs)
-    if outcome.kind != "unique":
-        raise VerificationFailed(
-            f"Vandermonde system with distinct nodes is {outcome.kind}, not regular"
-        )
-    g = Polynomial(outcome.particular)
-    d = instance.n + instance.num_apparent
-    expected_top = GaussianRational(1) + instance.infinity_exponents.sum
+    require_valid(instance)
+    psi_coeffs = psi(instance).coeffs
+    residues = [(t, ONE - pair.sum) for t, pair in instance.finite_points]
+    residues += [(q, -ONE) for q in instance.apparent_positions]
+    d = len(psi_coeffs) - 1
+    coeffs = [ZERO] * d
+    for x, c in residues:
+        quotient = ZERO  # synthetic division of psi by (z - x), top down
+        for i in range(d - 1, -1, -1):
+            quotient = quotient * x + psi_coeffs[i + 1]
+            coeffs[i] = coeffs[i] + c * quotient
+    g = Polynomial(coeffs)
+    expected_top = ONE + instance.infinity_exponents.sum
     if g.coefficient(d - 1) != expected_top:
         defect = fuchs_defect(instance)
         raise FuchsViolation(

@@ -81,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
         commands[name].add_argument("--n", type=int, help="number of finite prescribed points")
         commands[name].add_argument("--seed", type=int, default=0)
     commands["det-check"].add_argument("--trials", type=int, default=5)
-    commands["constraints"].add_argument("--tolerance", type=float, default=1e-9)
     return parser
 
 
@@ -176,7 +175,6 @@ def _cmd_constraints(args, instance) -> int:
     payload = {
         "constraints": [c.to_json_obj() for c in constraints],
         "float_roots": float_roots,
-        "tolerance": args.tolerance,
     }
     lines = []
     for c in constraints:

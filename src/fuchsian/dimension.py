@@ -20,7 +20,16 @@ rows, with coefficients that depend on the points only, so consistency
 requires the same combination to hold between the right-hand sides.  Since
 the right-hand side of a second-derivative row is quadratic in its momentum,
 each certificate produces one quadratic equation, and the one for point j
-carries the quadratic term of p_j while the others cannot.
+carries the quadratic term of p_j while the others cannot.  Each constraint
+is read off builder.h_rhs_terms directly: the dependent row's
+(const, lin, quad) minus the certificate's combination of the pivot rows'.
+
+So quadratic_constraints costs one elimination, of the homogeneous h-matrix,
+and check_momenta computes g once and adds a second, solve_h, only for the
+witness of a consistent instance.  The two are kept apart on purpose: the
+h-matrix of real positions eliminates on the cheaper real-integer path,
+while complex momenta would make a combined right-hand side complex and
+push the whole elimination onto the complex path.
 
 The float helpers at the bottom are the one deliberately inexact corner of
 the package: they find roots of the scalar constraints numerically and check
@@ -44,7 +53,6 @@ from .builder import (
 from .frobenius import verify
 from .linalg import eliminate
 from .model import FuchsianEquation, FuchsianInstance, psi, require_valid
-from .polynomials import Polynomial
 from .scalars import ZERO, GaussianRational
 
 
@@ -154,43 +162,21 @@ class QuadraticConstraint:
         }
 
 
-class _MomentumPoly:
-    """Degree-<=2 polynomial in the momenta, used as a symbolic rhs entry."""
-
-    __slots__ = ("const", "lin", "quad")
-
-    def __init__(self, const=ZERO, lin=None, quad=None):
-        self.const = const
-        self.lin = dict(lin or {})
-        self.quad = dict(quad or {})
-
-    def subtract_scaled(self, other: _MomentumPoly, factor: GaussianRational) -> None:
-        self.const = self.const - factor * other.const
-        for k, v in other.lin.items():
-            self.lin[k] = self.lin.get(k, ZERO) - factor * v
-        for k, v in other.quad.items():
-            self.quad[k] = self.quad.get(k, ZERO) - factor * v
-
-    def cleaned(self):
-        lin = {k: v for k, v in sorted(self.lin.items()) if v}
-        quad = {k: v for k, v in sorted(self.quad.items()) if v}
-        return self.const, lin, quad
-
-
-def _symbolic_rhs(instance: FuchsianInstance, g: Polynomial) -> list:
-    """The h-system right-hand side as polynomials in the momenta."""
-    return [
-        _MomentumPoly(const) if j is None
-        else _MomentumPoly(const, lin={j + 1: lin}, quad={j + 1: quad})
-        for j, const, lin, quad in h_rhs_terms(instance, g)
-    ]
-
-
 def quadratic_constraints(instance: FuchsianInstance) -> list:
     """The N - n + 2 momentum constraints of the overdetermined case.
 
     The elimination certificates do not involve the momenta, so the returned
     constraints are exact objects valid for every momentum choice.
+    """
+    return _constraints(instance)[1]
+
+
+def _constraints(instance: FuchsianInstance):
+    """g and the quadratic constraints, from one elimination of the h-matrix.
+
+    A dependent row r equals sum coeff * (pivot row) for its certificate, so
+    its constraint is h_rhs_terms[r] minus the same combination of the pivot
+    rows' (const, lin, quad) terms, collected per momentum.
     """
     report = classify(instance)
     if report.case != "over":
@@ -200,7 +186,7 @@ def quadratic_constraints(instance: FuchsianInstance) -> list:
     outcome = eliminate(matrix, (ZERO,) * matrix.rows)
     if outcome.rank != matrix.cols:
         raise VerificationFailed(f"h-matrix rank {outcome.rank} < {matrix.cols} columns")
-    symbolic = _symbolic_rhs(instance, g)
+    terms = h_rhs_terms(instance, g)
 
     n, num = instance.n, instance.num_apparent
     second_block = n + 2 * num + 1  # first second-derivative row index
@@ -212,22 +198,27 @@ def quadratic_constraints(instance: FuchsianInstance) -> list:
                 f"dependent row {cert.row} is not a second-derivative row; "
                 "configuration outside the generic pivot pattern"
             )
-        expr = _MomentumPoly(
-            const=symbolic[cert.row].const,
-            lin=symbolic[cert.row].lin,
-            quad=symbolic[cert.row].quad,
-        )
+        j, const, lin_j, quad_j = terms[cert.row]
+        lin, quad = {j + 1: lin_j}, {j + 1: quad_j}
         for pivot_row, coeff in cert.combination:
-            expr.subtract_scaled(symbolic[pivot_row], coeff)
-        const, lin, quad = expr.cleaned()
+            k, c, lin_k, quad_k = terms[pivot_row]
+            const = const - coeff * c
+            if k is not None:
+                lin[k + 1] = lin.get(k + 1, ZERO) - coeff * lin_k
+                quad[k + 1] = quad.get(k + 1, ZERO) - coeff * quad_k
         constraints.append(
-            QuadraticConstraint(j=apparent_index + 1, quad=quad, lin=lin, const_term=const)
+            QuadraticConstraint(
+                j=apparent_index + 1,
+                quad={k: v for k, v in sorted(quad.items()) if v},
+                lin={k: v for k, v in sorted(lin.items()) if v},
+                const_term=const,
+            )
         )
     if len(constraints) != report.constraint_count:
         raise VerificationFailed(
             f"{len(constraints)} constraints, expected {report.constraint_count}"
         )
-    return constraints
+    return g, constraints
 
 
 @dataclass(frozen=True)
@@ -243,7 +234,7 @@ def check_momenta(instance: FuchsianInstance) -> MomentaCheck:
     On consistency the h-system has a unique solution, and the verified
     equation built from it is returned as the witness.
     """
-    constraints = quadratic_constraints(instance)
+    g, constraints = _constraints(instance)
     momenta = instance.momenta
     violations = []
     for constraint in constraints:
@@ -253,7 +244,6 @@ def check_momenta(instance: FuchsianInstance) -> MomentaCheck:
     if violations:
         return MomentaCheck(consistent=False, equation=None, violations=tuple(violations))
 
-    g = solve_g(instance)
     eq = _verified(FuchsianEquation(g, solve_h(instance, g), instance))
     return MomentaCheck(consistent=True, equation=eq, violations=())
 

@@ -62,10 +62,6 @@ class Indicial:
     product: GaussianRational
     pair: ExponentPair | None
 
-    @property
-    def exact_pair(self) -> bool:
-        return self.pair is not None
-
 
 def local_expansion(eq: FuchsianEquation, point, terms: int = DEFAULT_DEPTH + 2) -> LocalExpansion:
     """Expansions of g/psi and h/psi^2 at a finite point or at infinity.

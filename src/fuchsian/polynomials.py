@@ -44,10 +44,6 @@ class Polynomial:
         return cls(())
 
     @classmethod
-    def constant(cls, value) -> Polynomial:
-        return cls((value,))
-
-    @classmethod
     def from_roots(cls, roots) -> Polynomial:
         """Monic polynomial with exactly the given roots (with multiplicity)."""
         result = cls((1,))
@@ -227,10 +223,6 @@ class LaurentSeries:
                 f"(max {self.max_order})"
             )
         return self.coeffs[order - self.min_order]
-
-    @property
-    def residue(self) -> GaussianRational:
-        return self.coefficient(-1)
 
     def __mul__(self, other):
         """Truncated product; its window is as long as the shorter factor's."""

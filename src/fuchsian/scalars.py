@@ -198,14 +198,6 @@ class GaussianRational:
     def conjugate(self) -> GaussianRational:
         return GaussianRational(self.re, -self.im)
 
-    def norm2(self) -> Fraction:
-        """|z|^2, an exact rational."""
-        return self.re * self.re + self.im * self.im
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def sqrt(self) -> GaussianRational | None:
         """An exact square root within the Gaussian rationals, or None.
 

@@ -26,7 +26,7 @@ from fuchsian.builder import (
     solve_h,
 )
 from fuchsian.frobenius import verify
-from fuchsian.linalg import Matrix, det
+from fuchsian.linalg import Matrix, det, eliminate
 from fuchsian.model import FuchsianEquation, FuchsianInstance, fuchs_defect, psi
 from fuchsian.polynomials import Polynomial, laurent_expand
 from fuchsian.sampling import random_instance
@@ -306,6 +306,33 @@ def test_solve_h_all_regimes(regime_instances):
             assert h.coefficient(n + 3 * num + i) == value
         if k % 7 == 0:
             assert verify(FuchsianEquation(g, h, inst)).overall, (k, case)
+
+
+def test_solve_g_matches_vandermonde_oracle(regime_instances):
+    # The partial-fraction g against the eliminated Vandermonde system on 120
+    # seeded square/under/consistent-over instances, half at Gaussian
+    # positions.  With the first exponent bumped, solve_g must raise the
+    # message built from the oracle's top coefficient.
+    for k, (case, inst, _) in enumerate(regime_instances(31, 120)):
+        oracle = Polynomial(eliminate(*build_g_system(inst)).particular)
+        assert solve_g(inst) == oracle, (k, case)
+        (t, pair), *rest = inst.finite_points
+        shift = gr(1 + k % 3, k % 2)
+        bumped = FuchsianInstance(
+            [(t, (pair.rho1 + shift, pair.rho2))] + rest,
+            inst.infinity_exponents,
+            inst.apparent_points,
+        )
+        top = Polynomial(eliminate(*build_g_system(bumped)).particular).coefficient(
+            bumped.n + bumped.num_apparent - 1
+        )
+        expected = (
+            f"inconsistent at infinity: top coefficient {top} != "
+            f"{1 + bumped.infinity_exponents.sum}; exponent-sum defect is {shift}"
+        )
+        with pytest.raises(FuchsViolation) as caught:
+            solve_g(bumped)
+        assert str(caught.value) == expected, (k, case)
 
 
 def test_solve_h_rejects_wrong_nullity():

@@ -102,7 +102,6 @@ def test_constraints_payload(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["constraints"][0]["quad"] == {"1": ["-8", "0"]}
     assert payload["float_roots"][0]["j"] == 1
-    assert payload["tolerance"] == 1e-9
 
 
 def test_constraints_requires_over_case(tmp_path):
@@ -209,7 +208,7 @@ def test_flags_belong_to_their_subcommands(tmp_path):
     assert main(["gen", "--n", "3", "--trials", "2"]) == 1
     assert main(["det-check", "--n", "3", "-i", str(src)]) == 1
     out = tmp_path / "c.json"
-    assert main(["constraints", "-i", str(over), "--tolerance", "1e-6", "-o", str(out)]) == 0
+    assert main(["constraints", "-i", str(over), "--tolerance", "1e-6", "-o", str(out)]) == 1
 
 
 def test_verification_failure_exits_3_under_optimize(tmp_path):

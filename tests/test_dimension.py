@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from fuchsian.builder import build_h_system, h_matrix, local_constants, solve_g
+import fuchsian.builder
+import fuchsian.dimension
+from fuchsian.builder import build_h_system, construct, h_matrix, local_constants, solve_g
 from fuchsian.dimension import (
     check_momenta,
     classify,
@@ -126,6 +128,31 @@ def test_check_momenta_paths():
     # perturbing a consistent momentum breaks it again
     worse = check_momenta(N2N1.with_momenta([roots[0] + 1]))
     assert not worse.consistent
+
+
+def test_each_call_eliminates_once_per_system(monkeypatch):
+    # g is a closed form and the over case shares one h elimination between
+    # its constraints and its check; only a consistent witness solves again.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(fuchsian.builder, "eliminate", counting)
+    monkeypatch.setattr(fuchsian.dimension, "eliminate", counting)
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    assert count(construct, random_instance(4, 2, seed=3)) == 1
+    assert count(solve_under, UNDER3, [1]) == 1
+    assert count(quadratic_constraints, N2N1) == 1
+    assert count(check_momenta, N2N1) == 1  # violating: no witness
+    assert count(check_momenta, N2N1.with_momenta([gr(1)])) == 2
+    assert count(float_obstructions, N2N1, [1.0]) == 1
 
 
 def test_zero_exponent_over_instance_admits_zero_momentum():
