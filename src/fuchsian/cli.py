@@ -107,10 +107,10 @@ def _dispatch(args) -> int:
 
 
 def _cmd_construct(args, instance) -> int:
-    n, num = instance.n, instance.num_apparent
-    if num == n - 2:
+    report = classify(instance)
+    if report.case == "square":
         eq = construct(instance)
-    elif num > n - 2:
+    elif report.case == "over":
         result = check_momenta(instance)
         if not result.consistent:
             witness = ", ".join(f"constraint {j} evaluates to {v}" for j, v in result.violations)
@@ -119,8 +119,7 @@ def _cmd_construct(args, instance) -> int:
         eq = result.equation
     else:
         # Free coefficients default to zero; pass explicit values through the API.
-        free = [ZERO] * (n - 2 - num)
-        eq = solve_under(instance, free)
+        eq = solve_under(instance, [ZERO] * report.h_free_dim)
     payload = equation_to_json_obj(eq)
     text = _poly_lines(("G", eq.g), ("H", eq.h))
     _emit(args, payload, text)

@@ -31,28 +31,31 @@ h-matrix of real positions eliminates on the cheaper real-integer path,
 while complex momenta would make a combined right-hand side complex and
 push the whole elimination onto the complex path.
 
-The float helpers at the bottom are the one deliberately inexact corner of
-the package: they find roots of the scalar constraints numerically and check
-obstructions to a tolerance.  Nothing exact ever depends on them.
+Floats appear only at the edges.  solve_quadratic_float finds the roots of
+a scalar constraint numerically.  float_obstructions takes float momenta at
+their exact binary values, computes exactly and converts its results to
+complex at the end; nothing exact depends on either.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .builder import (
     FuchsViolation,  # noqa: F401  (re-exported: callers catch it from either module)
     VerificationFailed,
+    build_h_system,
     h_matrix,
     h_rhs_terms,
-    local_constants,
     solve_g,
     solve_h,
 )
-from .frobenius import verify
-from .linalg import eliminate
-from .model import FuchsianEquation, FuchsianInstance, psi, require_valid
+from .frobenius import frobenius_obstruction, local_expansion, verify
+from .linalg import Matrix, eliminate
+from .model import FuchsianEquation, FuchsianInstance, require_valid
+from .polynomials import Polynomial
 from .scalars import ZERO, GaussianRational
 
 
@@ -281,92 +284,40 @@ def solve_quadratic_float(a: complex, b: complex, c: complex):
     return first, c / (a * first)
 
 
-# -- quarantined float path ---------------------------------------------------
-
-
 def float_obstructions(instance: FuchsianInstance, momenta) -> list:
     """Logarithm obstructions at every apparent point for float momenta.
 
-    Solves the pivot subsystem of the h-system in complex floats with the
-    given momenta and returns one complex obstruction value per apparent
-    point; magnitudes below the caller's tolerance indicate a numerically
-    log-free equation.  The g polynomial and all local constants stay exact
-    and are converted at the end.
+    Each momentum is taken at its exact binary value and everything after
+    that is exact; only the returned values are rounded to complex.  h solves
+    the leading square block of the h-system: the top coefficient, values at
+    every point, first derivatives at every q_j and second derivatives at
+    q_1 .. q_(n-2).  That is Hermite data on distinct nodes, a nonsingular
+    confluent Vandermonde system, so h is unique, and the verifier's
+    recursion gives omega_j at each q_j: exactly 0 where q_j's
+    second-derivative row is in the block, C_j(p) / delta_j elsewhere (C_j
+    the constraint of q_j).  Raises ValueError for an underdetermined
+    instance, which has no such block, and for momenta that are not finite.
     """
+    if classify(instance).case == "under":
+        raise ValueError("instance is under; float_obstructions needs N >= n - 2")
     momenta = [complex(p) for p in momenta]
     if len(momenta) != instance.num_apparent:
         raise ValueError(f"expected {instance.num_apparent} momenta, got {len(momenta)}")
-    g = solve_g(instance)
-    matrix = h_matrix(instance)
-    outcome = eliminate(matrix, (ZERO,) * matrix.rows)
-    num = instance.num_apparent
-    p = psi(instance)
-    consts = [local_constants(instance, g, j) for j in range(num)]
-    rhs = []
-    for j, const, lin, quad in h_rhs_terms(instance, g):
-        value = const.to_complex()
-        if j is not None:
-            value += (lin.to_complex() + quad.to_complex() * momenta[j]) * momenta[j]
-        rhs.append(value)
-
-    rows = list(outcome.pivot_rows)
-    float_rows = [
-        [matrix.entry(r, c).to_complex() for c in range(matrix.cols)] for r in rows
+    if not all(cmath.isfinite(p) for p in momenta):
+        raise ValueError("momenta must be finite")
+    exact = instance.with_momenta(
+        [GaussianRational(Fraction(p.real), Fraction(p.imag)) for p in momenta]
+    )
+    g = solve_g(exact)
+    matrix, rhs = build_h_system(exact, g)
+    size = matrix.cols
+    block = Matrix(size, size, matrix.entries[: size * size])
+    outcome = eliminate(block, rhs[:size])
+    if outcome.kind != "unique":
+        raise VerificationFailed(f"leading h-block is {outcome.kind}, not unique")
+    eq = FuchsianEquation(g, Polynomial(outcome.particular), exact)
+    # the resonance at s = 2 reads orders up to 0 only: the shortest window
+    return [
+        frobenius_obstruction(local_expansion(eq, q, terms=3))[0].to_complex()
+        for q in exact.apparent_positions
     ]
-    h = _solve_complex(float_rows, [rhs[r] for r in rows])
-
-    psi3 = p.derivative(3) if p.degree >= 3 else None
-    obstructions = []
-    for j in range(num):
-        q = instance.apparent_positions[j]
-        qf = q.to_complex()
-        mu = consts[j].mu.to_complex()
-        kappa = consts[j].kappa.to_complex()
-        g0 = consts[j].g1.to_complex()
-        psi1 = consts[j].psi1
-        psi2 = consts[j].psi2
-        psi3_val = psi3(q) if psi3 is not None else ZERO
-        # (1/2) F''(q) for F = (z-q)^2 / psi^2, derived from the local unit of psi
-        fpp_half = (
-            -psi3_val / (3 * psi1**3) + GaussianRational(3) / 4 * psi2 * psi2 / psi1**4
-        ).to_complex()
-        h_val = _ceval(h, qf)
-        h_d1 = _ceval(_cderiv(h), qf)
-        h_d2 = _ceval(_cderiv(_cderiv(h)), qf)
-        h_m1 = kappa * h_val + mu * h_d1
-        h_0 = fpp_half * h_val + kappa * h_d1 + mu * h_d2 / 2
-        obstructions.append((g0 + h_m1) * h_m1 + h_0)
-    return obstructions
-
-
-def _solve_complex(rows, rhs):
-    """Dense complex solve with partial pivoting (floats only)."""
-    size = len(rows)
-    work = [list(r) + [b] for r, b in zip(rows, rhs)]
-    for col in range(size):
-        piv = max(range(col, size), key=lambda r: abs(work[r][col]))
-        if work[piv][col] == 0:
-            raise ZeroDivisionError("singular float system")
-        work[col], work[piv] = work[piv], work[col]
-        for r in range(col + 1, size):
-            factor = work[r][col] / work[col][col]
-            if factor != 0:
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    x = [0j] * size
-    for col in range(size - 1, -1, -1):
-        acc = work[col][size]
-        for k in range(col + 1, size):
-            acc -= work[col][k] * x[k]
-        x[col] = acc / work[col][col]
-    return x
-
-
-def _ceval(coeffs, x: complex) -> complex:
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _cderiv(coeffs):
-    return [coeffs[k] * k for k in range(1, len(coeffs))]

@@ -32,18 +32,13 @@ def _position_pool() -> list:
 _POOL = _position_pool()
 
 
-def _small_gaussian(rng: random.Random, complex_parts: bool) -> GaussianRational:
+def _small_gaussian(rng: random.Random) -> GaussianRational:
     re = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-    im = Fraction(rng.randint(-6, 6), rng.randint(1, 3)) if complex_parts else Fraction(0)
+    im = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
     return GaussianRational(re, im)
 
 
-def random_instance(
-    n: int,
-    num_apparent: int | None = None,
-    seed: int = 0,
-    complex_exponents: bool = True,
-) -> FuchsianInstance:
+def random_instance(n: int, num_apparent: int | None = None, seed: int = 0) -> FuchsianInstance:
     """A valid admissible instance with n finite points and N apparent ones.
 
     N defaults to n - 2 (the square case).  The same (n, N, seed) always
@@ -61,20 +56,17 @@ def random_instance(
     finite = []
     total = GaussianRational(0)
     for i in range(n):
-        pair = ExponentPair(
-            _small_gaussian(rng, complex_exponents),
-            _small_gaussian(rng, complex_exponents),
-        )
+        pair = ExponentPair(_small_gaussian(rng), _small_gaussian(rng))
         total = total + pair.sum
         finite.append((GaussianRational(positions[i]), pair))
 
-    first_infinity = _small_gaussian(rng, complex_exponents)
+    first_infinity = _small_gaussian(rng)
     # Close the admissibility relation: the full exponent sum must be n - N - 1.
     second_infinity = GaussianRational(n - num_apparent - 1) - total - first_infinity
     infinity = ExponentPair(first_infinity, second_infinity)
 
     apparent = []
     for j in range(num_apparent):
-        momentum = _small_gaussian(rng, complex_exponents)
+        momentum = _small_gaussian(rng)
         apparent.append((GaussianRational(positions[n + j]), momentum))
     return FuchsianInstance(finite, infinity, apparent)

@@ -1,5 +1,6 @@
 """General apparent-point counts: classification, free parameters, constraints."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,10 +19,10 @@ from fuchsian.dimension import (
     solve_under,
 )
 from fuchsian.frobenius import verify
-from fuchsian.linalg import eliminate, rank
+from fuchsian.linalg import Matrix, eliminate, rank
 from fuchsian.model import FuchsianInstance
 from fuchsian.sampling import random_instance
-from fuchsian.scalars import ZERO, GaussianRational
+from fuchsian.scalars import ONE, ZERO, GaussianRational
 
 
 def gr(re, im=0):
@@ -240,3 +241,113 @@ def test_constraint_json_shape():
         "lin": {"1": ["12", "0"]},
         "const": ["-4", "0"],
     }
+
+
+def _small_gaussian(rng):
+    return gr(Fraction(rng.randint(-6, 6), rng.randint(1, 3)), rng.randint(-3, 3))
+
+
+def _layout_instances(seed, count):
+    """Seeded admissible instances with N >= n - 2, cycling n = 2..5 and
+    N = n - 2 .. n + 3 through five point layouts: random rationals, the same
+    moved to Gaussian positions, a point at 0, symmetric +-x nodes, and
+    apparent points on the imaginary axis.  The last layout stops at
+    n + N = 8: real finite rows beside imaginary apparent ones make the
+    elimination's integers grow fast (tens of seconds at n = 5, N = 6)."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = 2 + k % 4
+        num = n - 2 + (k // 4) % 6
+        layout = (k // 24) % 5
+        if layout == 4:
+            num = min(num, 8 - n)
+        size, den = n + num, rng.randint(1, 3)
+        if layout == 3:
+            half = rng.sample(range(1, 21), (size + 1) // 2)
+            xs = [Fraction(sign * v, den) for v in half for sign in (1, -1)][:size]
+        else:
+            xs = [Fraction(v, den) for v in rng.sample(range(-20, 21), size)]
+            if layout == 2 and 0 not in xs:
+                xs[rng.randrange(size)] = Fraction(0)
+        rng.shuffle(xs)
+        points = [gr(x) for x in xs]
+        if layout == 1:
+            shift = gr(rng.randint(-3, 3), rng.choice([-2, -1, 1, 2]))
+            points = [x + shift for x in points]
+        if layout == 4:
+            points[n:] = [gr(0, x) for x in xs[n:]]
+        pairs = [(_small_gaussian(rng), _small_gaussian(rng)) for _ in range(n)]
+        first = _small_gaussian(rng)
+        total = sum((a + b for a, b in pairs), first)
+        infinity = (first, GaussianRational(n - num - 1) - total)
+        apparent = [(q, _small_gaussian(rng)) for q in points[n:]]
+        yield FuchsianInstance(list(zip(points[:n], pairs)), infinity, apparent)
+
+
+def test_leading_block_is_regular_and_the_rest_depends_on_it():
+    # With N >= n - 2 the first 2(n + N) - 1 rows (infinity, every value, every
+    # first derivative, second derivatives at q_1 .. q_(n-2)) are Hermite data
+    # on distinct nodes, so they are independent, and the homogeneous
+    # elimination leaves exactly the remaining second-derivative rows
+    # dependent.  float_obstructions solves that block; _constraints reads
+    # the certificates of those rows.
+    for inst in _layout_instances(4242, 120):
+        matrix = h_matrix(inst)
+        size = matrix.cols
+        block = Matrix(size, size, matrix.entries[: size * size])
+        assert eliminate(block, (ZERO,) * size).kind == "unique"
+        full = eliminate(matrix, (ZERO,) * matrix.rows)
+        dependent = [cert.row for cert in full.dependent_row_certificates]
+        assert dependent == list(range(size, matrix.rows))
+        assert [matrix.row(r) for r in dependent] == [
+            tuple(k * (k - 1) * q ** (k - 2) if k > 1 else ZERO for k in range(size))
+            for q in inst.apparent_positions[inst.n - 2 :]
+        ]
+
+
+def test_float_obstructions_equal_scaled_constraints():
+    # omega_j is 0 where q_j's second-derivative row is in the leading block
+    # and C_j(p) / delta_j elsewhere, at the momenta's exact binary values.
+    rng = random.Random(9090)
+    for inst in _layout_instances(3131, 64):
+        momenta = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in inst.momenta]
+        exact = inst.with_momenta([gr(Fraction(p.real), Fraction(p.imag)) for p in momenta])
+        expected = [0j] * inst.num_apparent
+        if classify(exact).case == "over":
+            g = solve_g(exact)
+            for c in quadratic_constraints(exact):
+                delta = local_constants(exact, g, c.j - 1).delta
+                expected[c.j - 1] = (c.evaluate(exact.momenta) / delta).to_complex()
+        assert float_obstructions(inst, momenta) == expected
+
+
+def test_float_obstructions_vanish_exactly_when_log_free(regime_instances):
+    square = random_instance(4, seed=3)
+    assert float_obstructions(square, [p.to_complex() for p in square.momenta]) == [0j, 0j]
+    # z -> mu z keeps every exponent and divides each momentum by mu, so with
+    # mu = p_N a consistent instance stays consistent and its momenta become
+    # (0, .., 0, 1): binary fractions, which floats carry exactly.  Every
+    # constraint then vanishes, and so must every omega_j = C_j / delta_j.
+    for case, inst, _ in regime_instances(77, 60):
+        if case != "over":
+            continue
+        mu = inst.momenta[-1] or ONE
+        scaled = FuchsianInstance(
+            [(t * mu, pair) for t, pair in inst.finite_points],
+            inst.infinity_exponents,
+            [(q * mu, p / mu) for q, p in inst.apparent_points],
+        )
+        momenta = [p.to_complex() for p in scaled.momenta]
+        assert float_obstructions(scaled, momenta) == [0j] * inst.num_apparent
+
+
+def test_float_obstructions_rejects_what_has_no_leading_block():
+    with pytest.raises(ValueError):
+        float_obstructions(UNDER3, [])
+    with pytest.raises(ValueError):
+        float_obstructions(random_instance(4, 1, seed=5), [1.0])
+    for bad in (math.nan, math.inf, complex(0, -math.inf), complex(math.nan, 1)):
+        with pytest.raises(ValueError):
+            float_obstructions(N2N1, [bad])
+    with pytest.raises(ValueError):
+        float_obstructions(N2N1, [1.0, 2.0])
