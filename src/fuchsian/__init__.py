@@ -42,7 +42,7 @@ from .frobenius import (
     series_residual,
     verify,
 )
-from .linalg import Matrix, RowCertificate, SolveOutcome, det, eliminate, rank
+from .linalg import Matrix, SolveOutcome, det, eliminate, rank
 from .model import (
     INFINITY,
     ExponentPair,
@@ -80,7 +80,6 @@ __all__ = [
     "MomentaCheck",
     "Polynomial",
     "QuadraticConstraint",
-    "RowCertificate",
     "SolveOutcome",
     "VerificationFailed",
     "VerificationReport",

@@ -14,17 +14,20 @@ reaches h through builder.solve_h, one elimination of the h-system: the
 under case adds its free values along the returned nullspace, and the over
 case solves the full system once the momenta pass the constraints.
 
-The constraints come straight out of the elimination certificates: a
-dependent second-derivative row equals a fixed combination of the pivot
-rows, with coefficients that depend on the points only, so consistency
-requires the same combination to hold between the right-hand sides.  Since
-the right-hand side of a second-derivative row is quadratic in its momentum,
-each certificate produces one quadratic equation, and the one for point j
-carries the quadratic term of p_j while the others cannot.  Each constraint
-is read off builder.h_rhs_terms directly: the dependent row's
-(const, lin, quad) minus the certificate's combination of the pivot rows'.
+The constraints are the Fredholm conditions of the h-system.  Its matrix
+has maximal rank, so for N > n - 2 the right-hand side is reachable exactly
+when y . rhs = 0 for every y in the left nullspace (the nullspace of the
+transpose), which depends on the points only.  The first 2(n + N) - 1 rows
+are Hermite data on distinct nodes and so independent; the left nullspace
+therefore has one vector per remaining row r, the second-derivative row of
+some q_j, with y_r = 1 and zeros on the other remaining rows.  Since the
+right-hand side of a second-derivative row is quadratic in its momentum,
+each such y gives one quadratic equation, the one for point j carrying the
+quadratic term of p_j while the others cannot.  Each constraint is read off
+builder.h_rhs_terms directly: sum_k y_k * (const, lin, quad)_k, collected
+per momentum.
 
-So quadratic_constraints costs one elimination, of the homogeneous h-matrix,
+So quadratic_constraints costs one elimination, of the transposed h-matrix,
 and check_momenta computes g once and adds a second, solve_h, only for the
 witness of a consistent instance.  The two are kept apart on purpose: the
 h-matrix of real positions eliminates on the cheaper real-integer path,
@@ -168,58 +171,52 @@ class QuadraticConstraint:
 def quadratic_constraints(instance: FuchsianInstance) -> list:
     """The N - n + 2 momentum constraints of the overdetermined case.
 
-    The elimination certificates do not involve the momenta, so the returned
-    constraints are exact objects valid for every momentum choice.
+    The left nullspace of the h-matrix does not involve the momenta, so the
+    returned constraints are exact objects valid for every momentum choice.
     """
     return _constraints(instance)[1]
 
 
 def _constraints(instance: FuchsianInstance):
-    """g and the quadratic constraints, from one elimination of the h-matrix.
+    """g and the quadratic constraints, from one elimination of the
+    transposed h-matrix.
 
-    A dependent row r equals sum coeff * (pivot row) for its certificate, so
-    its constraint is h_rhs_terms[r] minus the same combination of the pivot
-    rows' (const, lin, quad) terms, collected per momentum.
+    The rows of the h-matrix are the columns of its transpose.  The first
+    2d - 1 are independent, so they must be the pivot columns; each
+    remaining row r is then a free column, whose nullspace vector y has
+    y_r = 1 and zeros at the other remaining rows.  Its constraint is
+    sum_k y_k * h_rhs_terms[k] = 0, collected per momentum.
     """
-    report = classify(instance)
-    if report.case != "over":
-        raise ValueError(f"instance is {report.case}, not overdetermined")
+    case = classify(instance).case
+    if case != "over":
+        raise ValueError(f"instance is {case}, not overdetermined")
     g = solve_g(instance)
     matrix = h_matrix(instance)
-    outcome = eliminate(matrix, (ZERO,) * matrix.rows)
-    if outcome.rank != matrix.cols:
-        raise VerificationFailed(f"h-matrix rank {outcome.rank} < {matrix.cols} columns")
+    transpose = Matrix.from_rows(zip(*(matrix.row(r) for r in range(matrix.rows))))
+    outcome = eliminate(transpose, (ZERO,) * transpose.rows)
+    if outcome.pivot_cols != tuple(range(matrix.cols)):
+        raise VerificationFailed(
+            f"pivot rows {outcome.pivot_cols} of the h-matrix are not its first {matrix.cols}"
+        )
     terms = h_rhs_terms(instance, g)
 
-    n, num = instance.n, instance.num_apparent
-    second_block = n + 2 * num + 1  # first second-derivative row index
     constraints = []
-    for cert in outcome.dependent_row_certificates:
-        apparent_index = cert.row - second_block
-        if not 0 <= apparent_index < num:
-            raise RuntimeError(
-                f"dependent row {cert.row} is not a second-derivative row; "
-                "configuration outside the generic pivot pattern"
-            )
-        j, const, lin_j, quad_j = terms[cert.row]
-        lin, quad = {j + 1: lin_j}, {j + 1: quad_j}
-        for pivot_row, coeff in cert.combination:
-            k, c, lin_k, quad_k = terms[pivot_row]
-            const = const - coeff * c
+    for r, y in zip(range(matrix.cols, matrix.rows), outcome.nullspace_basis):
+        const, lin, quad = ZERO, {}, {}
+        for (k, c, lin_k, quad_k), y_k in zip(terms, y):
+            if not y_k:
+                continue
+            const = const + y_k * c
             if k is not None:
-                lin[k + 1] = lin.get(k + 1, ZERO) - coeff * lin_k
-                quad[k + 1] = quad.get(k + 1, ZERO) - coeff * quad_k
+                lin[k + 1] = lin.get(k + 1, ZERO) + y_k * lin_k
+                quad[k + 1] = quad.get(k + 1, ZERO) + y_k * quad_k
         constraints.append(
             QuadraticConstraint(
-                j=apparent_index + 1,
+                j=terms[r][0] + 1,
                 quad={k: v for k, v in sorted(quad.items()) if v},
                 lin={k: v for k, v in sorted(lin.items()) if v},
                 const_term=const,
             )
-        )
-    if len(constraints) != report.constraint_count:
-        raise VerificationFailed(
-            f"{len(constraints)} constraints, expected {report.constraint_count}"
         )
     return g, constraints
 

@@ -3,23 +3,28 @@
 Elimination uses deterministic first-nonzero pivoting: columns are scanned
 left to right and, within a column, rows top to bottom.  Arithmetic is exact,
 so no magnitude-based pivoting is needed and every run of the same system
-produces the same pivots, the same certificates and the same solution.
+produces the same pivots and the same solution.
 
-For every row that carries no pivot the outcome records a certificate
-expressing that row exactly as a combination of the pivot rows; downstream
-code turns these certificates into the quadratic momentum constraints of the
-overdetermined case, so they are a first-class output rather than an
-afterthought.
+A row that carries no pivot eliminates to (0 .. 0 | r), and the system is
+consistent exactly when every such r vanishes.  The outcome says nothing
+more about those rows.  A caller that needs the linear relations between
+the rows of A eliminates the transpose instead: each vector y of its
+nullspace, the left nullspace of A, gives a Fredholm condition y . b = 0,
+and A x = b is solvable exactly when all of them hold.  dimension reads the
+momentum constraints off the h-matrix that way.
 
-The arithmetic runs on plain ints.  Each row of [A | b | I] (of A alone for
-rank and det) is scaled once by the lcm of its denominators, and a row
-update c*row_r - f*piv_row is followed by division by the integer gcd of
-the row's entries, so rows stay primitive and no gcd is paid per entry
-operation.  Back substitution carries each solution vector over one common
-denominator, certificates are read off the integer transform block divided
-by the row's own scale, and det multiplies out the scale factors it
-recorded.  Every result is converted to a canonical GaussianRational once,
-so the outcome is exactly that of elimination over the rationals.
+The arithmetic runs on plain ints.  Each row of [A | b] (of A alone for rank
+and det) is scaled once by the lcm of its denominators, and a row update
+s*row_r - t*piv_row, with s a rational integer, is followed by division by
+the integer gcd of the row's entries, so rows stay primitive and no gcd is
+paid per entry operation.  In a complex column s = |c|^2 and t = f*conj(c)
+for the pivot c and the row's entry f, so every row stays a rational-integer
+multiple of its row over the rationals, and no Gaussian common factor can
+build up that the integer content would not divide out.  Back substitution
+carries each solution vector over one common denominator, and det
+multiplies out the scale factors it recorded.  Every result is converted to
+a canonical GaussianRational once, so the outcome is exactly that of
+elimination over the rationals.
 Primitive rows rather than Bareiss fraction-free elimination: on the
 h-systems the Bareiss entries are minors that grow with every step (about
 2000 bits on the real 31x31 h-matrices at n = 9, whose forward elimination
@@ -90,23 +95,10 @@ class Matrix:
 
 
 @dataclass(frozen=True)
-class RowCertificate:
-    """A dependent row written exactly as a combination of pivot rows.
-
-    `combination` pairs pivot-row indices with coefficients; expanding it
-    reproduces row `row` of the original matrix exactly.
-    """
-
-    row: int
-    combination: tuple
-
-
-@dataclass(frozen=True)
 class SolveOutcome:
     kind: str  # "unique" | "underdetermined" | "inconsistent"
     particular: tuple | None
     nullspace_basis: tuple
-    dependent_row_certificates: tuple
     pivot_rows: tuple
     pivot_cols: tuple
 
@@ -115,24 +107,15 @@ class SolveOutcome:
         return len(self.pivot_rows)
 
 
-def _scaled_rows(row_lists, transform: bool):
+def _scaled_rows(row_lists):
     """Each row times the lcm of its denominators, as a flat int list.
 
     A row holds the real parts of its entries followed, unless the whole
-    matrix is real, by their imaginary parts.  With `transform` the row k is
-    extended by den_k times the k-th unit vector (the block I of
-    [A | b | I]).  Returns (rows, real, dens).
+    matrix is real, by their imaginary parts.  Returns (rows, real, dens).
     """
     scaled = [to_gaussian_ints(row) for row in row_lists]
     real = not any(any(im) for _, _, im in scaled)
-    m = len(scaled)
-    rows = []
-    for k, (den, re, im) in enumerate(scaled):
-        if transform:
-            unit = [0] * m
-            unit[k] = den
-            re, im = re + unit, im + [0] * m
-        rows.append(re if real else re + im)
+    rows = [re if real else re + im for _, re, im in scaled]
     return rows, real, [den for den, _, _ in scaled]
 
 
@@ -141,10 +124,11 @@ def _echelon(rows, cols: int, real: bool, factors=None):
 
     Pivoting is first-nonzero, so the pivots are those of elimination on
     the rational rows.  A row r with a nonzero entry f in the pivot column
-    becomes (c*row_r - f*piv_row) / content, with c the pivot, which keeps it
-    a Gaussian-integer multiple of the rational row.  If `factors` is a
-    list, each update appends (c.re, c.im, k): the row's scale was multiplied
-    by c / k.
+    becomes (s*row_r - t*piv_row) / content, where s = c and t = f for a
+    real pivot c and s = |c|^2 and t = f*conj(c) otherwise, both divided by
+    their gcd.  s is a rational integer, so the row stays a rational-integer
+    multiple of the rational row.  If `factors` is a list, each update
+    appends (s, content): the row's scale was multiplied by s / content.
     """
     m = len(rows)
     width = len(rows[0]) // (1 if real else 2)
@@ -161,24 +145,30 @@ def _echelon(rows, cols: int, real: bool, factors=None):
         used[piv] = True
         pivots.append((piv, col))
         prow = rows[piv]
-        cr, ci = prow[col], 0 if real else prow[width + col]
+        cr = prow[col]
+        if not real:
+            ci = prow[width + col]
+            norm = cr * cr + ci * ci
+            yr, yi = prow[:width], prow[width:]
         for r in live[1:]:
             row = rows[r]
-            fr, fi = row[col], 0 if real else row[width + col]
-            g = gcd(cr, ci, fr, fi)
-            a, b, e, f = cr // g, ci // g, fr // g, fi // g
             if real:
-                new = [a * x - e * y for x, y in zip(row, prow)]
+                g = gcd(cr, row[col])
+                s, t = cr // g, row[col] // g
+                new = [s * x - t * y for x, y in zip(row, prow)]
             else:
-                xr, xi, yr, yi = row[:width], row[width:], prow[:width], prow[width:]
-                new = [a * u - b * v - e * s + f * t for u, v, s, t in zip(xr, xi, yr, yi)]
-                new += [a * v + b * u - e * t - f * s for u, v, s, t in zip(xr, xi, yr, yi)]
+                fr, fi = row[col], row[width + col]
+                tr, ti = fr * cr + fi * ci, fi * cr - fr * ci
+                g = gcd(norm, tr, ti)
+                s, tr, ti = norm // g, tr // g, ti // g
+                new = [s * u - tr * x + ti * y for u, x, y in zip(row[:width], yr, yi)]
+                new += [s * v - tr * y - ti * x for v, x, y in zip(row[width:], yr, yi)]
             content = gcd(*new) or 1
             if content > 1:
                 new = [x // content for x in new]
             rows[r] = new
             if factors is not None:
-                factors.append((cr, ci, g * content))
+                factors.append((s, content))
     return pivots
 
 
@@ -228,38 +218,22 @@ def eliminate(matrix: Matrix, rhs) -> SolveOutcome:
     """Solve matrix * x = rhs exactly, classifying the outcome.
 
     Produces a particular solution (free variables set to zero) unless the
-    system is inconsistent, a nullspace basis (one vector per free column),
-    and one certificate per dependent row.
+    system is inconsistent, and a nullspace basis (one vector per free
+    column).
     """
     rhs = tuple(GaussianRational.coerce(v) for v in rhs)
     if len(rhs) != matrix.rows:
         raise ValueError(f"rhs length {len(rhs)} != row count {matrix.rows}")
     m, n = matrix.rows, matrix.cols
-    rows, real, _ = _scaled_rows(
-        [matrix.row(r) + (rhs[r],) for r in range(m)], transform=True
-    )
+    rows, real, _ = _scaled_rows([matrix.row(r) + (rhs[r],) for r in range(m)])
     pivots = _echelon(rows, n, real)
     pivot_row_set = {r for r, _ in pivots}
-    width = n + 1 + m
-
-    # A dependent row r reads s_r * (transform row | reduced rhs), and the
-    # transform row has 1 at r, so its own entry there is the scale s_r.
-    certificates = []
-    consistent = True
-    for r in range(m):
-        if r in pivot_row_set:
-            continue
-        row = rows[r]
-        im = (0,) * width if real else row[width:]
-        scale = row[n + 1 + r], im[n + 1 + r]
-        combo = tuple(
-            (k, from_gaussian_ints(-row[n + 1 + k], -im[n + 1 + k], *scale))
-            for k, _ in pivots
-            if row[n + 1 + k] or im[n + 1 + k]
-        )
-        certificates.append(RowCertificate(row=r, combination=combo))
-        if row[n] or im[n]:
-            consistent = False
+    # a dependent row has eliminated to (0 .. 0 | scaled reduced rhs)
+    consistent = not any(
+        rows[r][n] or not real and rows[r][2 * n + 1]
+        for r in range(m)
+        if r not in pivot_row_set
+    )
 
     pivot_col_set = {c for _, c in pivots}
     free_cols = [c for c in range(n) if c not in pivot_col_set]
@@ -276,7 +250,6 @@ def eliminate(matrix: Matrix, rhs) -> SolveOutcome:
         kind=kind,
         particular=particular,
         nullspace_basis=nullspace,
-        dependent_row_certificates=tuple(certificates),
         pivot_rows=tuple(r for r, _ in pivots),
         pivot_cols=tuple(c for _, c in pivots),
     )
@@ -284,7 +257,7 @@ def eliminate(matrix: Matrix, rhs) -> SolveOutcome:
 
 def rank(matrix: Matrix) -> int:
     """Exact rank."""
-    rows, real, _ = _scaled_rows([matrix.row(r) for r in range(matrix.rows)], transform=False)
+    rows, real, _ = _scaled_rows([matrix.row(r) for r in range(matrix.rows)])
     return len(_echelon(rows, matrix.cols, real))
 
 
@@ -293,7 +266,7 @@ def det(matrix: Matrix) -> GaussianRational:
     if matrix.rows != matrix.cols:
         raise ValueError(f"determinant of a non-square {matrix.rows}x{matrix.cols} matrix")
     n = matrix.rows
-    rows, real, dens = _scaled_rows([matrix.row(r) for r in range(n)], transform=False)
+    rows, real, dens = _scaled_rows([matrix.row(r) for r in range(n)])
     factors = []
     pivots = _echelon(rows, n, real, factors)
     if len(pivots) < n:
@@ -309,10 +282,10 @@ def det(matrix: Matrix) -> GaussianRational:
     for r, c in pivots:
         pr, pi = rows[r][c], 0 if real else rows[r][n + c]
         num_re, num_im = num_re * pr - num_im * pi, num_re * pi + num_im * pr
-    den_re, den_im = 1, 0
-    for den in dens:
-        den_re *= den
-    for cr, ci, k in factors:
-        num_re, num_im = num_re * k, num_im * k
-        den_re, den_im = den_re * cr - den_im * ci, den_re * ci + den_im * cr
-    return from_gaussian_ints(num_re, num_im, den_re, den_im)
+    den = 1
+    for scale in dens:
+        den *= scale
+    for s, content in factors:
+        num_re, num_im = num_re * content, num_im * content
+        den *= s
+    return from_gaussian_ints(num_re, num_im, den)

@@ -7,7 +7,7 @@ tests compare the kernels with them; nothing in the package imports this
 module.
 """
 
-from fuchsian.linalg import Matrix, RowCertificate, SolveOutcome
+from fuchsian.linalg import Matrix, SolveOutcome
 from fuchsian.scalars import ONE, ZERO, GaussianRational
 
 
@@ -51,8 +51,8 @@ def eliminate(matrix: Matrix, rhs) -> SolveOutcome:
     """Solve matrix * x = rhs exactly, classifying the outcome.
 
     Produces a particular solution (free variables set to zero) unless the
-    system is inconsistent, a nullspace basis (one vector per free column),
-    and one certificate per dependent row.
+    system is inconsistent, and a nullspace basis (one vector per free
+    column).
     """
     rhs = tuple(GaussianRational.coerce(v) for v in rhs)
     if len(rhs) != matrix.rows:
@@ -61,20 +61,10 @@ def eliminate(matrix: Matrix, rhs) -> SolveOutcome:
     work, transform, pivots = _echelon(matrix)
     pivot_row_set = {r for r, _ in pivots}
 
-    certificates = []
-    consistent = True
     reduced_rhs = [
         sum((transform[r][k] * rhs[k] for k in range(m)), ZERO) for r in range(m)
     ]
-    for r in range(m):
-        if r in pivot_row_set:
-            continue
-        combo = tuple(
-            (k, -transform[r][k]) for k, _ in pivots if transform[r][k]
-        )
-        certificates.append(RowCertificate(row=r, combination=combo))
-        if reduced_rhs[r]:
-            consistent = False
+    consistent = not any(reduced_rhs[r] for r in range(m) if r not in pivot_row_set)
 
     free_cols = [c for c in range(n) if c not in {c for _, c in pivots}]
 
@@ -111,7 +101,6 @@ def eliminate(matrix: Matrix, rhs) -> SolveOutcome:
         kind=kind,
         particular=particular,
         nullspace_basis=tuple(nullspace),
-        dependent_row_certificates=tuple(certificates),
         pivot_rows=tuple(r for r, _ in pivots),
         pivot_cols=tuple(c for _, c in pivots),
     )

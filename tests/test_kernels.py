@@ -15,8 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_reference as ref
-from fuchsian.builder import build_g_system, build_h_system, solve_g
+from fuchsian.builder import build_g_system, build_h_system, h_matrix, solve_g
 from fuchsian.linalg import Matrix, _echelon, _scaled_rows, det, eliminate, rank
+from fuchsian.model import FuchsianInstance
 from fuchsian.polynomials import LaurentSeries, _taylor_head
 from fuchsian.scalars import ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
 
@@ -111,10 +112,27 @@ def test_elimination_keeps_rows_primitive():
                  for _ in range(size)] for _ in range(size)]
         for row in grid:
             row[rng.randrange(size)] = GaussianRational(1)
-        rows, real, _ = _scaled_rows(grid, transform=False)
+        rows, real, _ = _scaled_rows(grid)
         _echelon(rows, size, real)
         for row in rows:
             assert gcd(*row) in (0, 1)  # 0 for a row that vanished
+
+
+def test_mixed_real_and_imaginary_rows_keep_their_size():
+    # Real finite points beside apparent points on the imaginary axis.  A
+    # complex update scales a row by the rational integer |c|^2, so the row
+    # stays a rational-integer multiple of its row over the rationals and no
+    # Gaussian factor can build up that the integer content does not remove.
+    instance = FuchsianInstance(
+        [(t, (0, 0)) for t in (1, 2, 3, 4)], (0, -1),
+        [(GaussianRational(0, y), 0) for y in (5, 6, 7, 8)],
+    )
+    matrix = h_matrix(instance)
+    rows, real, _ = _scaled_rows([matrix.row(r) for r in range(matrix.rows)])
+    bits_in = max(abs(x).bit_length() for row in rows for x in row)
+    _echelon(rows, matrix.cols, real)
+    bits_out = max(abs(x).bit_length() for row in rows for x in row)
+    assert bits_out <= 2 * bits_in, (bits_in, bits_out)
 
 
 def test_scale_helpers_round_trip():

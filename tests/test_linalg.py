@@ -1,4 +1,4 @@
-"""Exact elimination: outcomes, certificates, determinants, ranks."""
+"""Exact elimination: outcomes, Fredholm conditions, determinants, ranks."""
 
 import random
 from fractions import Fraction
@@ -19,7 +19,6 @@ def test_identity_system():
     assert out.kind == "unique"
     assert out.particular == (gr(1), gr(2), gr(3))
     assert out.nullspace_basis == ()
-    assert out.dependent_row_certificates == ()
 
 
 def test_underdetermined_with_certificate():
@@ -27,9 +26,10 @@ def test_underdetermined_with_certificate():
     out = eliminate(m, (1, 2))
     assert out.kind == "underdetermined"
     assert len(out.nullspace_basis) == 1
-    (cert,) = out.dependent_row_certificates
-    assert cert.row == 1
-    assert cert.combination == ((0, gr(2)),)  # row 1 = 2 * row 0
+    assert out.pivot_rows == (0,)
+    # row 1 = 2 * row 0, certified by the left-nullspace vector (-2, 1)
+    left = eliminate(_transpose(m), (0, 0))
+    assert left.nullspace_basis == ((gr(-2), gr(1)),)
 
 
 def test_inconsistent():
@@ -66,18 +66,26 @@ def test_rank_examples():
     assert rank(Matrix.from_rows([[1, 1], [2, 2]])) == 1
 
 
-def _random_matrix(rng, rows, cols):
+def _random_matrix(rng, rows, cols, complex_entries=True):
     return Matrix(
         rows,
         cols,
         [
             GaussianRational(
                 Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-                Fraction(rng.randint(-2, 2)),
+                Fraction(rng.randint(-2, 2)) if complex_entries else 0,
             )
             for _ in range(rows * cols)
         ],
     )
+
+
+def _transpose(m):
+    return Matrix.from_rows(zip(*(m.row(r) for r in range(m.rows))))
+
+
+def _dot(y, v):
+    return sum((a * b for a, b in zip(y, v)), ZERO)
 
 
 def _matvec(m, x):
@@ -100,27 +108,31 @@ def test_random_square_det_vs_uniqueness():
 
 
 def test_random_rectangular_invariants():
-    rng = random.Random(202)
-    for _ in range(40):
-        rows = rng.randint(1, 7)
-        cols = rng.randint(1, 7)
-        m = _random_matrix(rng, rows, cols)
-        rhs = tuple(gr(rng.randint(-5, 5)) for _ in range(rows))
-        out = eliminate(m, rhs)
-        assert out.rank + len(out.nullspace_basis) == cols
-        assert rank(m) == out.rank
-        # every nullspace vector is annihilated
-        for vec in out.nullspace_basis:
-            assert _matvec(m, vec) == (ZERO,) * rows
-        # certificates reproduce their rows exactly
-        for cert in out.dependent_row_certificates:
-            rebuilt = [ZERO] * cols
-            for pivot_row, coeff in cert.combination:
-                for c in range(cols):
-                    rebuilt[c] = rebuilt[c] + coeff * m.entry(pivot_row, c)
-            assert tuple(rebuilt) == m.row(cert.row)
-        if out.kind != "inconsistent":
-            assert _matvec(m, out.particular) == rhs
+    kinds = set()
+    for complex_entries in (True, False):
+        rng = random.Random(202)
+        for _ in range(40):
+            rows = rng.randint(1, 7)
+            cols = rng.randint(1, 7)
+            m = _random_matrix(rng, rows, cols, complex_entries)
+            rhs = tuple(gr(rng.randint(-5, 5)) for _ in range(rows))
+            out = eliminate(m, rhs)
+            kinds.add(out.kind)
+            assert out.rank + len(out.nullspace_basis) == cols
+            assert rank(m) == out.rank
+            # every nullspace vector is annihilated
+            for vec in out.nullspace_basis:
+                assert _matvec(m, vec) == (ZERO,) * rows
+            # Fredholm: y . A = 0 on the left nullspace, and A x = b is
+            # solvable exactly when y . b = 0 for every such y
+            left = eliminate(_transpose(m), (ZERO,) * cols).nullspace_basis
+            assert len(left) == rows - out.rank
+            for y in left:
+                assert _matvec(_transpose(m), y) == (ZERO,) * cols
+            assert (out.kind == "inconsistent") == any(_dot(y, rhs) for y in left)
+            if out.kind != "inconsistent":
+                assert _matvec(m, out.particular) == rhs
+    assert kinds == {"unique", "underdetermined", "inconsistent"}
 
 
 def test_nullspace_vectors_independent():
