@@ -21,12 +21,21 @@ a recursion whose left side vanishes at the resonance s = 2; the value the
 right side takes there is the logarithm obstruction.  Its closed form
 (g_0 + h_{-1}) * h_{-1} + h_0 is asserted against the recursion in the test
 suite, which makes the equivalence an executable statement rather than a
-remark.
+remark.  The recursion runs fraction-free on Gaussian integers, since its
+divisors s*(s-2) are known in advance.
+
+The truncated series is then substituted into the equation with its
+denominators cleared, psi^2 w'' + psi g w' + h w, built from the Taylor heads
+of psi, g and h.  Its series form would restate the recursion term for term
+(the coefficient of a_s in order s-2 is s*(s-2) exactly when the residue is
+-1 and h has no double pole), so it would re-check the recursion code while a
+wrong series division went unseen; the cleared form involves no division.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .model import (
     INFINITY,
@@ -37,7 +46,7 @@ from .model import (
     require_valid,
 )
 from .polynomials import LaurentSeries, Polynomial
-from .scalars import ZERO, GaussianRational
+from .scalars import ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
 
 #: Series depth used by verify(); the resonance sits at s = 2, so the default
 #: is pure safety margin.
@@ -51,6 +60,7 @@ class LocalExpansion:
     point: object  # GaussianRational or INFINITY
     g_series: LaurentSeries
     h_series: LaurentSeries
+    heads: tuple | None = None  # Taylor heads (psi, g, h) the series came from
 
 
 @dataclass(frozen=True)
@@ -84,7 +94,10 @@ def local_expansion(eq: FuchsianEquation, point, terms: int = DEFAULT_DEPTH + 2)
         point = GaussianRational.coerce(point)
         g_head, h_head, psi_head = (f.taylor(point, terms) for f in (eq.g, eq.h, p))
     return LocalExpansion(
-        point=point, g_series=g_head / psi_head, h_series=h_head / (psi_head * psi_head)
+        point=point,
+        g_series=g_head / psi_head,
+        h_series=h_head / (psi_head * psi_head),
+        heads=(psi_head, g_head, h_head),
     )
 
 
@@ -117,6 +130,10 @@ def frobenius_obstruction(local: LocalExpansion, depth: int = DEFAULT_DEPTH):
     Returns (omega, coefficients).  omega is the value closing the resonance
     at s = 2; the series continues past it, normalized by a_0 = 1 and
     a_2 = 0, only when omega vanishes.
+
+    Fraction-free: g and h are Gaussian integers over one denominator D, the
+    a_k over one shared denominator E.  Step s != 2 scales every a_k by the
+    known divisor D*s*(s-2), appends -acc and divides out the integer content.
     """
     g, h = local.g_series, local.h_series
     if g.coefficient(-1) != GaussianRational(-1):
@@ -129,46 +146,94 @@ def frobenius_obstruction(local: LocalExpansion, depth: int = DEFAULT_DEPTH):
     top = min(depth, limit)
     if top < 2:
         raise ValueError("series windows too short to reach the resonance at s = 2")
-    coefficients = [GaussianRational(1)]
+    # orders -1 .. top-2 of g, then of h; after the split, index o + 1 is order o
+    den, re, im = to_gaussian_ints(
+        [g.coefficient(o) for o in range(-1, top - 1)]
+        + [h.coefficient(o) for o in range(-1, top - 1)]
+    )
+    g_re, g_im, h_re, h_im = re[:top], im[:top], re[top:], im[top:]
+    ar, ai, e = [1], [0], 1  # a_k = (ar[k] + ai[k]*i) / e
     omega = None
     for s in range(1, top + 1):
-        acc = ZERO
-        for k, a_k in enumerate(coefficients):
-            term = h.coefficient(s - 2 - k)
+        # acc * den * e = sum_k (k g_(s-1-k) + h_(s-2-k)) * a_k
+        acc_r, acc_i = 0, 0
+        for k in range(s):
+            cr, ci = h_re[s - 1 - k], h_im[s - 1 - k]
             if k:
-                term = term + k * g.coefficient(s - 1 - k)
-            acc = acc + term * a_k
+                cr += k * g_re[s - k]
+                ci += k * g_im[s - k]
+            acc_r += cr * ar[k] - ci * ai[k]
+            acc_i += cr * ai[k] + ci * ar[k]
         if s == 2:
-            omega = acc
+            omega = from_gaussian_ints(acc_r, acc_i, den * e)
             if omega:
                 break
-            coefficients.append(ZERO)
-        else:
-            coefficients.append(-acc / (s * (s - 2)))
-    return omega, tuple(coefficients)
+            ar.append(0)
+            ai.append(0)
+            continue
+        # a_s = -acc / (s (s-2)): bring every a_k over e * den * |s (s-2)|
+        scale = den * s * (s - 2)
+        if scale < 0:
+            scale, acc_r, acc_i = -scale, -acc_r, -acc_i
+        ar = [x * scale for x in ar] + [-acc_r]
+        ai = [x * scale for x in ai] + [-acc_i]
+        e *= scale
+        content = gcd(e, *ar, *ai)
+        if content > 1:
+            ar = [x // content for x in ar]
+            ai = [x // content for x in ai]
+            e //= content
+    return omega, tuple(from_gaussian_ints(x, y, e) for x, y in zip(ar, ai))
 
 
 def series_residual(local: LocalExpansion, coefficients) -> list:
-    """Coefficients of w'' + (g/psi) w' + (h/psi^2) w for the truncated series.
+    """Orders 0 .. K of psi^2 w'' + psi g w' + h w for the truncated series
+    w = sum_(k<=K) a_k x^k, from the Taylor heads of psi, g and h.
 
-    With K + 1 series coefficients the residual orders -2 .. K-2 are fully
-    determined by the truncation and are returned in ascending order; for a
-    true local solution they all vanish.
+    The point must be a root of psi, where psi^2 is x^2 times a unit: these
+    orders vanish exactly when orders -2 .. K-2 of w'' + (g/psi) w' +
+    (h/psi^2) w do, and no series division is involved.  Written as
+    psi (psi w'' + g w') + h w, they read psi and h through order K and g
+    through order K - 1.  The heads and the a_k are Gaussian integers over
+    one denominator each.
     """
-    g, h = local.g_series, local.h_series
-    top = len(coefficients) - 1
-    out = []
-    for m in range(-2, top - 1):
-        acc = ZERO
-        if 0 <= m:
-            acc = acc + (m + 2) * (m + 1) * coefficients[m + 2]
-        for k, a_k in enumerate(coefficients):
-            term = h.coefficient(m - k)
-            if k:
-                term = term + k * g.coefficient(m - k + 1)
-            acc = acc + term * a_k
-        out.append(acc)
-    return out
+    if local.heads is None:
+        raise ValueError("local expansion carries no Taylor heads")
+    psi_head, g_head, h_head = local.heads
+    if psi_head.coefficient(0):
+        raise ValueError("the cleared residual needs a root of psi as its point")
+    size = len(coefficients)
+    den, re, im = to_gaussian_ints(
+        [psi_head.coefficient(o) for o in range(size)]
+        + [g_head.coefficient(o) for o in range(size - 1)]
+        + [h_head.coefficient(o) for o in range(size)]
+    )
+    p, g = (re[:size], im[:size]), (re[size : 2 * size - 1], im[size : 2 * size - 1])
+    h = tuple([den * x for x in part[2 * size - 1 :]] for part in (re, im))  # over den^2
+    e, wr, wi = to_gaussian_ints(coefficients)
+    w = (wr, wi)
+    w1 = tuple([k * x for k, x in enumerate(part) if k] for part in w)
+    w2 = tuple([k * (k - 1) * x for k, x in enumerate(part) if k > 1] for part in w)
+    u = _mul_add(p, w2, g, w1, size - 1)  # psi w'' + g w', over den * e
+    rr, ri = _mul_add(p, u, h, w, size)  # psi u + h w, over den^2 * e
+    return [from_gaussian_ints(x, y, den * den * e) for x, y in zip(rr, ri)]
+
+
+def _mul_add(f, u, g, v, size: int) -> tuple:
+    """Orders 0 .. size-1 of f*u + g*v for Gaussian-integer windows, each an
+    (re, im) pair of int lists from order 0; entries past the end of a window
+    are left out of the sums."""
+    out_r, out_i = [], []
+    for m in range(size):
+        re = im = 0
+        for (xr, xi), (yr, yi) in ((f, u), (g, v)):
+            for j in range(max(0, m - len(yr) + 1), min(m + 1, len(xr))):
+                k = m - j
+                re += xr[j] * yr[k] - xi[j] * yi[k]
+                im += xr[j] * yi[k] + xi[j] * yr[k]
+        out_r.append(re)
+        out_i.append(im)
+    return out_r, out_i
 
 
 @dataclass(frozen=True)

@@ -95,7 +95,7 @@ class FuchsianInstance:
     """Prescribed data: finite points with exponents, the pair at infinity,
     and apparent points with momenta."""
 
-    __slots__ = ("finite_points", "infinity_exponents", "apparent_points", "_psi")
+    __slots__ = ("finite_points", "infinity_exponents", "apparent_points", "_psi", "_violations")
 
     def __init__(self, finite_points, infinity_exponents, apparent_points=()):
         self.finite_points = tuple(
@@ -107,6 +107,7 @@ class FuchsianInstance:
             for q, p in apparent_points
         )
         self._psi = None
+        self._violations = None
 
     @property
     def n(self) -> int:
@@ -166,7 +167,12 @@ class Violation:
 
 
 def validate(instance: FuchsianInstance) -> list:
-    """Every structural violation of the instance; empty list means ok."""
+    """Every structural violation of the instance; empty list means ok.
+
+    Each call returns a fresh list and caches the violations on the
+    (immutable) instance, where require_valid reads them: the solvers and
+    verify check an instance once between them.
+    """
     violations = []
     if instance.n < 2:
         violations.append(
@@ -191,11 +197,14 @@ def validate(instance: FuchsianInstance) -> list:
             violations.append(
                 Violation("q-in-P", f"apparent point {j} at {q} collides with a finite point")
             )
+    instance._violations = tuple(violations)
     return violations
 
 
 def require_valid(instance: FuchsianInstance) -> None:
-    violations = validate(instance)
+    violations = instance._violations
+    if violations is None:
+        violations = validate(instance)
     if violations:
         details = "; ".join(f"{v.code}: {v.message}" for v in violations)
         raise InvalidInstance(details)

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from fuchsian.dimension import quadratic_constraints
+from fuchsian.frobenius import LocalExpansion
 from fuchsian.model import FuchsianInstance
+from fuchsian.polynomials import LaurentSeries
 from fuchsian.sampling import random_instance
 from fuchsian.scalars import ZERO, GaussianRational
 
@@ -73,3 +75,23 @@ def regime_instances():
     """The seeded square/under/consistent-over generator, as a function of
     (seed, count)."""
     return _regime_instances
+
+
+@pytest.fixture
+def random_apparent_locals():
+    """200 seeded hand-built apparent-shaped locals at 0: a g-window of
+    residue -1 and an h-window from order -1, each with 8 further small
+    Gaussian rationals."""
+    rng = random.Random(90210)
+
+    def window(order, head=()):
+        tail = [
+            GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 3)), rng.randint(-2, 2))
+            for _ in range(8)
+        ]
+        return LaurentSeries(ZERO, order, tuple(head) + tuple(tail))
+
+    return [
+        LocalExpansion(point=ZERO, g_series=window(-1, [GaussianRational(-1)]), h_series=window(-1))
+        for _ in range(200)
+    ]

@@ -5,6 +5,11 @@ operation, exactly as the package did before its elimination and series code
 moved to Gaussian integers over a common denominator.  The differential
 tests compare the kernels with them; nothing in the package imports this
 module.
+
+`obstruction` and `series_residual` are the verifier's Frobenius recursion
+and its series-form residual w'' + (g/psi) w' + (h/psi^2) w, as they were
+before the recursion went fraction-free and the residual was cleared of
+denominators.
 """
 
 from fuchsian.linalg import Matrix, SolveOutcome
@@ -169,4 +174,52 @@ def series_quotient(v, u):
         for j in range(1, i + 1):
             acc = acc - u[j] * out[i - j]
         out.append(acc * inv_u0)
+    return out
+
+
+def obstruction(local, depth: int):
+    """(omega, a_0 .. a_s) of the power-series recursion at an apparent-shaped
+    local expansion: s (s-2) a_s = -sum_(k<s) (k g_(s-1-k) + h_(s-2-k)) a_k,
+    stopping at s = 2 when the resonance value omega is nonzero."""
+    g, h = local.g_series, local.h_series
+
+    def stored_top(series):
+        return 10**9 if series.is_zero else series.max_order
+
+    top = min(depth, min(stored_top(g), stored_top(h)) + 2)
+    coefficients = [GaussianRational(1)]
+    omega = None
+    for s in range(1, top + 1):
+        acc = ZERO
+        for k, a_k in enumerate(coefficients):
+            term = h.coefficient(s - 2 - k)
+            if k:
+                term = term + k * g.coefficient(s - 1 - k)
+            acc = acc + term * a_k
+        if s == 2:
+            omega = acc
+            if omega:
+                break
+            coefficients.append(ZERO)
+        else:
+            coefficients.append(-acc / (s * (s - 2)))
+    return omega, tuple(coefficients)
+
+
+def series_residual(local, coefficients):
+    """Orders -2 .. K-2 of w'' + (g/psi) w' + (h/psi^2) w for the truncated
+    series w = sum_(k<=K) a_k x^k, read off the local series windows."""
+    g, h = local.g_series, local.h_series
+    top = len(coefficients) - 1
+    out = []
+    for m in range(-2, top - 1):
+        acc = ZERO
+        if 0 <= m:
+            acc = acc + (m + 2) * (m + 1) * coefficients[m + 2]
+        for k, a_k in enumerate(coefficients):
+            term = h.coefficient(m - k)
+            if k:
+                term = term + k * g.coefficient(m - k + 1)
+            acc = acc + term * a_k
+        out.append(acc)
     return out

@@ -1,6 +1,8 @@
 """Series verification: local data, indicial roots, the obstruction recursion."""
 
 import ast
+import hashlib
+import json
 import random
 import sys
 from fractions import Fraction
@@ -113,24 +115,10 @@ def test_obstruction_shape_errors():
         frobenius_obstruction(bad_pole)
 
 
-def _random_apparent_local(rng, depth=8):
-    g_tail = [
-        gr(Fraction(rng.randint(-5, 5), rng.randint(1, 3)), rng.randint(-2, 2))
-        for _ in range(depth)
-    ]
-    h = [
-        gr(Fraction(rng.randint(-5, 5), rng.randint(1, 3)), rng.randint(-2, 2))
-        for _ in range(depth)
-    ]
-    return _apparent_local(g_tail, h)
-
-
-def test_obstruction_closed_form_random():
+def test_obstruction_closed_form_random(random_apparent_locals):
     # The recursion value at the resonance equals the closed form of the
     # logarithm-freeness criterion, on arbitrary apparent-shaped data.
-    rng = random.Random(90210)
-    for _ in range(200):
-        local = _random_apparent_local(rng)
+    for local in random_apparent_locals:
         omega, _ = frobenius_obstruction(local)
         g0 = local.g_series.coefficient(0)
         hm1 = local.h_series.coefficient(-1)
@@ -182,7 +170,7 @@ def test_series_residual_zero_for_solutions():
     assert omega == ZERO
     assert len(coeffs) == 9  # a_0 .. a_8 at default depth
     residual = series_residual(local, coeffs)
-    assert len(residual) == 9  # orders -2 .. 6
+    assert len(residual) == 9  # cleared orders 0 .. 8
     assert all(not r for r in residual)
 
 
@@ -283,3 +271,62 @@ def test_frobenius_imports_only_model_polynomials_scalars():
             assert rest in allowed, name
         else:
             assert top in sys.stdlib_module_names or top == "__future__", name
+
+
+def test_cleared_residual_catches_a_wrong_series_division(monkeypatch):
+    # A division that is wrong from order min + 4 on (order 3 of g/psi and
+    # h/psi^2 at an apparent point) leaves residue, double pole, momentum and
+    # omega alone, and the recursion reads the wrong series consistently;
+    # only the residual, which never divides series, can see it.
+    divide = LaurentSeries.__truediv__
+
+    def wrong(self, other):
+        result = divide(self, other)
+        if len(result.coeffs) <= 4:
+            return result
+        coeffs = list(result.coeffs)
+        coeffs[4] = coeffs[4] + 1
+        return LaurentSeries(result.base_point, result.min_order, coeffs)
+
+    monkeypatch.setattr(LaurentSeries, "__truediv__", wrong)
+    rng = random.Random(8128)
+    checked = 0
+    for n in (4, 5, 6):
+        inst = random_instance(n, seed=rng.randint(0, 10**6))
+        if n == 5:
+            inst = inst.shifted(gr(1, -2))
+        report = verify(construct(inst))
+        assert all(r.match for r in report.finite) and report.infinity.match
+        for r in report.apparent:
+            assert r.residue_ok and r.double_pole_absent and r.momentum_ok and r.log_free
+            assert not r.residual_ok, (n, r.point)
+            checked += 1
+    assert checked == 2 + 3 + 4
+
+
+#: sha256 of the reports below: their bytes must not move when verify's
+#: arithmetic changes.
+REPORT_DIGEST = "367b2f0cef434a165d3c63b38354fdc82dd67f77abf8a639d6b31ee4e61aceda"
+
+
+def test_report_bytes_are_pinned(regime_instances):
+    # 30 seeded square/under/over equations, each also with g tampered (by
+    # the product over the apparent points, so the residue stays -1 and the
+    # recursion runs to a nonzero omega) and with h tampered, plus the
+    # all-zero equation
+    reports = []
+    for case, inst, free in regime_instances(4711, 30):
+        g = solve_g(inst)
+        eq = FuchsianEquation(g, solve_h(inst, g, free), inst)
+        q_prod = Polynomial.from_roots(inst.apparent_positions)
+        for tampered in (
+            eq,
+            FuchsianEquation(eq.g + q_prod, eq.h, inst),
+            FuchsianEquation(eq.g, eq.h + Polynomial((1, 0, 1)), inst),
+        ):
+            reports.append(report_to_json_obj(verify(tampered)))
+    reports.append(
+        report_to_json_obj(verify(FuchsianEquation(Polynomial(), Polynomial(), EXAMPLE_C)))
+    )
+    blob = json.dumps(reports, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == REPORT_DIGEST

@@ -1,9 +1,10 @@
 """The integer kernels against the Fraction algorithms they replaced.
 
-Elimination, rank, determinant, Taylor heads and series products and
-quotients are each uniquely determined, so the kernels must return exactly
-what `fraction_reference` computes one canonical GaussianRational step at a
-time.
+Elimination, rank, determinant, Taylor heads, series products and quotients
+and the Frobenius recursion are each uniquely determined, so the kernels must
+return exactly what `fraction_reference` computes one canonical
+GaussianRational step at a time.  The cleared residual is a different
+polynomial from the series-form one, so only its vanishing is compared.
 """
 
 import dataclasses
@@ -11,14 +12,16 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_reference as ref
-from fuchsian.builder import build_g_system, build_h_system, h_matrix, solve_g
+from fuchsian.builder import build_g_system, build_h_system, h_matrix, solve_g, solve_h
+from fuchsian.frobenius import frobenius_obstruction, local_expansion, series_residual
 from fuchsian.linalg import Matrix, _echelon, _scaled_rows, det, eliminate, rank
-from fuchsian.model import FuchsianInstance
-from fuchsian.polynomials import LaurentSeries, _taylor_head
+from fuchsian.model import FuchsianEquation, FuchsianInstance
+from fuchsian.polynomials import LaurentSeries, Polynomial, _taylor_head
 from fuchsian.scalars import ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
 
 
@@ -183,3 +186,82 @@ def test_series_product_and_quotient_match_convolution(a, b, a_order, b_order):
 @example(coeffs=[ZERO, ZERO], at=GaussianRational(1, 1), terms=3)
 def test_taylor_head_matches_fraction_reference(coeffs, at, terms):
     assert _taylor_head(coeffs, at, terms) == ref.taylor_head(coeffs, at, terms)
+
+
+def _apparent_locals(regime_instances, terms):
+    """(label, local expansion) at every apparent point of 60 seeded
+    square/under/over equations."""
+    for case, inst, free in regime_instances(5150, 60):
+        g = solve_g(inst)
+        eq = FuchsianEquation(g, solve_h(inst, g, free), inst)
+        for q in inst.apparent_positions:
+            yield (case, q), local_expansion(eq, q, terms)
+
+
+def test_frobenius_recursion_matches_fraction_reference(
+    regime_instances, random_apparent_locals
+):
+    # omega and every a_s, on arbitrary apparent-shaped data (the locals of
+    # the closed-form test) and at constructed apparent points, both with the
+    # window verify uses and with the 3-term one that float_obstructions uses
+    cases = [(("random", k), local) for k, local in enumerate(random_apparent_locals)]
+    cases += list(_apparent_locals(regime_instances, 10))
+    cases += list(_apparent_locals(regime_instances, 3))
+    assert len(cases) > 400
+    omegas = []
+    for label, local in cases:
+        got = frobenius_obstruction(local, 8)
+        assert got == ref.obstruction(local, 8), label
+        omegas.append(got[0])
+    assert any(omegas) and not all(omegas)
+
+
+def test_cleared_residual_vanishes_with_series_residual(regime_instances):
+    # At every apparent point of untampered, g-tampered and h-tampered
+    # equations: the recursion's own series, the series with a_4 bumped, and
+    # the untampered equation's series.  Both residuals must agree on
+    # whether they vanish; both outcomes occur.
+    seen = set()
+    for case, inst, free in regime_instances(6262, 30):
+        if not inst.num_apparent:
+            continue
+        g = solve_g(inst)
+        eq = FuchsianEquation(g, solve_h(inst, g, free), inst)
+        q_prod = Polynomial.from_roots(inst.apparent_positions)
+        variants = [
+            eq,
+            # keeps the residue -1 at every q_j, so the recursion still runs
+            FuchsianEquation(eq.g + q_prod, eq.h, inst),
+            FuchsianEquation(eq.g, eq.h + q_prod * q_prod, inst),
+            FuchsianEquation(eq.g, eq.h + Polynomial((0, 1)), inst),
+        ]
+        for q in inst.apparent_positions:
+            _, own = frobenius_obstruction(local_expansion(eq, q))
+            for tampered in variants:
+                local = local_expansion(tampered, q)
+                if local.g_series.coefficient(-1) != -1 or local.h_series.coefficient(-2):
+                    continue
+                omega, series = frobenius_obstruction(local)
+                candidates = [own]
+                if not omega:
+                    candidates += [series, series[:4] + (series[4] + 1,) + series[5:]]
+                for coefficients in candidates:
+                    cleared = series_residual(local, coefficients)
+                    assert len(cleared) == len(coefficients)
+                    vanishes = not any(cleared)
+                    assert vanishes == (not any(ref.series_residual(local, coefficients)))
+                    seen.add(vanishes)
+    assert seen == {True, False}
+
+
+def test_series_residual_needs_taylor_heads_at_a_root_of_psi():
+    inst = FuchsianInstance([(0, (0, 1)), (1, (0, 1)), (2, (0, 1))], (-1, -1), [(3, 0)])
+    g = solve_g(inst)
+    eq = FuchsianEquation(g, solve_h(inst, g, []), inst)
+    local = local_expansion(eq, 3)
+    _, series = frobenius_obstruction(local)
+    headless = dataclasses.replace(local, heads=None)
+    with pytest.raises(ValueError):
+        series_residual(headless, series)
+    with pytest.raises(ValueError):
+        series_residual(local_expansion(eq, 5), series)

@@ -152,3 +152,28 @@ def test_momenta_replacement():
     assert replaced.apparent_positions == inst.apparent_positions
     with pytest.raises(ValueError):
         inst.with_momenta([gr(1)])
+
+
+def test_validate_runs_once_per_instance(monkeypatch):
+    # construct and verify each check the instance; the violations cached on
+    # it by the first check serve all later ones
+    import fuchsian.model
+    from fuchsian.frobenius import verify
+
+    calls = []
+    original = fuchsian.model.validate
+
+    def counting(instance):
+        calls.append(instance)
+        return original(instance)
+
+    monkeypatch.setattr(fuchsian.model, "validate", counting)
+    inst = random_instance(6, seed=77)
+    assert verify(construct(inst)).overall
+    assert len(calls) == 1
+    assert validate(inst) == [] and validate(inst) is not validate(inst)
+    bad = FuchsianInstance([(0, (0, 1)), (0, (0, 1))], (0, 0))
+    for _ in range(2):
+        with pytest.raises(InvalidInstance):
+            psi(bad)
+    assert len(calls) == 2
