@@ -34,13 +34,16 @@ h_rhs_terms is the one definition of these right-hand sides, as coefficients
 of each row's own momentum; the exact system, the quadratic momentum
 constraints and the float obstruction path all read it.
 
-The h-matrix always has maximal rank, so one elimination settles every
-regime: solve_h returns the unique solution when N = n - 2 or when the
-momenta of an overdetermined instance are consistent, and otherwise the
-particular solution plus free_k times the k-th nullspace vector.  The
-nullspace vectors belong to the non-pivot columns z^(n+3N) .. z^(2d-3), so
-free_k is exactly the coefficient of z^(n+3N+k) in h; the nullspace itself
-is spanned by Omega * z^k with Omega = prod (z - t_i) prod (z - q_j)^3.
+The h-matrix always has maximal rank and its first min(rows, cols) rows are
+independent, so h_residuals settles every regime with one elimination of
+those rows.  For N <= n - 2 they are the whole system, and h is the
+particular solution plus free_k times the k-th nullspace vector; those
+vectors belong to the non-pivot columns z^(n+3N) .. z^(2d-3), so free_k is
+the coefficient of z^(n+3N+k) in h, and they span Omega * z^k with
+Omega = prod (z - t_i) prod (z - q_j)^3.  For N > n - 2 they are the
+leading Hermite block, a nonsingular confluent Vandermonde system that
+fixes h, and each later row h''(q_j) leaves as its residual the value of
+q_j's momentum constraint at the instance's momenta.
 
 Every one of these closed forms is cross-checked against the Laurent-series
 oracle in the test suite; none is taken on faith.
@@ -198,28 +201,45 @@ def build_h_system(instance: FuchsianInstance, g: Polynomial):
     return h_matrix(instance), rhs
 
 
-def solve_h(instance: FuchsianInstance, g: Polynomial, free_values=()) -> Polynomial:
-    """h from one elimination of the h-system, with the free values added.
+def h_residuals(instance: FuchsianInstance, g: Polynomial, free_values=()):
+    """h from eliminating the first min(rows, cols) rows of the h-system,
+    and (j, rhs_r - row_r . h) for each later row r, j 1-based.
 
-    Returns particular + sum_k free_values[k] * nullspace_basis[k], so
-    free_values[k] becomes the coefficient of z^(n+3N+k).  The number of free
-    values must equal the nullity, n - 2 - N in the underdetermined case and
-    0 otherwise.  Raises VerificationFailed when the system is inconsistent
-    (momenta violating the constraints of the overdetermined case) or its
-    nullity differs from len(free_values).
+    h is particular + sum_k free_values[k] * nullspace_basis[k].  Row r is
+    h''(q_j); with y its left-nullspace vector the residual equals y . rhs,
+    constraint j's value at the momenta.  Raises VerificationFailed unless
+    the eliminated rows are consistent with nullity len(free_values).
     """
-    outcome = eliminate(*build_h_system(instance, g))
-    if outcome.kind == "inconsistent":
-        raise VerificationFailed("h-system is inconsistent")
-    if len(outcome.nullspace_basis) != len(free_values):
+    matrix, rhs = build_h_system(instance, g)
+    size = min(matrix.rows, matrix.cols)
+    block = matrix if size == matrix.rows else Matrix(size, size, matrix.entries[: size * size])
+    outcome = eliminate(block, rhs[:size])
+    nullity = len(outcome.nullspace_basis)
+    if outcome.kind == "inconsistent" or nullity != len(free_values):
         raise VerificationFailed(
-            f"h-system nullity {len(outcome.nullspace_basis)} != "
-            f"{len(free_values)} free values"
+            f"h-system is {outcome.kind} with nullity {nullity} != {len(free_values)} free values"
         )
     coeffs = list(outcome.particular)
     for value, vector in zip(free_values, outcome.nullspace_basis):
         coeffs = [c + value * v for c, v in zip(coeffs, vector)]
-    return Polynomial(coeffs)
+    j0 = instance.num_apparent + 1 - matrix.rows  # the last N rows are h''(q_1 .. q_N)
+    residuals = tuple(
+        (r + j0, rhs[r] - sum((e * c for e, c in zip(matrix.row(r), coeffs)), ZERO))
+        for r in range(size, matrix.rows)
+    )
+    return Polynomial(coeffs), residuals
+
+
+def solve_h(instance: FuchsianInstance, g: Polynomial, free_values=()) -> Polynomial:
+    """h_residuals' h, which must solve the whole h-system.
+
+    Raises VerificationFailed on a nonzero residual: momenta that violate
+    the constraints of an overdetermined instance.
+    """
+    h, residuals = h_residuals(instance, g, free_values)
+    if any(value for _, value in residuals):
+        raise VerificationFailed("h-system is inconsistent")
+    return h
 
 
 def construct(instance: FuchsianInstance) -> FuchsianEquation:

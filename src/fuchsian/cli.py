@@ -188,6 +188,9 @@ def _cmd_det_check(args) -> int:
     if args.n is None or args.n < 2:
         _diag("det-check requires --n >= 2")
         return 1
+    if args.trials < 1:
+        _diag("det-check requires --trials >= 1")
+        return 1
     results = []
     ratios = set()
     nonzero = True

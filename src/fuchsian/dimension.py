@@ -10,9 +10,10 @@ With n prescribed finite points and N apparent ones the h-system has
 
 In every regime N + (free coefficients) - (constraints) = n - 2, the
 dimension of the space of equations once positions are fixed.  Every regime
-reaches h through builder.solve_h, one elimination of the h-system: the
-under case adds its free values along the returned nullspace, and the over
-case solves the full system once the momenta pass the constraints.
+reaches h through builder.h_residuals, one elimination of the leading rows
+of the h-system: the under case adds its free values along the returned
+nullspace, and the over case solves the leading Hermite block and finds the
+constraint values at its momenta in the residuals of the rows after it.
 
 The constraints are the Fredholm conditions of the h-system.  Its matrix
 has maximal rank, so for N > n - 2 the right-hand side is reachable exactly
@@ -28,11 +29,13 @@ builder.h_rhs_terms directly: sum_k y_k * (const, lin, quad)_k, collected
 per momentum.
 
 So quadratic_constraints costs one elimination, of the transposed h-matrix,
-and check_momenta computes g once and adds a second, solve_h, only for the
-witness of a consistent instance.  The two are kept apart on purpose: the
-h-matrix of real positions eliminates on the cheaper real-integer path,
-while complex momenta would make a combined right-hand side complex and
-push the whole elimination onto the complex path.
+and check_momenta one, of the leading block with the instance's right-hand
+side (complex under complex momenta, still cheaper than the transposed
+elimination plus a full solve): since row_r = -sum_k y_k row_k over the
+block, the residual rhs_r - row_r . h is y . rhs, so its violations need no
+constraint objects and its h is the witness when they all vanish.  The constraints stay on the
+transpose because they must hold for every momentum, which a right-hand
+side at given momenta cannot express.
 
 Floats appear only at the edges.  solve_quadratic_float finds the roots of
 a scalar constraint numerically.  float_obstructions takes float momenta at
@@ -46,19 +49,10 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .builder import (
-    FuchsViolation,  # noqa: F401  (re-exported: callers catch it from either module)
-    VerificationFailed,
-    build_h_system,
-    h_matrix,
-    h_rhs_terms,
-    solve_g,
-    solve_h,
-)
+from .builder import VerificationFailed, h_matrix, h_residuals, h_rhs_terms, solve_g, solve_h
 from .frobenius import frobenius_obstruction, local_expansion, verify
 from .linalg import Matrix, eliminate
 from .model import FuchsianEquation, FuchsianInstance, require_valid
-from .polynomials import Polynomial
 from .scalars import ZERO, GaussianRational
 
 
@@ -169,17 +163,9 @@ class QuadraticConstraint:
 
 
 def quadratic_constraints(instance: FuchsianInstance) -> list:
-    """The N - n + 2 momentum constraints of the overdetermined case.
-
-    The left nullspace of the h-matrix does not involve the momenta, so the
-    returned constraints are exact objects valid for every momentum choice.
-    """
-    return _constraints(instance)[1]
-
-
-def _constraints(instance: FuchsianInstance):
-    """g and the quadratic constraints, from one elimination of the
-    transposed h-matrix.
+    """The N - n + 2 momentum constraints of the overdetermined case, exact
+    for every momentum choice, from one elimination of the transposed
+    h-matrix.
 
     The rows of the h-matrix are the columns of its transpose.  The first
     2d - 1 are independent, so they must be the pivot columns; each
@@ -218,7 +204,7 @@ def _constraints(instance: FuchsianInstance):
                 const_term=const,
             )
         )
-    return g, constraints
+    return constraints
 
 
 @dataclass(frozen=True)
@@ -231,20 +217,18 @@ class MomentaCheck:
 def check_momenta(instance: FuchsianInstance) -> MomentaCheck:
     """Evaluate the constraints at the instance's momenta, exactly.
 
-    On consistency the h-system has a unique solution, and the verified
-    equation built from it is returned as the witness.
+    The nonzero residuals of one builder.h_residuals call are the
+    violations; without any, its h gives the verified witness equation.
     """
-    g, constraints = _constraints(instance)
-    momenta = instance.momenta
-    violations = []
-    for constraint in constraints:
-        value = constraint.evaluate(momenta)
-        if value:
-            violations.append((constraint.j, value))
+    case = classify(instance).case
+    if case != "over":
+        raise ValueError(f"instance is {case}, not overdetermined")
+    g = solve_g(instance)
+    h, residuals = h_residuals(instance, g)
+    violations = tuple((j, value) for j, value in residuals if value)
     if violations:
-        return MomentaCheck(consistent=False, equation=None, violations=tuple(violations))
-
-    eq = _verified(FuchsianEquation(g, solve_h(instance, g), instance))
+        return MomentaCheck(consistent=False, equation=None, violations=violations)
+    eq = _verified(FuchsianEquation(g, h, instance))
     return MomentaCheck(consistent=True, equation=eq, violations=())
 
 
@@ -294,6 +278,7 @@ def float_obstructions(instance: FuchsianInstance, momenta) -> list:
     second-derivative row is in the block, C_j(p) / delta_j elsewhere (C_j
     the constraint of q_j).  Raises ValueError for an underdetermined
     instance, which has no such block, and for momenta that are not finite.
+    The block is solved by builder.h_residuals, as for check_momenta.
     """
     if classify(instance).case == "under":
         raise ValueError("instance is under; float_obstructions needs N >= n - 2")
@@ -306,13 +291,7 @@ def float_obstructions(instance: FuchsianInstance, momenta) -> list:
         [GaussianRational(Fraction(p.real), Fraction(p.imag)) for p in momenta]
     )
     g = solve_g(exact)
-    matrix, rhs = build_h_system(exact, g)
-    size = matrix.cols
-    block = Matrix(size, size, matrix.entries[: size * size])
-    outcome = eliminate(block, rhs[:size])
-    if outcome.kind != "unique":
-        raise VerificationFailed(f"leading h-block is {outcome.kind}, not unique")
-    eq = FuchsianEquation(g, Polynomial(outcome.particular), exact)
+    eq = FuchsianEquation(g, h_residuals(exact, g)[0], exact)
     # the resonance at s = 2 reads orders up to 0 only: the shortest window
     return [
         frobenius_obstruction(local_expansion(eq, q, terms=3))[0].to_complex()

@@ -50,6 +50,8 @@ def random_instance(n: int, num_apparent: int | None = None, seed: int = 0) -> F
         num_apparent = n - 2
     if num_apparent < 0:
         raise ValueError(f"need N >= 0, got {num_apparent}")
+    if n + num_apparent > len(_POOL):
+        raise ValueError(f"need n + N <= {len(_POOL)} pool positions, got {n + num_apparent}")
     rng = random.Random(seed)
     positions = rng.sample(_POOL, n + num_apparent)
 

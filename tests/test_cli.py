@@ -7,12 +7,15 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from fuchsian.cli import main
 from fuchsian.model import (
     FuchsianInstance,
     instance_from_json_obj,
     instance_to_json_obj,
 )
+from fuchsian.sampling import random_instance
 from fuchsian.scalars import GaussianRational
 
 
@@ -119,6 +122,14 @@ def test_det_check(tmp_path, capsys):
     assert main(["det-check", "--n", "1"]) == 1
 
 
+def test_det_check_rejects_fewer_than_one_trial(capsys):
+    for trials in ("0", "-3"):
+        assert main(["det-check", "--n", "3", "--trials", trials]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "fuchsian: det-check requires --trials >= 1\n"
+
+
 def test_gen_deterministic_and_constructible(tmp_path, capsys):
     assert main(["gen", "--n", "3", "--seed", "7"]) == 0
     first = capsys.readouterr().out
@@ -134,6 +145,17 @@ def test_gen_deterministic_and_constructible(tmp_path, capsys):
 
 def test_gen_rejects_small_n():
     assert main(["gen", "--n", "1"]) == 1
+
+
+def test_gen_rejects_more_points_than_the_pool(capsys):
+    # 121 distinct rationals in [-10, 10] with denominators 1..4
+    assert len(random_instance(61, 60).finite_points) == 61
+    with pytest.raises(ValueError, match="n \\+ N <= 121"):
+        random_instance(60, 62)
+    assert main(["gen", "--n", "62"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n + N <= 121" in captured.err and "got 122" in captured.err
 
 
 def test_construct_output_byte_stable(tmp_path):

@@ -8,7 +8,15 @@ import pytest
 
 import fuchsian.builder
 import fuchsian.dimension
-from fuchsian.builder import build_h_system, construct, h_matrix, local_constants, solve_g
+from fuchsian.builder import (
+    VerificationFailed,
+    build_h_system,
+    construct,
+    h_matrix,
+    local_constants,
+    solve_g,
+    solve_h,
+)
 from fuchsian.dimension import (
     check_momenta,
     classify,
@@ -21,6 +29,7 @@ from fuchsian.dimension import (
 from fuchsian.frobenius import verify
 from fuchsian.linalg import Matrix, eliminate, rank
 from fuchsian.model import FuchsianInstance
+from fuchsian.polynomials import Polynomial
 from fuchsian.sampling import random_instance
 from fuchsian.scalars import ONE, ZERO, GaussianRational
 
@@ -132,28 +141,42 @@ def test_check_momenta_paths():
 
 
 def test_each_call_eliminates_once_per_system(monkeypatch):
-    # g is a closed form and the over case shares one h elimination between
-    # its constraints and its check; only a consistent witness solves again.
-    calls = []
+    # g is a closed form, and the over case solves h on the leading block of
+    # the h-system once: check_momenta reads its violations and its witness
+    # off the same elimination, which builds the h-system once.
+    originals = {
+        "eliminate": eliminate,
+        "h_matrix": h_matrix,
+        "h_rhs_terms": fuchsian.builder.h_rhs_terms,
+    }
+    calls = {name: [] for name in originals}
 
-    def counting(*args):
-        calls.append(args)
-        return eliminate(*args)
+    def counting(name):
+        def wrapper(*args):
+            calls[name].append(args)
+            return originals[name](*args)
 
-    monkeypatch.setattr(fuchsian.builder, "eliminate", counting)
-    monkeypatch.setattr(fuchsian.dimension, "eliminate", counting)
+        return wrapper
 
-    def count(fn, *args):
-        calls.clear()
+    for module in (fuchsian.builder, fuchsian.dimension):
+        for name in originals:
+            monkeypatch.setattr(module, name, counting(name))
+
+    def count(fn, *args, name="eliminate"):
+        for log in calls.values():
+            log.clear()
         fn(*args)
-        return len(calls)
+        return len(calls[name])
 
     assert count(construct, random_instance(4, 2, seed=3)) == 1
     assert count(solve_under, UNDER3, [1]) == 1
     assert count(quadratic_constraints, N2N1) == 1
-    assert count(check_momenta, N2N1) == 1  # violating: no witness
-    assert count(check_momenta, N2N1.with_momenta([gr(1)])) == 2
     assert count(float_obstructions, N2N1, [1.0]) == 1
+    for inst in (N2N1, N2N1.with_momenta([gr(1)])):  # violating, consistent
+        assert count(check_momenta, inst) == 1
+        assert count(check_momenta, inst, name="h_matrix") == 1
+        assert count(check_momenta, inst, name="h_rhs_terms") == 1
+    assert check_momenta(N2N1.with_momenta([gr(1)])).consistent
 
 
 def test_zero_exponent_over_instance_admits_zero_momentum():
@@ -202,26 +225,57 @@ def test_float_roots_give_small_obstruction():
             assert abs(omega) < 1e-9
 
 
-def test_constraints_equivalent_to_full_system_consistency():
-    # The constraints must capture solvability exactly: for any momenta, all
-    # constraints vanish iff eliminating the full overdetermined system with
-    # the corresponding right-hand side reports a consistent outcome.
-    rng = random.Random(2468)
+def _over_instances(regime_instances, seed):
+    """Seeded over instances: consistent ones from regime_instances, violating
+    random ones with complex momenta (n = 2..5, N = n - 1..n + 2, half
+    Gaussian-shifted), the same with small random momenta (N = n - 1), and
+    the over instances of the imaginary-axis layout."""
+    rng = random.Random(seed)
+    for case, inst, _ in regime_instances(seed, 120):
+        if case == "over":
+            yield inst
+    for k in range(48):
+        n = 2 + k % 4
+        inst = random_instance(n, n - 1 + (k // 4) % 4, seed=rng.randint(0, 10**6))
+        if k % 2:
+            inst = inst.shifted(gr(rng.randint(-3, 3), rng.choice([-2, -1, 1, 2])))
+        yield inst
     for _ in range(8):
         n = rng.choice([2, 3])
-        num = n - 1  # one constraint
-        base = random_instance(n, num, seed=rng.randint(0, 10**6))
-        constraints = quadratic_constraints(base)
-        momenta = [
-            gr(Fraction(rng.randint(-4, 4), rng.randint(1, 2)), rng.randint(-1, 1))
-            for _ in range(num)
-        ]
-        inst = base.with_momenta(momenta)
+        base = random_instance(n, n - 1, seed=rng.randint(0, 10**6))
+        yield base.with_momenta(
+            [
+                gr(Fraction(rng.randint(-4, 4), rng.randint(1, 2)), rng.randint(-1, 1))
+                for _ in range(n - 1)
+            ]
+        )
+    for k, inst in enumerate(_layout_instances(seed, 120)):
+        if k // 24 == 4 and inst.num_apparent > inst.n - 2:
+            yield inst
+
+
+def test_constraints_equivalent_to_full_system_consistency(regime_instances):
+    # The constraints must capture solvability exactly: at the momenta, the
+    # nonzero constraint values are check_momenta's violations, and there
+    # are none iff eliminating the full overdetermined system is consistent,
+    # its solution being check_momenta's witness and solve_h's result.
+    seen = {True: 0, False: 0}
+    for k, inst in enumerate(_over_instances(regime_instances, 2468)):
         g = solve_g(inst)
-        matrix, rhs = build_h_system(inst, g)
-        outcome = eliminate(matrix, rhs)
-        all_zero = all(not c.evaluate(momenta) for c in constraints)
-        assert all_zero == (outcome.kind != "inconsistent")
+        full = eliminate(*build_h_system(inst, g))
+        consistent = full.kind != "inconsistent"
+        seen[consistent] += 1
+        values = [(c.j, c.evaluate(inst.momenta)) for c in quadratic_constraints(inst)]
+        result = check_momenta(inst)
+        assert result.violations == tuple((j, v) for j, v in values if v), k
+        assert result.consistent == consistent, k
+        if consistent:
+            assert result.equation.h == Polynomial(full.particular), k
+            assert solve_h(inst, g) == result.equation.h, k
+        else:
+            with pytest.raises(VerificationFailed, match="inconsistent"):
+                solve_h(inst, g)
+    assert seen[True] >= 40 and seen[False] >= 60, seen
 
 
 def test_rank_formula_small_sweep():
@@ -285,8 +339,9 @@ def test_leading_block_is_regular_and_the_rest_depends_on_it():
     # first derivative, second derivatives at q_1 .. q_(n-2)) are Hermite data
     # on distinct nodes, so they are independent, and the homogeneous
     # elimination leaves exactly the remaining second-derivative rows
-    # dependent.  float_obstructions solves that block; _constraints reads
-    # one left-nullspace vector per remaining row.
+    # dependent.  builder.h_residuals solves that block for solve_h,
+    # check_momenta and float_obstructions; quadratic_constraints reads one
+    # left-nullspace vector per remaining row.
     for inst in _layout_instances(4242, 120):
         matrix = h_matrix(inst)
         size = matrix.cols
