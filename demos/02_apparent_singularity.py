@@ -19,11 +19,11 @@ from fuchsian import (
     GaussianRational,
     construct,
     frobenius_obstruction,
-    local_constants,
     local_expansion,
     solve_g,
     verify,
 )
+from fuchsian.builder import h_rhs_terms
 
 points = [(0, (0, 1)), (1, (0, 1)), (2, (0, 1))]
 infinity = (-1, -1)
@@ -46,11 +46,11 @@ for momentum in (0, Fraction(5, 2)):
     print("  full verification:           ", verify(equation).overall)
     print()
 
-# The constants behind the second-derivative row of the linear system, all
-# derived in closed form and cross-checked against Laurent expansions.
+# The constants behind the second-derivative row of the linear system: its
+# right-hand side is delta * p^2 + epsilon * p, with delta = -2 psi'(q)^2 and
+# epsilon = psi'(q) (psi''(q) - 2 G'(q)), cross-checked against Laurent
+# expansions in the tests.
 instance = FuchsianInstance(points, infinity, [(q, 0)])
-g = solve_g(instance)
-consts = local_constants(instance, g, 0)
+_, _, epsilon, delta = h_rhs_terms(instance, solve_g(instance))[-1]
 print("local constants at q = 3:")
-print("  mu =", consts.mu, " kappa =", consts.kappa)
-print("  delta =", consts.delta, " epsilon =", consts.epsilon)
+print("  delta =", delta, " epsilon =", epsilon)

@@ -11,13 +11,11 @@ momentum constraints of the overdetermined case.
 
 from .builder import (
     FuchsViolation,
-    LocalConstants,
     VerificationFailed,
     build_g_system,
     build_h_system,
     construct,
     h_matrix,
-    local_constants,
     solve_g,
     solve_h,
 )
@@ -74,7 +72,6 @@ __all__ = [
     "INFINITY",
     "InvalidInstance",
     "LaurentSeries",
-    "LocalConstants",
     "LocalExpansion",
     "Matrix",
     "MomentaCheck",
@@ -104,7 +101,6 @@ __all__ = [
     "instance_from_json_obj",
     "instance_to_json_obj",
     "laurent_expand",
-    "local_constants",
     "local_expansion",
     "parse_rational",
     "psi",

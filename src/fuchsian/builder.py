@@ -22,13 +22,14 @@ points, and first- plus second-derivative rows at the apparent points:
     row(q_j, d1):   h'(q_j)                        = p_j * psi'(q_j)^2
     row(q_j, d2):   h''(q_j)                       = delta_j p_j^2 + epsilon_j p_j
 
-with the local constants
+with
 
-    mu_j      = 1 / psi'(q_j)^2
-    kappa_j   = -psi''(q_j) / psi'(q_j)^3
-    g1_j      = g'(q_j)/psi'(q_j) + psi''(q_j)/(2 psi'(q_j))
     delta_j   = -2 psi'(q_j)^2
-    epsilon_j = -2 psi'(q_j)^2 * (g1_j - psi''(q_j)/psi'(q_j)).
+    epsilon_j = psi'(q_j) * (psi''(q_j) - 2 g'(q_j)).
+
+epsilon_j is delta_j * (g1_j - psi''(q_j)/psi'(q_j)), g1_j the order-0 Laurent
+coefficient of g/psi at q_j, simplified so that no right-hand side needs a
+division; the tests check it against that expansion.
 
 h_rhs_terms is the one definition of these right-hand sides, as coefficients
 of each row's own momentum; the exact system, the quadratic momentum
@@ -51,8 +52,6 @@ oracle in the test suite; none is taken on faith.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .linalg import Matrix, eliminate
 from .model import FuchsianEquation, FuchsianInstance, fuchs_defect, psi, require_valid
 from .polynomials import Polynomial
@@ -69,19 +68,6 @@ class VerificationFailed(RuntimeError):
     Raised instead of an assert so that it survives ``python -O``; the CLI
     maps it to exit code 3.
     """
-
-
-@dataclass(frozen=True)
-class LocalConstants:
-    """Derived quantities at one apparent point."""
-
-    psi1: GaussianRational  # psi'(q_j)
-    psi2: GaussianRational  # psi''(q_j)
-    mu: GaussianRational
-    kappa: GaussianRational
-    g1: GaussianRational  # order-0 Laurent coefficient of g/psi at q_j
-    delta: GaussianRational
-    epsilon: GaussianRational
 
 
 def build_g_system(instance: FuchsianInstance):
@@ -130,22 +116,6 @@ def solve_g(instance: FuchsianInstance) -> Polynomial:
     return g
 
 
-def local_constants(instance: FuchsianInstance, g: Polynomial, j: int) -> LocalConstants:
-    """Closed-form constants at apparent point j (0-based)."""
-    p = psi(instance)
-    q = instance.apparent_positions[j]
-    psi1 = p.derivative()(q)
-    psi2 = p.derivative(2)(q)
-    mu = GaussianRational(1) / (psi1 * psi1)
-    kappa = -psi2 / (psi1 * psi1 * psi1)
-    g1 = g.derivative()(q) / psi1 + psi2 / (2 * psi1)
-    delta = -2 * psi1 * psi1
-    epsilon = delta * (g1 - psi2 / psi1)
-    return LocalConstants(
-        psi1=psi1, psi2=psi2, mu=mu, kappa=kappa, g1=g1, delta=delta, epsilon=epsilon
-    )
-
-
 def h_rhs_terms(instance: FuchsianInstance, g: Polynomial) -> list:
     """Each h-system row's right-hand side as (j, const, lin, quad).
 
@@ -153,19 +123,19 @@ def h_rhs_terms(instance: FuchsianInstance, g: Polynomial) -> list:
     of apparent point j (0-based); rows whose value involves no momentum have
     j = None and lin = quad = 0.  Row order is that of h_matrix.
     """
-    dpsi = psi(instance).derivative()
-    num = instance.num_apparent
+    p = psi(instance)
+    dpsi, ddpsi, dg = p.derivative(), p.derivative(2), g.derivative()
     terms = [(None, instance.infinity_exponents.product, ZERO, ZERO)]
     for t, pair in instance.finite_points:
         slope = dpsi(t)
         terms.append((None, pair.product * slope * slope, ZERO, ZERO))
-    terms += [(None, ZERO, ZERO, ZERO)] * num
-    for j, q in enumerate(instance.apparent_positions):
-        slope = dpsi(q)
-        terms.append((j, ZERO, slope * slope, ZERO))
-    for j in range(num):
-        consts = local_constants(instance, g, j)
-        terms.append((j, ZERO, consts.epsilon, consts.delta))
+    terms += [(None, ZERO, ZERO, ZERO)] * instance.num_apparent
+    slopes = [(q, dpsi(q)) for q in instance.apparent_positions]
+    terms += [(j, ZERO, slope * slope, ZERO) for j, (_, slope) in enumerate(slopes)]
+    terms += [
+        (j, ZERO, slope * (ddpsi(q) - 2 * dg(q)), -2 * slope * slope)
+        for j, (q, slope) in enumerate(slopes)
+    ]
     return terms
 
 
@@ -179,15 +149,13 @@ def h_matrix(instance: FuchsianInstance) -> Matrix:
     require_valid(instance)
     d = instance.n + instance.num_apparent
     width = 2 * d - 1
-    rows = [[ZERO] * (width - 1) + [GaussianRational(1)]]
-    for t in instance.finite_positions:
-        rows.append(_power_row(t, width))
-    for q in instance.apparent_positions:
-        rows.append(_power_row(q, width))
-    for q in instance.apparent_positions:
-        rows.append(_derivative_row(q, width, 1))
-    for q in instance.apparent_positions:
-        rows.append(_derivative_row(q, width, 2))
+    rows = [[ZERO] * (width - 1) + [ONE]]
+    rows += [_power_row(t, width) for t in instance.finite_positions]
+    powers = [_power_row(q, width) for q in instance.apparent_positions]
+    # d/dz z^k = k z^(k-1) and d2/dz2 z^k = k (k-1) z^(k-2), read off the powers
+    rows += powers
+    rows += [[ZERO] + [k * row[k - 1] for k in range(1, width)] for row in powers]
+    rows += [[ZERO, ZERO] + [k * (k - 1) * row[k - 2] for k in range(2, width)] for row in powers]
     return Matrix.from_rows(rows)
 
 
@@ -260,22 +228,9 @@ def construct(instance: FuchsianInstance) -> FuchsianEquation:
 
 
 def _power_row(x: GaussianRational, width: int) -> list:
-    row = []
-    power = GaussianRational(1)
-    for _ in range(width):
-        row.append(power)
-        power = power * x
+    """(1, x, x^2, ..., x^(width-1)); width >= 1."""
+    row = [ONE]
+    for _ in range(width - 1):
+        row.append(row[-1] * x)
     return row
 
-
-def _derivative_row(x: GaussianRational, width: int, order: int) -> list:
-    """Row of the order-th derivative of (1, z, z^2, ...) evaluated at x."""
-    row = [ZERO] * min(order, width)
-    power = GaussianRational(1)  # x ** (k - order)
-    for k in range(order, width):
-        factor = 1
-        for step in range(order):
-            factor *= k - step
-        row.append(power * factor)
-        power = power * x
-    return row

@@ -89,8 +89,7 @@ def _dispatch(args) -> int:
         if not args.input:
             _diag(f"{args.command} requires --input")
             return 1
-        with open(args.input, encoding="utf-8") as handle:
-            instance = instance_from_json_obj(json.load(handle))
+        instance = instance_from_json_obj(_load_json(args.input))
     if args.command == "construct":
         return _cmd_construct(args, instance)
     if args.command == "verify":
@@ -104,6 +103,14 @@ def _dispatch(args) -> int:
     if args.command == "gen":
         return _cmd_gen(args)
     raise AssertionError(f"unhandled command {args.command}")
+
+
+def _load_json(path):
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except RecursionError as exc:  # nesting deeper than the parser's stack
+            raise ValueError(f"cannot read input: {exc}") from None
 
 
 def _cmd_construct(args, instance) -> int:
@@ -130,8 +137,7 @@ def _cmd_verify(args, instance) -> int:
     if not args.equation:
         _diag("verify requires --equation")
         return 1
-    with open(args.equation, encoding="utf-8") as handle:
-        eq = equation_from_json_obj(json.load(handle), instance)
+    eq = equation_from_json_obj(_load_json(args.equation), instance)
     report = verify(eq)
     payload = report_to_json_obj(report)
     text = _report_text(report)

@@ -276,8 +276,10 @@ def float_obstructions(instance: FuchsianInstance, momenta) -> list:
     confluent Vandermonde system, so h is unique, and the verifier's
     recursion gives omega_j at each q_j: exactly 0 where q_j's
     second-derivative row is in the block, C_j(p) / delta_j elsewhere (C_j
-    the constraint of q_j).  Raises ValueError for an underdetermined
-    instance, which has no such block, and for momenta that are not finite.
+    the constraint of q_j, delta_j = -2 psi'(q_j)^2 its coefficient of
+    p_j^2, as in builder.h_rhs_terms).  Raises ValueError for an
+    underdetermined instance, which has no such block, and for momenta that
+    are not finite.
     The block is solved by builder.h_residuals, as for check_momenta.
     """
     if classify(instance).case == "under":

@@ -48,8 +48,8 @@ from .model import (
 from .polynomials import LaurentSeries, Polynomial
 from .scalars import ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
 
-#: Series depth used by verify(); the resonance sits at s = 2, so the default
-#: is pure safety margin.
+#: Series depth of the recursion verify() runs; the resonance sits at s = 2,
+#: so the depth beyond it is pure safety margin.
 DEFAULT_DEPTH = 8
 
 
@@ -124,12 +124,13 @@ def indicial_roots(local: LocalExpansion) -> Indicial:
     return Indicial(sum=root_sum, product=root_product, pair=pair)
 
 
-def frobenius_obstruction(local: LocalExpansion, depth: int = DEFAULT_DEPTH):
+def frobenius_obstruction(local: LocalExpansion):
     """Run the power-series recursion at an apparent-shaped point.
 
     Returns (omega, coefficients).  omega is the value closing the resonance
     at s = 2; the series continues past it, normalized by a_0 = 1 and
-    a_2 = 0, only when omega vanishes.
+    a_2 = 0, only when omega vanishes.  It runs to s = DEFAULT_DEPTH, or as
+    far as the series windows reach.
 
     Fraction-free: g and h are Gaussian integers over one denominator D, the
     a_k over one shared denominator E.  Step s != 2 scales every a_k by the
@@ -143,7 +144,7 @@ def frobenius_obstruction(local: LocalExpansion, depth: int = DEFAULT_DEPTH):
             f"not apparent-shaped: h-series has order -2 coefficient {h.coefficient(-2)}"
         )
     limit = min(_stored_top(g), _stored_top(h)) + 2
-    top = min(depth, limit)
+    top = min(DEFAULT_DEPTH, limit)
     if top < 2:
         raise ValueError("series windows too short to reach the resonance at s = 2")
     # orders -1 .. top-2 of g, then of h; after the split, index o + 1 is order o
@@ -256,7 +257,6 @@ class ApparentPointReport:
     point: GaussianRational
     residue: GaussianRational
     residue_ok: bool  # residue of g/psi equals -1
-    double_pole: GaussianRational
     double_pole_absent: bool  # h/psi^2 has no order -2 term
     indicial: Indicial
     indicial_ok: bool  # indicial roots are {0, 2}
@@ -276,7 +276,7 @@ class VerificationReport:
     overall: bool
 
 
-def verify(eq: FuchsianEquation, depth: int = DEFAULT_DEPTH) -> VerificationReport:
+def verify(eq: FuchsianEquation) -> VerificationReport:
     """Check every prescribed condition of the instance against the equation.
 
     All comparisons are exact; failures are reported, never raised.
@@ -307,11 +307,10 @@ def verify(eq: FuchsianEquation, depth: int = DEFAULT_DEPTH) -> VerificationRepo
     two = GaussianRational(2)
     apparent_reports = []
     for q, p in instance.apparent_points:
-        local = local_expansion(eq, q, depth + 2)
+        local = local_expansion(eq, q)
         residue = local.g_series.coefficient(-1)
-        double_pole = local.h_series.coefficient(-2)
         residue_ok = residue == GaussianRational(-1)
-        double_pole_absent = not double_pole
+        double_pole_absent = not local.h_series.coefficient(-2)
         ind = indicial_roots(local)
         indicial_ok = ind.sum == two and not ind.product
         recovered = local.h_series.coefficient(-1)
@@ -320,7 +319,7 @@ def verify(eq: FuchsianEquation, depth: int = DEFAULT_DEPTH) -> VerificationRepo
         log_free = False
         residual_ok = False
         if residue_ok and double_pole_absent:
-            obstruction, coefficients = frobenius_obstruction(local, depth)
+            obstruction, coefficients = frobenius_obstruction(local)
             log_free = not obstruction
             if log_free:
                 residual_ok = all(not r for r in series_residual(local, coefficients))
@@ -329,7 +328,6 @@ def verify(eq: FuchsianEquation, depth: int = DEFAULT_DEPTH) -> VerificationRepo
                 point=q,
                 residue=residue,
                 residue_ok=residue_ok,
-                double_pole=double_pole,
                 double_pole_absent=double_pole_absent,
                 indicial=ind,
                 indicial_ok=indicial_ok,

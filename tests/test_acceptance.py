@@ -57,7 +57,7 @@ def test_criterion_2_construct_verify_round_trip():
         for trial in range(17):
             instance = random_instance(n, seed=1000 * n + trial)
             eq = construct(instance)
-            report = verify(eq, depth=8)
+            report = verify(eq)
             ok = ok and report.overall
             ok = ok and all(r.match for r in report.finite) and report.infinity.match
             for r in report.apparent:

@@ -15,13 +15,11 @@ import pytest
 from fuchsian.builder import (
     FuchsViolation,
     VerificationFailed,
-    _derivative_row,
     build_g_system,
     build_h_system,
     construct,
     h_matrix,
     h_rhs_terms,
-    local_constants,
     solve_g,
     solve_h,
 )
@@ -87,12 +85,13 @@ def test_h_rhs_examples():
     _, rhs = build_h_system(N2N1, g2)
     assert rhs[4] == gr(12)  # 3 * psi'(2)^2
     assert rhs[3] == ZERO
-    consts = local_constants(N2N1, g2, 0)
+    # g2 = z - z^2: delta = -2 psi'(2)^2, epsilon = psi'(2) (psi''(2) - 2 g2'(2))
     assert h_rhs_terms(N2N1, g2)[3:] == [
         (None, ZERO, ZERO, ZERO),
         (0, ZERO, gr(4), ZERO),
-        (0, ZERO, consts.epsilon, consts.delta),
+        (0, ZERO, gr(24), gr(-8)),  # 2 * (6 + 6), -2 * 2^2
     ]
+    assert rhs[5] == gr(-8 * 9 + 24 * 3)  # delta p^2 + epsilon p at p = 3
 
 
 def test_h_system_shapes():
@@ -106,21 +105,27 @@ def test_h_system_shapes():
 
 
 def test_local_constants_example():
+    # At q = 2: mu = 1/psi'(q)^2 and kappa = -psi''(q)/psi'(q)^3 are the first
+    # Laurent coefficients of (z - q)^2 / psi^2, g1 the order-0 one of g/psi.
     g = solve_g(N2N1)
-    consts = local_constants(N2N1, g, 0)
-    assert consts.mu == gr(Fraction(1, 4))
-    assert consts.kappa == gr(Fraction(-3, 4))
-    assert consts.delta == gr(-8)
-    assert consts.kappa / consts.mu == -consts.psi2 / consts.psi1  # both equal -3
+    p = psi(N2N1)
+    f_series = laurent_expand(Polynomial.from_roots([2, 2]), p * p, gr(2), 3)
+    mu, kappa = f_series.coefficient(0), f_series.coefficient(1)
+    g1 = laurent_expand(g, p, gr(2), 3).coefficient(0)
+    assert (mu, kappa, g1) == (gr(Fraction(1, 4)), gr(Fraction(-3, 4)), ZERO)
+    delta = -2 / mu
+    assert h_rhs_terms(N2N1, g)[-1] == (0, ZERO, delta * (g1 + kappa / mu), delta)
+    assert delta == gr(-8)
 
 
 def test_delta_never_zero():
     rng = random.Random(41)
     for _ in range(15):
         inst = random_instance(rng.randint(3, 6), seed=rng.randint(0, 9999))
-        g = solve_g(inst)
-        for j in range(inst.num_apparent):
-            assert local_constants(inst, g, j).delta
+        terms = h_rhs_terms(inst, solve_g(inst))
+        second = terms[len(terms) - inst.num_apparent :]
+        assert [j for j, *_ in second] == list(range(inst.num_apparent))
+        assert all(delta for *_, delta in second)
 
 
 def test_construct_examples_a_b():
@@ -194,28 +199,25 @@ def test_oracle_agreement():
                 assert series.coefficient(-1) * dpsi(t) == g_rhs[i]
                 h_series = laurent_expand(eq.h, p * p, t, 3)
                 assert h_series.coefficient(-2) == pair.product
+            terms = h_rhs_terms(inst, g)
+            second = terms[len(terms) - inst.num_apparent :]
             for j, (q, momentum) in enumerate(inst.apparent_points):
-                consts = local_constants(inst, g, j)
-                # mu, kappa from the expansion of (z-q)^2 / psi^2
+                # mu = 1/psi'(q)^2, kappa = -psi''(q)/psi'(q)^3 from the
+                # expansion of (z-q)^2 / psi^2; g1 from that of g/psi
                 factor = Polynomial.from_roots([q, q])
                 f_series = laurent_expand(factor, p * p, q, 3)
-                assert f_series.coefficient(0) == consts.mu
-                assert f_series.coefficient(1) == consts.kappa
+                mu, kappa = f_series.coefficient(0), f_series.coefficient(1)
                 g_series = laurent_expand(g, p, q, 3)
                 assert g_series.coefficient(-1) == gr(-1)
-                assert g_series.coefficient(0) == consts.g1
+                g1 = g_series.coefficient(0)
                 # solved h reproduces the momentum and the log-free coefficient
                 h_series = laurent_expand(eq.h, p * p, q, 3)
                 assert h_series.coefficient(-1) == momentum
-                assert (
-                    h_series.coefficient(0)
-                    == -momentum * momentum - consts.g1 * momentum
-                )
-                # delta, epsilon against the second-derivative row identity
-                assert consts.delta == -2 / consts.mu
-                assert consts.epsilon == consts.delta * (
-                    consts.g1 - consts.psi2 / consts.psi1
-                )
+                assert h_series.coefficient(0) == -momentum * momentum - g1 * momentum
+                # the division-free h'' row: epsilon = delta (g1 - psi''/psi'),
+                # delta = -2 psi'^2, and kappa/mu = -psi''/psi'
+                delta = -2 / mu
+                assert second[j] == (j, ZERO, delta * (g1 + kappa / mu), delta)
 
 
 #: Measured determinant-to-product ratios; the product formula holds up to a
@@ -239,14 +241,19 @@ def _node_product(inst):
 
 
 def test_derivative_row_matches_power_formula():
-    # The running power of x gives k!/(k-order)! * x^(k-order) per entry.
-    for x in (gr(0), gr(Fraction(3, 2)), gr(-1, 2)):
-        for order, width in ((1, 6), (2, 6), (2, 1), (3, 2)):
-            want = [
-                ZERO if k < order else x ** (k - order) * (factorial(k) // factorial(k - order))
-                for k in range(width)
-            ]
-            assert _derivative_row(x, width, order) == want
+    # h_matrix reads the derivative rows off the power rows; entry k of the
+    # order-th derivative row at q must be k!/(k-order)! * q^(k-order).
+    # The shifts move N2N1's apparent point to 0 and both to Gaussian positions.
+    shifts = (gr(0), gr(-2), gr(Fraction(-1, 2), 2))
+    for inst in [base.shifted(c) for base in (N2N1, EXAMPLE_C) for c in shifts]:
+        matrix, num = h_matrix(inst), inst.num_apparent
+        for order in (0, 1, 2):
+            for j, q in enumerate(inst.apparent_positions):
+                want = tuple(
+                    ZERO if k < order else q ** (k - order) * (factorial(k) // factorial(k - order))
+                    for k in range(matrix.cols)
+                )
+                assert matrix.row(1 + inst.n + order * num + j) == want
 
 
 def test_determinant_product_formula():

@@ -184,6 +184,20 @@ def test_malformed_inputs(tmp_path):
     assert main(["bogus-subcommand"]) == 1
 
 
+def test_deeply_nested_json_is_unreadable_input(tmp_path, capsys):
+    # Nesting past the parser's stack is reported like any unreadable file,
+    # not as a RecursionError traceback.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    src = tmp_path / "a.json"
+    _write_instance(src, EXAMPLE_A)
+    for argv in (["analyze", "-i", str(deep)], ["verify", "-i", str(src), "-e", str(deep)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fuchsian: cannot read input: ") and "Traceback" not in err
+        assert err.count("\n") == 1
+
+
 def test_text_format(tmp_path, capsys):
     src = tmp_path / "a.json"
     _write_instance(src, EXAMPLE_A)

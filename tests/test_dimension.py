@@ -13,7 +13,7 @@ from fuchsian.builder import (
     build_h_system,
     construct,
     h_matrix,
-    local_constants,
+    h_rhs_terms,
     solve_g,
     solve_h,
 )
@@ -95,7 +95,7 @@ def test_quadratic_constraint_n2n1():
     c = constraints[0]
     assert c.j == 1
     g = solve_g(N2N1)
-    assert c.quad[1] == local_constants(N2N1, g, 0).delta == gr(-8)
+    assert c.quad[1] == h_rhs_terms(N2N1, g)[-1][3] == gr(-8)  # delta_1
     assert c.single_variable()
     # evaluating at the instance momentum p=3: -8*9 + 12*3 - 4 = -40
     assert c.evaluate([gr(3)]) == gr(-40)
@@ -365,9 +365,8 @@ def test_float_obstructions_equal_scaled_constraints():
         exact = inst.with_momenta([gr(Fraction(p.real), Fraction(p.imag)) for p in momenta])
         expected = [0j] * inst.num_apparent
         if classify(exact).case == "over":
-            g = solve_g(exact)
             for c in quadratic_constraints(exact):
-                delta = local_constants(exact, g, c.j - 1).delta
+                delta = c.quad[c.j]
                 expected[c.j - 1] = (c.evaluate(exact.momenta) / delta).to_complex()
         assert float_obstructions(inst, momenta) == expected
 

@@ -18,7 +18,12 @@ from hypothesis import strategies as st
 
 import fraction_reference as ref
 from fuchsian.builder import build_g_system, build_h_system, h_matrix, solve_g, solve_h
-from fuchsian.frobenius import frobenius_obstruction, local_expansion, series_residual
+from fuchsian.frobenius import (
+    DEFAULT_DEPTH,
+    frobenius_obstruction,
+    local_expansion,
+    series_residual,
+)
 from fuchsian.linalg import Matrix, _echelon, _scaled_rows, det, eliminate, rank
 from fuchsian.model import FuchsianEquation, FuchsianInstance
 from fuchsian.polynomials import LaurentSeries, Polynomial, _taylor_head
@@ -210,8 +215,8 @@ def test_frobenius_recursion_matches_fraction_reference(
     assert len(cases) > 400
     omegas = []
     for label, local in cases:
-        got = frobenius_obstruction(local, 8)
-        assert got == ref.obstruction(local, 8), label
+        got = frobenius_obstruction(local)
+        assert got == ref.obstruction(local, DEFAULT_DEPTH), label
         omegas.append(got[0])
     assert any(omegas) and not all(omegas)
 
