@@ -55,7 +55,7 @@ from __future__ import annotations
 from .linalg import Matrix, eliminate
 from .model import FuchsianEquation, FuchsianInstance, fuchs_defect, psi, require_valid
 from .polynomials import Polynomial
-from .scalars import ONE, ZERO, GaussianRational
+from .scalars import ONE, ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
 
 
 class FuchsViolation(ValueError):
@@ -191,11 +191,16 @@ def h_residuals(instance: FuchsianInstance, g: Polynomial, free_values=()):
     for value, vector in zip(free_values, outcome.nullspace_basis):
         coeffs = [c + value * v for c, v in zip(coeffs, vector)]
     j0 = instance.num_apparent + 1 - matrix.rows  # the last N rows are h''(q_1 .. q_N)
-    residuals = tuple(
-        (r + j0, rhs[r] - sum((e * c for e, c in zip(matrix.row(r), coeffs)), ZERO))
-        for r in range(size, matrix.rows)
-    )
-    return Polynomial(coeffs), residuals
+    residuals = []
+    if size < matrix.rows:
+        # on Gaussian integers: h over one denominator, row r and rhs[r] over another
+        hd, hr, hi = to_gaussian_ints(coeffs)
+        for r in range(size, matrix.rows):
+            den, ar, ai = to_gaussian_ints(matrix.row(r) + (rhs[r],))
+            re = ar[-1] * hd - sum(x * y - u * v for x, u, y, v in zip(ar, ai, hr, hi))
+            im = ai[-1] * hd - sum(x * v + u * y for x, u, y, v in zip(ar, ai, hr, hi))
+            residuals.append((r + j0, from_gaussian_ints(re, im, den * hd)))
+    return Polynomial(coeffs), tuple(residuals)
 
 
 def solve_h(instance: FuchsianInstance, g: Polynomial, free_values=()) -> Polynomial:

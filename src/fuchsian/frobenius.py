@@ -184,7 +184,7 @@ def frobenius_obstruction(local: LocalExpansion):
             ar = [x // content for x in ar]
             ai = [x // content for x in ai]
             e //= content
-    return omega, tuple(from_gaussian_ints(x, y, e) for x, y in zip(ar, ai))
+    return omega, tuple([from_gaussian_ints(x, y, e) for x, y in zip(ar, ai)])
 
 
 def series_residual(local: LocalExpansion, coefficients) -> list:

@@ -47,7 +47,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries):
-        values = tuple(GaussianRational.coerce(e) for e in entries)
+        values = tuple([GaussianRational.coerce(e) for e in entries])
         if rows <= 0 or cols <= 0:
             raise ValueError("matrix dimensions must be positive")
         if len(values) != rows * cols:
@@ -210,7 +210,7 @@ def _back_substitute(rows, pivots, n: int, real: bool, free=None) -> tuple:
                 xr[j] //= content
                 xi[j] //= content
     return tuple(
-        from_gaussian_ints(xr[j], xi[j], den) if xr[j] or xi[j] else ZERO for j in range(n)
+        [from_gaussian_ints(xr[j], xi[j], den) if xr[j] or xi[j] else ZERO for j in range(n)]
     )
 
 
@@ -221,7 +221,7 @@ def eliminate(matrix: Matrix, rhs) -> SolveOutcome:
     system is inconsistent, and a nullspace basis (one vector per free
     column).
     """
-    rhs = tuple(GaussianRational.coerce(v) for v in rhs)
+    rhs = tuple([GaussianRational.coerce(v) for v in rhs])
     if len(rhs) != matrix.rows:
         raise ValueError(f"rhs length {len(rhs)} != row count {matrix.rows}")
     m, n = matrix.rows, matrix.cols

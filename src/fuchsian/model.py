@@ -23,6 +23,10 @@ from .polynomials import Polynomial
 from .scalars import GaussianRational
 
 
+MAX_POINTS = 128  # cap on n + N in instance JSON; gen's 121 pool positions stay under it
+MAX_DIGITS = 1000  # cap on the digits of one rational coordinate in instance JSON, p and q together
+
+
 class InvalidInstance(ValueError):
     """Structurally invalid instance or malformed instance JSON."""
 
@@ -81,7 +85,19 @@ class ExponentPair:
     def from_json_obj(cls, obj) -> ExponentPair:
         if not isinstance(obj, (list, tuple)) or len(obj) != 2:
             raise InvalidInstance(f"exponent pair must be a 2-element list: {obj!r}")
-        return cls(GaussianRational.from_pair(obj[0]), GaussianRational.from_pair(obj[1]))
+        return cls(_complex_from_json(obj[0]), _complex_from_json(obj[1]))
+
+
+def _complex_from_json(obj) -> GaussianRational:
+    """GaussianRational.from_pair, once each coordinate is within MAX_DIGITS."""
+    for part in obj if isinstance(obj, list) else ():
+        text = part if isinstance(part, str) else str(part) if isinstance(part, int) else ""
+        digits = len(text) - text.count("/") - text.count("+") - text.count("-")
+        if digits > MAX_DIGITS:
+            raise InvalidInstance(
+                f"a coordinate has {digits} digits, over the cap MAX_DIGITS = {MAX_DIGITS}"
+            )
+    return GaussianRational.from_pair(obj)
 
 
 def _as_pair(value) -> ExponentPair:
@@ -276,23 +292,19 @@ def instance_from_json_obj(obj) -> FuchsianInstance:
     try:
         if not isinstance(obj, dict):
             raise InvalidInstance(f"instance must be an object, got {type(obj).__name__}")
-        finite = []
-        for entry in obj["finite_points"]:
-            finite.append(
-                (
-                    GaussianRational.from_pair(entry["t"]),
-                    ExponentPair.from_json_obj(entry["exponents"]),
-                )
-            )
+        finite_entries, apparent_entries = obj["finite_points"], obj.get("apparent", [])
+        points = len(finite_entries) + len(apparent_entries)
+        if points > MAX_POINTS:
+            raise InvalidInstance(f"n + N = {points}, over the cap MAX_POINTS = {MAX_POINTS}")
+        finite = [
+            (_complex_from_json(entry["t"]), ExponentPair.from_json_obj(entry["exponents"]))
+            for entry in finite_entries
+        ]
         infinity = ExponentPair.from_json_obj(obj["infinity_exponents"])
-        apparent = []
-        for entry in obj.get("apparent", []):
-            apparent.append(
-                (
-                    GaussianRational.from_pair(entry["q"]),
-                    GaussianRational.from_pair(entry["p"]),
-                )
-            )
+        apparent = [
+            (_complex_from_json(entry["q"]), _complex_from_json(entry["p"]))
+            for entry in apparent_entries
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, InvalidInstance):
             raise

@@ -86,7 +86,7 @@ class Polynomial:
             raise ValueError("derivative order must be >= 1")
         coeffs = self.coeffs
         for _ in range(k):
-            coeffs = tuple(coeffs[i] * i for i in range(1, len(coeffs)))
+            coeffs = [coeffs[i] * i for i in range(1, len(coeffs))]
         return Polynomial(coeffs)
 
     def shift(self, a) -> Polynomial:
@@ -105,25 +105,21 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            tuple(self.coefficient(i) + other.coefficient(i) for i in range(n))
-        )
+        return Polynomial([self.coefficient(i) + other.coefficient(i) for i in range(n)])
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            tuple(self.coefficient(i) - other.coefficient(i) for i in range(n))
-        )
+        return Polynomial([self.coefficient(i) - other.coefficient(i) for i in range(n)])
 
     def __neg__(self):
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return Polynomial([-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             scalar = GaussianRational.coerce(other)
-            return Polynomial(tuple(c * scalar for c in self.coeffs))
+            return Polynomial([c * scalar for c in self.coeffs])
         if not isinstance(other, Polynomial):
             return NotImplemented
         if self.is_zero or other.is_zero:
@@ -134,7 +130,7 @@ class Polynomial:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return Polynomial(tuple(out))
+        return Polynomial(out)
 
     __rmul__ = __mul__
 

@@ -3,9 +3,10 @@
 A Gaussian rational is a complex number whose real and imaginary parts are
 arbitrary-precision rationals.  All core computations in this package take
 place in this field, so every comparison is an exact equality test and no
-tolerance ever enters the picture.  ``fractions.Fraction`` keeps denominators
-positive and in lowest terms after every operation, which gives structural
-equality for free.
+tolerance ever enters the picture.  A value is one int triple (r, i, d) for
+(r + i*sqrt(-1)) / d in canonical form, d > 0 and gcd(r, i, d) == 1, so
+equality compares three ints and each field operation pays one gcd.  ``re``
+and ``im`` are ``Fraction``s derived on demand, r/d and i/d in lowest terms.
 
 Serialization convention (shared with the CLI): a rational is the string
 "p/q" with q > 0 in lowest terms, or just "p" when q == 1; a complex value is
@@ -22,9 +23,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+_new = object.__new__
 
 
 def format_rational(value: Fraction) -> str:
@@ -73,18 +75,19 @@ class GaussianRational:
     no inexact value can leak into a computation.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_r", "_i", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = self._fraction(re)
-        self.im = self._fraction(im)
+        (a, b), (c, e) = self._parts(re), self._parts(im)
+        d = lcm(b, e)  # both parts are in lowest terms, so the triple is canonical
+        self._r, self._i, self._d = a * (d // b), c * (d // e), d
 
     @staticmethod
-    def _fraction(value) -> Fraction:
+    def _parts(value) -> tuple:
         if isinstance(value, Fraction):
-            return value
+            return value.numerator, value.denominator
         if isinstance(value, int) and not isinstance(value, bool):
-            return Fraction(value)
+            return value, 1
         raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
     @classmethod
@@ -93,60 +96,65 @@ class GaussianRational:
             return value
         return cls(value)
 
-    @classmethod
-    def _wrap(cls, value):
+    @staticmethod
+    def _wrap(value):
         if isinstance(value, GaussianRational):
             return value
-        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-            return cls(value)
+        if isinstance(value, int) and not isinstance(value, bool):
+            return _triple(value, 0, 1)
+        if isinstance(value, Fraction):
+            return _triple(value.numerator, 0, value.denominator)
         return None
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._r, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._i, self._d)
 
     # -- field operations --------------------------------------------------
 
     def __add__(self, other):
-        other = self._wrap(other)
-        if other is None:
-            return NotImplemented
-        result = object.__new__(GaussianRational)
-        result.re = self.re + other.re
-        result.im = self.im + other.im
-        return result
+        if type(other) is not GaussianRational:
+            other = self._wrap(other)
+            if other is None:
+                return NotImplemented
+        d, e = self._d, other._d
+        if d == e:
+            return _canon(self._r + other._r, self._i + other._i, d)
+        return _canon(self._r * e + other._r * d, self._i * e + other._i * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._wrap(other)
-        if other is None:
-            return NotImplemented
-        result = object.__new__(GaussianRational)
-        result.re = self.re - other.re
-        result.im = self.im - other.im
-        return result
+        if type(other) is not GaussianRational:
+            other = self._wrap(other)
+            if other is None:
+                return NotImplemented
+        d, e = self._d, other._d
+        if d == e:
+            return _canon(self._r - other._r, self._i - other._i, d)
+        return _canon(self._r * e - other._r * d, self._i * e - other._i * d, d * e)
 
     def __rsub__(self, other):
         other = self._wrap(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        return NotImplemented if other is None else other - self
 
     def __mul__(self, other):
-        other = self._wrap(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.re, self.im
-        c, d = other.re, other.im
-        result = object.__new__(GaussianRational)
+        if type(other) is not GaussianRational:
+            other = self._wrap(other)
+            if other is None:
+                return NotImplemented
+        a, b = self._r, self._i
+        c, e = other._r, other._i
         # Real factors dominate in practice; skip the products they zero out.
-        if not d.numerator:
-            result.re = a * c
-            result.im = b * c if b.numerator else b
-        elif not b.numerator:
-            result.re = a * c
-            result.im = a * d
-        else:
-            result.re = a * c - b * d
-            result.im = a * d + b * c
-        return result
+        if not e:
+            return _canon(a * c, b * c, self._d * other._d)
+        if not b:
+            return _canon(a * c, a * e, self._d * other._d)
+        return _canon(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -154,25 +162,18 @@ class GaussianRational:
         other = self._wrap(other)
         if other is None:
             return NotImplemented
-        a, b = self.re, self.im
-        c, d = other.re, other.im
-        result = object.__new__(GaussianRational)
-        if d.numerator == 0:
-            if c.numerator == 0:
+        a, b, c, e, f = self._r, self._i, other._r, other._i, other._d
+        # (a + b i) / d / ((c + e i) / f) = (a + b i)(c - e i) f / (d |c + e i|^2)
+        if not e:
+            if not c:
                 raise ZeroDivisionError("division by zero Gaussian rational")
-            result.re = a / c
-            result.im = b / c
-            return result
-        norm = c * c + d * d
-        result.re = (a * c + b * d) / norm
-        result.im = (b * c - a * d) / norm
-        return result
+            f = -f if c < 0 else f
+            return _canon(a * f, b * f, self._d * abs(c))
+        return _canon((a * c + b * e) * f, (b * c - a * e) * f, self._d * (c * c + e * e))
 
     def __rtruediv__(self, other):
         other = self._wrap(other)
-        if other is None:
-            return NotImplemented
-        return other / self
+        return NotImplemented if other is None else other / self
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -188,7 +189,7 @@ class GaussianRational:
         return result
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _triple(-self._r, -self._i, self._d)
 
     def __pos__(self):
         return self
@@ -196,7 +197,7 @@ class GaussianRational:
     # -- structure ----------------------------------------------------------
 
     def conjugate(self) -> GaussianRational:
-        return GaussianRational(self.re, -self.im)
+        return _triple(self._r, -self._i, self._d)
 
     def sqrt(self) -> GaussianRational | None:
         """An exact square root within the Gaussian rationals, or None.
@@ -230,13 +231,13 @@ class GaussianRational:
         other = self._wrap(other)
         if other is None:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._r == other._r and self._i == other._i and self._d == other._d
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re.numerator != 0 or self.im.numerator != 0
+        return bool(self._r or self._i)
 
     # -- rendering / serialization -------------------------------------------
 
@@ -262,27 +263,40 @@ class GaussianRational:
         return cls(parse_rational(obj[0]), parse_rational(obj[1]))
 
 
+def _triple(r: int, i: int, d: int) -> GaussianRational:
+    """The value (r + i*sqrt(-1)) / d of a triple that is already canonical."""
+    value = _new(GaussianRational)
+    value._r, value._i, value._d = r, i, d
+    return value
+
+
+def _canon(r: int, i: int, d: int) -> GaussianRational:
+    """The canonical value (r + i*sqrt(-1)) / d for d > 0: one gcd."""
+    g = gcd(r, i, d)
+    if g != 1:
+        r, i, d = r // g, i // g, d // g
+    value = _new(GaussianRational)
+    value._r, value._i, value._d = r, i, d
+    return value
+
+
 def to_gaussian_ints(values) -> tuple:
     """(den, re, im): a common denominator den > 0 and int lists with
     values[k] == (re[k] + im[k]*i) / den; den is the lcm of all denominators."""
-    den = lcm(*(v.re.denominator for v in values), *(v.im.denominator for v in values))
-    return (
-        den,
-        [v.re.numerator * (den // v.re.denominator) for v in values],
-        [v.im.numerator * (den // v.im.denominator) for v in values],
-    )
+    den = lcm(*[v._d for v in values])  # a list: *generator leaves resized tuples on a free list
+    return den, [v._r * (den // v._d) for v in values], [v._i * (den // v._d) for v in values]
 
 
 def from_gaussian_ints(re: int, im: int, den: int, den_im: int = 0) -> GaussianRational:
     """The canonical value (re + im*i) / (den + den_im*i) of Gaussian integers."""
     if den_im:
         re, im, den = re * den + im * den_im, im * den - re * den_im, den * den + den_im * den_im
-    result = object.__new__(GaussianRational)
-    result.re = Fraction(re, den)
-    result.im = Fraction(im, den)
-    return result
+    elif den < 0:
+        re, im, den = -re, -im, -den
+    elif not den:
+        raise ZeroDivisionError("Gaussian integer quotient with zero denominator")
+    return _canon(re, im, den)
 
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-I = GaussianRational(0, 1)

@@ -10,10 +10,182 @@ module.
 and its series-form residual w'' + (g/psi) w' + (h/psi^2) w, as they were
 before the recursion went fraction-free and the residual was cleared of
 denominators.
+
+`FractionGaussian` is the scalar the package used before GaussianRational
+became one canonical int triple: two `Fraction`s, each kept in lowest terms
+by `fractions`.  With `fraction_to_gaussian_ints` and
+`fraction_from_gaussian_ints` it is the differential oracle of the scalar
+tests.  `dot` is the plain sum of products that h-system residuals are
+checked against.
 """
 
+from fractions import Fraction
+from math import lcm
+
 from fuchsian.linalg import Matrix, SolveOutcome
-from fuchsian.scalars import ONE, ZERO, GaussianRational
+from fuchsian.scalars import (
+    ONE,
+    ZERO,
+    GaussianRational,
+    format_rational,
+    parse_rational,
+    rational_sqrt,
+)
+
+
+class FractionGaussian:
+    """re + im*i with re, im ``Fraction``s in lowest terms."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = self._fraction(re)
+        self.im = self._fraction(im)
+
+    @staticmethod
+    def _fraction(value) -> Fraction:
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, int) and not isinstance(value, bool):
+            return Fraction(value)
+        raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+    @classmethod
+    def _wrap(cls, value):
+        if isinstance(value, FractionGaussian):
+            return value
+        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+            return cls(value)
+        return None
+
+    def __add__(self, other):
+        other = self._wrap(other)
+        if other is None:
+            return NotImplemented
+        return FractionGaussian(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._wrap(other)
+        if other is None:
+            return NotImplemented
+        return FractionGaussian(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        other = self._wrap(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
+    def __mul__(self, other):
+        other = self._wrap(other)
+        if other is None:
+            return NotImplemented
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return FractionGaussian(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._wrap(other)
+        if other is None:
+            return NotImplemented
+        a, b, c, d = self.re, self.im, other.re, other.im
+        norm = c * c + d * d
+        if not norm:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return FractionGaussian((a * c + b * d) / norm, (b * c - a * d) / norm)
+
+    def __rtruediv__(self, other):
+        other = self._wrap(other)
+        if other is None:
+            return NotImplemented
+        return other / self
+
+    def __pow__(self, exponent: int):
+        if exponent < 0:
+            return (FractionGaussian(1) / self) ** (-exponent)
+        result = FractionGaussian(1)
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+    def __neg__(self):
+        return FractionGaussian(-self.re, -self.im)
+
+    def conjugate(self):
+        return FractionGaussian(self.re, -self.im)
+
+    def sqrt(self):
+        if self.im == 0:
+            if self.re >= 0:
+                root = rational_sqrt(self.re)
+                return None if root is None else FractionGaussian(root)
+            root = rational_sqrt(-self.re)
+            return None if root is None else FractionGaussian(0, root)
+        modulus = rational_sqrt(self.re * self.re + self.im * self.im)
+        if modulus is None:
+            return None
+        c = rational_sqrt((self.re + modulus) / 2)
+        if c is None or c == 0:
+            return None
+        return FractionGaussian(c, self.im / (2 * c))
+
+    def __eq__(self, other):
+        other = self._wrap(other)
+        if other is None:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __bool__(self):
+        return self.re.numerator != 0 or self.im.numerator != 0
+
+    def __str__(self):
+        if self.im == 0:
+            return format_rational(self.re)
+        if self.re == 0:
+            return f"{format_rational(self.im)}*i"
+        sign = "+" if self.im > 0 else "-"
+        return f"{format_rational(self.re)}{sign}{format_rational(abs(self.im))}*i"
+
+    def __repr__(self):
+        return f"GaussianRational({format_rational(self.re)!r}, {format_rational(self.im)!r})"
+
+    def to_pair(self) -> list:
+        return [format_rational(self.re), format_rational(self.im)]
+
+    @classmethod
+    def from_pair(cls, obj):
+        if not isinstance(obj, (list, tuple)) or len(obj) != 2:
+            raise ValueError(f"not a complex [re, im] pair: {obj!r}")
+        return cls(parse_rational(obj[0]), parse_rational(obj[1]))
+
+
+def fraction_to_gaussian_ints(values) -> tuple:
+    """(den, re, im) with values[k] == (re[k] + im[k]*i) / den, den the lcm
+    of every part's denominator."""
+    den = lcm(*[v.re.denominator for v in values], *[v.im.denominator for v in values])
+    return (
+        den,
+        [v.re.numerator * (den // v.re.denominator) for v in values],
+        [v.im.numerator * (den // v.im.denominator) for v in values],
+    )
+
+
+def fraction_from_gaussian_ints(re: int, im: int, den: int, den_im: int = 0):
+    """(re + im*i) / (den + den_im*i) of Gaussian integers."""
+    if den_im:
+        re, im, den = re * den + im * den_im, im * den - re * den_im, den * den + den_im * den_im
+    return FractionGaussian(Fraction(re, den), Fraction(im, den))
+
+
+def dot(row, vector) -> GaussianRational:
+    """sum row[k] * vector[k], one canonical operation at a time."""
+    return sum((a * b for a, b in zip(row, vector)), ZERO)
 
 
 def _echelon(matrix: Matrix):

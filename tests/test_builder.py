@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 from math import factorial
 
+import fraction_reference as ref
 import pytest
 
 from fuchsian.builder import (
@@ -19,6 +20,7 @@ from fuchsian.builder import (
     build_h_system,
     construct,
     h_matrix,
+    h_residuals,
     h_rhs_terms,
     solve_g,
     solve_h,
@@ -348,3 +350,28 @@ def test_solve_h_rejects_wrong_nullity():
         solve_h(EXAMPLE_C, g, [ZERO])
     with pytest.raises(VerificationFailed, match="inconsistent"):
         solve_h(N2N1, solve_g(N2N1))
+
+
+def test_residuals_equal_plain_dot_products(regime_instances):
+    # consistent over instances (every other one Gaussian-shifted) and random
+    # momenta, which violate the constraints, half of them Gaussian-shifted
+    cases = [inst for case, inst, _ in regime_instances(606, 36) if case == "over"]
+    rng = random.Random(607)
+    for k in range(16):
+        n = rng.randint(2, 5)
+        inst = random_instance(n, n - 1 + k % 3 // 2, seed=rng.randint(0, 10**6))
+        if k % 2:
+            inst = inst.shifted(GaussianRational(rng.randint(-3, 3), rng.choice([-2, -1, 1])))
+        cases.append(inst)
+    violated = 0
+    for inst in cases:
+        g = solve_g(inst)
+        h, residuals = h_residuals(inst, g)
+        matrix, rhs = build_h_system(inst, g)
+        coeffs, num = h.padded(matrix.cols), inst.num_apparent
+        first = num + 1 - (matrix.rows - matrix.cols)
+        assert [j for j, _ in residuals] == list(range(first, num + 1))
+        want = [rhs[r] - ref.dot(matrix.row(r), coeffs) for r in range(matrix.cols, matrix.rows)]
+        assert [value for _, value in residuals] == want
+        violated += any(want)
+    assert violated >= 14 and len(cases) == 28

@@ -9,8 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from fuchsian import sampling
 from fuchsian.cli import main
 from fuchsian.model import (
+    MAX_DIGITS,
+    MAX_POINTS,
     FuchsianInstance,
     instance_from_json_obj,
     instance_to_json_obj,
@@ -286,4 +289,70 @@ def test_oversized_rational_gives_short_diagnostic(tmp_path, capsys):
     src.write_text(json.dumps(obj), encoding="utf-8")
     assert main(["construct", "-i", str(src)]) == 1
     err = capsys.readouterr().err
-    assert "not a rational" in err and len(err) < 200, err
+    assert "over the cap MAX_DIGITS" in err and len(err) < 200, err
+
+
+def _capped_instance_obj(points: int) -> dict:
+    """Instance JSON with n = 2 and N = points - 2 at the integers 0 .. points - 1."""
+    finite = [(k, (0, 0)) for k in range(2)]
+    apparent = [(k, 0) for k in range(2, points)]
+    return instance_to_json_obj(FuchsianInstance(finite, (0, 1), apparent))
+
+
+def _analyze(tmp_path, obj) -> int:
+    src = tmp_path / "capped.json"
+    src.write_text(json.dumps(obj), encoding="utf-8")
+    return main(["analyze", "-i", str(src)])
+
+
+def test_point_cap_is_checked_before_parsing(tmp_path, capsys, monkeypatch):
+    assert _analyze(tmp_path, _capped_instance_obj(MAX_POINTS)) == 0
+    assert json.loads(capsys.readouterr().out)["N"] == MAX_POINTS - 2
+
+    def refuse(*args):
+        raise AssertionError("a coordinate was parsed")
+
+    monkeypatch.setattr(GaussianRational, "from_pair", refuse)
+    assert _analyze(tmp_path, _capped_instance_obj(MAX_POINTS + 1)) == 1
+    err = capsys.readouterr().err
+    assert f"n + N = {MAX_POINTS + 1}, over the cap MAX_POINTS = {MAX_POINTS}" in err, err
+
+
+def test_point_cap_admits_every_generated_instance(tmp_path):
+    # gen draws n + N distinct positions from a pool of 121
+    assert MAX_POINTS >= len(sampling._POOL) == 121
+    out = tmp_path / "gen.json"
+    assert main(["gen", "--n", "61", "-o", str(out)]) == 0  # n + N = 120
+    assert main(["analyze", "-i", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
+    "coordinate, accepted",
+    [
+        ("1" * MAX_DIGITS, True),
+        ("-" + "1" * (MAX_DIGITS - 300) + "/" + "7" * 300, True),
+        ("1" * (MAX_DIGITS + 1), False),
+        ("+" + "1" * (MAX_DIGITS - 299) + "/" + "7" * 300, False),
+    ],
+    ids=["at-cap", "at-cap-fraction", "over-cap", "over-cap-fraction"],
+)
+def test_digit_cap_per_coordinate(tmp_path, capsys, coordinate, accepted):
+    obj = _capped_instance_obj(3)
+    obj["apparent"][0]["p"][1] = coordinate
+    assert _analyze(tmp_path, obj) == (0 if accepted else 1)
+    err = capsys.readouterr().err
+    assert ("over the cap MAX_DIGITS" in err) != accepted, err
+
+
+def test_4000_digit_coordinate_is_refused_before_parsing(tmp_path, capsys, monkeypatch):
+    # 4000 digits is under the int conversion limit, so only the cap stops it
+    def refuse(*args):
+        raise AssertionError("a coordinate was parsed")
+
+    monkeypatch.setattr(GaussianRational, "from_pair", refuse)
+    obj = _capped_instance_obj(3)
+    obj["finite_points"][0]["t"][0] = "7" * 4000
+    assert _analyze(tmp_path, obj) == 1
+    err = capsys.readouterr().err
+    assert f"a coordinate has 4000 digits, over the cap MAX_DIGITS = {MAX_DIGITS}" in err, err
+    assert len(err) < 200

@@ -1,16 +1,23 @@
 """Exact scalar field: arithmetic, normalization, square roots, serialization."""
 
+import operator
 import random
 from fractions import Fraction
+from math import gcd
 
+import fraction_reference as ref
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fuchsian.scalars
 from fuchsian.scalars import (
     GaussianRational,
     format_rational,
+    from_gaussian_ints,
     parse_rational,
     rational_sqrt,
+    to_gaussian_ints,
 )
 
 
@@ -167,3 +174,90 @@ def test_parse_error_message_is_capped():
     with pytest.raises(ValueError) as info:
         parse_rational("1.5")
     assert str(info.value) == "not a rational: '1.5'"
+
+
+# -- differential oracle: the two-Fraction scalar ------------------------------
+
+_DENOMINATORS = st.one_of(
+    st.integers(1, 12),
+    st.sampled_from([2**61 - 1, 10**9 + 7, 3**40, 2**64, 6 * 35 * 11 * 13]),
+    st.integers(1, 10**30),
+)
+_NUMERATORS = st.one_of(st.integers(-12, 12), st.integers(-(10**30), 10**30))
+_RATIONALS = st.builds(Fraction, _NUMERATORS, _DENOMINATORS)
+_PARTS = st.tuples(_RATIONALS, st.one_of(st.just(Fraction(0)), _RATIONALS))
+# a Gaussian value as its (re, im) parts, or a plain int or Fraction operand
+_OPERANDS = st.one_of(_PARTS, _PARTS, st.integers(-5, 5), _RATIONALS)
+
+
+def _both(operand):
+    """The operand for the triple scalar and for the oracle."""
+    if isinstance(operand, tuple):
+        return GaussianRational(*operand), ref.FractionGaussian(*operand)
+    return operand, operand
+
+
+def _assert_same(value, want):
+    assert type(value) is GaussianRational
+    assert value._d > 0 and gcd(value._r, value._i, value._d) == 1
+    assert (value.re, value.im) == (want.re, want.im)
+    assert str(value) == str(want) and repr(value) == repr(want)
+    assert value.to_pair() == want.to_pair()
+    assert hash(value) == hash(want) and bool(value) == bool(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_OPERANDS, _OPERANDS)
+def test_field_operations_match_fraction_oracle(a, b):
+    assume(isinstance(a, tuple) or isinstance(b, tuple))
+    (x, fx), (y, fy) = _both(a), _both(b)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        try:
+            want = op(fx, fy)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                op(x, y)
+            continue
+        _assert_same(op(x, y), want)
+    assert (x == y) == (fx == fy) and (x != y) == (fx != fy)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PARTS, st.integers(-3, 4))
+def test_unary_operations_match_fraction_oracle(parts, exponent):
+    x, fx = _both(parts)
+    _assert_same(-x, -fx)
+    _assert_same(x.conjugate(), fx.conjugate())
+    if fx or exponent >= 0:
+        _assert_same(x**exponent, fx**exponent)
+    for value, want in ((x, fx), (x * x, fx * fx)):
+        root = value.sqrt()
+        if want.sqrt() is None:
+            assert root is None
+        else:
+            _assert_same(root, want.sqrt())
+    _assert_same(GaussianRational.from_pair(fx.to_pair()), fx)
+    assert x == GaussianRational(*parts) and hash(x) == hash(GaussianRational(*parts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_PARTS, max_size=6))
+def test_to_gaussian_ints_matches_fraction_oracle(parts):
+    values, oracle = zip(*map(_both, parts)) if parts else ((), ())
+    assert to_gaussian_ints(list(values)) == ref.fraction_to_gaussian_ints(list(oracle))
+
+
+_INTS = st.one_of(st.integers(-20, 20), st.integers(-(10**25), 10**25))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_INTS, _INTS, _INTS, st.one_of(st.just(0), _INTS))
+def test_from_gaussian_ints_matches_fraction_oracle(re, im, den, den_im):
+    if not den and not den_im:
+        with pytest.raises(ZeroDivisionError):
+            from_gaussian_ints(re, im, den, den_im)
+        return
+    _assert_same(
+        from_gaussian_ints(re, im, den, den_im),
+        ref.fraction_from_gaussian_ints(re, im, den, den_im),
+    )
