@@ -2,7 +2,7 @@
 singularities, constructed and independently verified in exact arithmetic.
 
 The construction writes the w'-coefficient down by partial fractions and
-solves a confluent Vandermonde system for the w-coefficient; verification
+interpolates the w-coefficient on confluent (Hermite) data; verification
 re-derives every local quantity by Laurent expansion and runs the
 power-series recursion at each apparent point.  For apparent-point counts other than
 n - 2 the dimension module counts free parameters and builds the quadratic
@@ -12,7 +12,6 @@ momentum constraints of the overdetermined case.
 from .builder import (
     FuchsViolation,
     VerificationFailed,
-    build_g_system,
     build_h_system,
     construct,
     h_matrix,
@@ -82,7 +81,6 @@ __all__ = [
     "VerificationReport",
     "Violation",
     "Z",
-    "build_g_system",
     "build_h_system",
     "check_momenta",
     "classify",

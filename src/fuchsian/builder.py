@@ -6,9 +6,7 @@ apparent point q_j.  With deg g < deg psi this is the partial-fraction sum
 
     g / psi = sum_k c_k / (z - x_k),   g = sum_k c_k * psi / (z - x_k),
 
-so g needs no linear system: each term is psi deflated by one root.  (The
-same conditions, read as g(x_k) = c_k psi'(x_k), form the square Vandermonde
-system of build_g_system, which the tests keep as the oracle.)  The top
+so g needs no linear system: each term is psi deflated by one root.  The top
 coefficient of g is sum_k c_k; the condition at infinity asks for 1 + l1 + l2,
 and the two differ by exactly the exponent-sum defect, so solve_g re-checks
 that condition and rejects an inadmissible instance.
@@ -22,37 +20,38 @@ points, and first- plus second-derivative rows at the apparent points:
     row(q_j, d1):   h'(q_j)                        = p_j * psi'(q_j)^2
     row(q_j, d2):   h''(q_j)                       = delta_j p_j^2 + epsilon_j p_j
 
-with
+with delta_j = -2 psi'(q_j)^2 and epsilon_j = psi'(q_j) * (psi''(q_j) -
+2 g'(q_j)), which is delta_j * (g1_j - psi''(q_j)/psi'(q_j)), g1_j the
+order-0 Laurent coefficient of g/psi at q_j, simplified so that no
+right-hand side needs a division.  h_rhs_terms is the one definition of
+these right-hand sides, as coefficients of each row's own momentum.
 
-    delta_j   = -2 psi'(q_j)^2
-    epsilon_j = psi'(q_j) * (psi''(q_j) - 2 g'(q_j)).
+h is a closed form too.  The first min(rows, cols) rows are the top
+coefficient and Hermite data on distinct nodes, h'' given at q_1 .. q_(n-2)
+only, so with Omega = prod (z - t_i) prod (z - q_j)^(m_j), m_j = 3 where h''
+is given and 2 elsewhere, h = S Omega + R, deg R < D = deg Omega, and
 
-epsilon_j is delta_j * (g1_j - psi''(q_j)/psi'(q_j)), g1_j the order-0 Laurent
-coefficient of g/psi at q_j, simplified so that no right-hand side needs a
-division; the tests check it against that expansion.
+    R / Omega = sum_x sum_(i < m) C_(x,i) / (z - x)^(m - i),
 
-h_rhs_terms is the one definition of these right-hand sides, as coefficients
-of each row's own momentum; the exact system, the quadratic momentum
-constraints and the float obstruction path all read it.
-
-The h-matrix always has maximal rank and its first min(rows, cols) rows are
-independent, so h_residuals settles every regime with one elimination of
-those rows.  For N <= n - 2 they are the whole system, and h is the
-particular solution plus free_k times the k-th nullspace vector; those
-vectors belong to the non-pivot columns z^(n+3N) .. z^(2d-3), so free_k is
-the coefficient of z^(n+3N+k) in h, and they span Omega * z^k with
-Omega = prod (z - t_i) prod (z - q_j)^3.  For N > n - 2 they are the
-leading Hermite block, a nonsingular confluent Vandermonde system that
-fixes h, and each later row h''(q_j) leaves as its residual the value of
-q_j's momentum constraint at the instance's momenta.
-
-Every one of these closed forms is cross-checked against the Laurent-series
-oracle in the test suite; none is taken on faith.
+C_(x,i) the i-th Taylor coefficient of h / (Omega / (z - x)^m) at x (Stoer
+and Bulirsch, section 2.1.5).  S is l1 * l2, or for N < n - 2 of degree
+n - 2 - N with lower coefficients set by free_k, h's coefficient of z^(D+k).
+h_residuals sums this on Gaussian integers: with Z = E z, E the lcm of the
+point denominators, Omega~(Z) = E^D Omega(z) and each deflation
+Omega~ / (Z - X)^k, as in solve_g, have Gaussian-integer coefficients.  For
+N > n - 2 each later row h''(q_j) has a closed-form left-nullspace vector y,
+and y . rhs is q_j's momentum constraint at the instance's momenta.
+h_matrix and build_h_system stay for det-check and for the tests, which
+compare every closed form here with elimination and Laurent series.
 """
 
 from __future__ import annotations
 
-from .linalg import Matrix, eliminate
+from fractions import Fraction
+from itertools import accumulate
+from operator import mul
+
+from .linalg import Matrix
 from .model import FuchsianEquation, FuchsianInstance, fuchs_defect, psi, require_valid
 from .polynomials import Polynomial
 from .scalars import ONE, ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
@@ -68,24 +67,6 @@ class VerificationFailed(RuntimeError):
     Raised instead of an assert so that it survives ``python -O``; the CLI
     maps it to exit code 3.
     """
-
-
-def build_g_system(instance: FuchsianInstance):
-    """Square Vandermonde system for the g coefficients.
-
-    Rows are the finite points followed by the apparent points; the redundant
-    infinity row is omitted.  Columns are powers 0 .. n+N-1.  The right-hand
-    side is (1 - rho1 - rho2) * psi'(t_i) at a finite point and -psi'(q_j) at
-    an apparent one, which forces residue -1 of g/psi there.
-    """
-    require_valid(instance)
-    d = instance.n + instance.num_apparent
-    points = instance.finite_positions + instance.apparent_positions
-    rows = [_power_row(x, d) for x in points]
-    dpsi = psi(instance).derivative()
-    rhs = [(GaussianRational(1) - pair.sum) * dpsi(t) for t, pair in instance.finite_points]
-    rhs += [-dpsi(q) for q in instance.apparent_positions]
-    return Matrix.from_rows(rows), tuple(rhs)
 
 
 def solve_g(instance: FuchsianInstance) -> Polynomial:
@@ -123,18 +104,18 @@ def h_rhs_terms(instance: FuchsianInstance, g: Polynomial) -> list:
     of apparent point j (0-based); rows whose value involves no momentum have
     j = None and lin = quad = 0.  Row order is that of h_matrix.
     """
-    p = psi(instance)
-    dpsi, ddpsi, dg = p.derivative(), p.derivative(2), g.derivative()
+    p = psi(instance)  # psi'(x) and psi''(x) / 2 from its Taylor window at the root x
     terms = [(None, instance.infinity_exponents.product, ZERO, ZERO)]
     for t, pair in instance.finite_points:
-        slope = dpsi(t)
+        (slope,) = p.taylor(t, 1).coeffs
         terms.append((None, pair.product * slope * slope, ZERO, ZERO))
     terms += [(None, ZERO, ZERO, ZERO)] * instance.num_apparent
-    slopes = [(q, dpsi(q)) for q in instance.apparent_positions]
-    terms += [(j, ZERO, slope * slope, ZERO) for j, (_, slope) in enumerate(slopes)]
+    qs = instance.apparent_positions
+    local = [(*p.taylor(q, 2).coeffs, g.taylor(q, 2).coefficient(1)) for q in qs]
+    terms += [(j, ZERO, slope * slope, ZERO) for j, (slope, _, _) in enumerate(local)]
     terms += [
-        (j, ZERO, slope * (ddpsi(q) - 2 * dg(q)), -2 * slope * slope)
-        for j, (q, slope) in enumerate(slopes)
+        (j, ZERO, 2 * slope * (half - dg), -2 * slope * slope)
+        for j, (slope, half, dg) in enumerate(local)
     ]
     return terms
 
@@ -147,13 +128,12 @@ def h_matrix(instance: FuchsianInstance) -> Matrix:
     derivatives at q_1..q_N.  Columns are powers 0 .. 2(n+N-1).
     """
     require_valid(instance)
-    d = instance.n + instance.num_apparent
-    width = 2 * d - 1
-    rows = [[ZERO] * (width - 1) + [ONE]]
-    rows += [_power_row(t, width) for t in instance.finite_positions]
-    powers = [_power_row(q, width) for q in instance.apparent_positions]
+    width = 2 * (instance.n + instance.num_apparent) - 1
+    points = instance.finite_positions + instance.apparent_positions
+    values = [list(accumulate([x] * (width - 1), mul, initial=ONE)) for x in points]
+    powers = values[instance.n :]
     # d/dz z^k = k z^(k-1) and d2/dz2 z^k = k (k-1) z^(k-2), read off the powers
-    rows += powers
+    rows = [[ZERO] * (width - 1) + [ONE]] + values
     rows += [[ZERO] + [k * row[k - 1] for k in range(1, width)] for row in powers]
     rows += [[ZERO, ZERO] + [k * (k - 1) * row[k - 2] for k in range(2, width)] for row in powers]
     return Matrix.from_rows(rows)
@@ -161,54 +141,134 @@ def h_matrix(instance: FuchsianInstance) -> Matrix:
 
 def build_h_system(instance: FuchsianInstance, g: Polynomial):
     """The h-system matrix together with its right-hand side."""
-    momenta = instance.momenta
-    rhs = tuple(
-        const if j is None else const + (lin + quad * momenta[j]) * momenta[j]
-        for j, const, lin, quad in h_rhs_terms(instance, g)
-    )
-    return h_matrix(instance), rhs
+    return h_matrix(instance), _h_rhs(instance, g)
+
+
+def _h_rhs(instance: FuchsianInstance, g: Polynomial) -> tuple:
+    p, terms = instance.momenta, h_rhs_terms(instance, g)
+    return tuple([c if j is None else c + (lin + quad * p[j]) * p[j] for j, c, lin, quad in terms])
 
 
 def h_residuals(instance: FuchsianInstance, g: Polynomial, free_values=()):
-    """h from eliminating the first min(rows, cols) rows of the h-system,
-    and (j, rhs_r - row_r . h) for each later row r, j 1-based.
-
-    h is particular + sum_k free_values[k] * nullspace_basis[k].  Row r is
-    h''(q_j); with y its left-nullspace vector the residual equals y . rhs,
-    constraint j's value at the momenta.  Raises VerificationFailed unless
-    the eliminated rows are consistent with nullity len(free_values).
+    """h, the Hermite interpolant of the first min(rows, cols) rows of the
+    h-system with free_values[k] as its coefficient of z^(n+3N+k), and
+    (j, rhs_r - row_r . h) = (j, y . rhs) for each later row r, h''(q_j), with
+    y from left_nullspace.  Raises VerificationFailed unless the rows leave
+    len(free_values) coefficients free.
     """
-    matrix, rhs = build_h_system(instance, g)
-    size = min(matrix.rows, matrix.cols)
-    block = matrix if size == matrix.rows else Matrix(size, size, matrix.entries[: size * size])
-    outcome = eliminate(block, rhs[:size])
-    nullity = len(outcome.nullspace_basis)
-    if outcome.kind == "inconsistent" or nullity != len(free_values):
-        raise VerificationFailed(
-            f"h-system is {outcome.kind} with nullity {nullity} != {len(free_values)} free values"
-        )
-    coeffs = list(outcome.particular)
-    for value, vector in zip(free_values, outcome.nullspace_basis):
-        coeffs = [c + value * v for c, v in zip(coeffs, vector)]
-    j0 = instance.num_apparent + 1 - matrix.rows  # the last N rows are h''(q_1 .. q_N)
-    residuals = []
-    if size < matrix.rows:
-        # on Gaussian integers: h over one denominator, row r and rhs[r] over another
-        hd, hr, hi = to_gaussian_ints(coeffs)
-        for r in range(size, matrix.rows):
-            den, ar, ai = to_gaussian_ints(matrix.row(r) + (rhs[r],))
-            re = ar[-1] * hd - sum(x * y - u * v for x, u, y, v in zip(ar, ai, hr, hi))
-            im = ai[-1] * hd - sum(x * v + u * y for x, u, y, v in zip(ar, ai, hr, hi))
-            residuals.append((r + j0, from_gaussian_ints(re, im, den * hd)))
+    n, num = instance.n, instance.num_apparent
+    free = max(n - 2 - num, 0)
+    if len(free_values) != free:
+        kind, got = "underdetermined" if free else "unique", len(free_values)
+        raise VerificationFailed(f"h-system is {kind} with nullity {free} != {got} free values")
+    rhs = _h_rhs(instance, g)
+    e, (ore, oim), nodes = frame = _hermite_frame(instance)
+    deg = len(ore) - 1
+    # S~_k = S_k / E^k: h's top coefficients in the frame, less Omega~'s share (it is monic)
+    scaled = [GaussianRational.coerce(v) / e**k for k, v in enumerate(free_values)]
+    scaled.append(rhs[0] / e**free)
+    for k in range(free - 1, -1, -1):
+        for j in range(k + 1, free + 1):
+            scaled[k] -= scaled[j] * from_gaussian_ints(ore[deg + k - j], oim[deg + k - j], 1)
+    terms = [(k, (ore, oim)) for k in range(free + 1)]
+    weights = (e**deg, e ** (deg - 1), Fraction(e ** (deg - 2), 2))  # tau_l E^(D-l), tau_2 = h''/2
+    for m, rows, deflations, _, _, v in nodes:  # C'_i = sum_l tau_l E^(D-l) v_(i-l)
+        tau = [rhs[r] * weights[l] for l, r in enumerate(rows)]
+        scaled += [sum([tau[l] * v[i - l] for l in range(i + 1) if tau[l]], ZERO) for i in range(m)]
+        terms += [(0, deflations[m - i - 1]) for i in range(m)]
+    den, cr, ci = to_gaussian_ints(scaled)
+    hr, hi = [0] * (deg + free + 1), [0] * (deg + free + 1)
+    for (shift, (pr, pi)), a, b in zip(terms, cr, ci):
+        if a or b:
+            for k, (x, y) in enumerate(zip(pr, pi), shift):
+                hr[k] += a * x - b * y
+                hi[k] += a * y + b * x
+    top, up = deg + free, e**free  # h_k = H_k E^k / (L E^D) = H_k E^free / (L E^(top-k))
+    dens = [den * e ** (top - k) for k in range(top + 1)]
+    coeffs = [from_gaussian_ints(a * up, b * up, d) for a, b, d in zip(hr, hi, dens)]
+    residuals = [
+        (r - n - 2 * num, sum([a * b for a, b in zip(y, rhs) if a and b], ZERO))
+        for r, y in left_nullspace(instance, frame)
+    ]
     return Polynomial(coeffs), tuple(residuals)
 
 
-def solve_h(instance: FuchsianInstance, g: Polynomial, free_values=()) -> Polynomial:
-    """h_residuals' h, which must solve the whole h-system.
+def left_nullspace(instance: FuchsianInstance, frame=None):
+    """Yield (r, y) for each row r of the h-matrix after its first 2(n + N) - 1:
+    y . h_matrix = 0, y_r = 1 and y is 0 at the other later rows.
 
-    Raises VerificationFailed on a nonzero residual: momenta that violate
-    the constraints of an overdetermined instance.
+    Row r is h''(q_j), m_j = 2, and -y_k weighs rhs_k in the interpolant's
+    h''(q_j) / 2 = E^(2-D) [w_0 (S + sum_(x != q_j) sum_i C'_(x,i) / (X_j -
+    X)^(m-i)) + C'_(q_j,1) w_1 + C'_(q_j,0) w_2], w from q_j's node and
+    C'_(x,i) = sum_l tau_(x,l) E^(D-l) v_(i-l) as in h_residuals.
     """
+    n, num = instance.n, instance.num_apparent
+    e, omega, nodes = frame or _hermite_frame(instance)
+    scale = (-2 * e * e, -2 * e, -1)  # rhs_k is tau_0, tau_1 or 2 tau_2
+    for j in range(min(num, n - 2), num):
+        _, _, _, (ja, jb), w, _ = nodes[n + j]
+        y = [w[0] * Fraction(-2, e ** (len(omega[0]) - 3))] + [ZERO] * (n + 3 * num)
+        for k, (m, rows, _, (a, b), _, v) in enumerate(nodes):
+            own = k == n + j
+            inv = ONE if own else from_gaussian_ints(1, 0, ja - a, jb - b)
+            beta = [w[2], w[1]] if own else [w[0] * inv ** (m - i) for i in range(m)]
+            for l, row in enumerate(rows):
+                y[row] = scale[l] * sum([beta[i] * v[i - l] for i in range(l, m)], ZERO)
+        y[1 + n + 2 * num + j] = ONE
+        yield 1 + n + 2 * num + j, y
+
+
+def _hermite_frame(instance: FuchsianInstance):
+    """(E, omega, nodes), the interpolation on Gaussian integers: X = E x at
+    each point x, omega = (re, im) of the monic Omega~(Z) = prod (Z - X)^m,
+    and per point, finite ones first, the node (m, rows, deflations, X, w, v):
+    its Taylor data's h-system rows, Omega~ / (Z - X)^k for k = 1..m, X as
+    (re, im), W~ = Omega~ / (Z - X)^m's Taylor coefficients at X (orders
+    0..2 at an apparent point, 0 at a finite one) and the first m of 1 / W~.
+    Raises VerificationFailed if W~(X) = 0, which distinct points rule out.
+    """
+    n, num = instance.n, instance.num_apparent
+    mults = [1] * n + [3] * min(num, n - 2) + [2] * max(num - n + 2, 0)
+    e, xr, xi = to_gaussian_ints(instance.finite_positions + instance.apparent_positions)
+    pr, pi = [1], [0]
+    for a, b, m in zip(xr, xi, mults):
+        for _ in range(m):  # times Z - X
+            pr, pi = [0] + pr, [0] + pi
+            for k in range(len(pr) - 1):
+                pr[k] -= a * pr[k + 1] - b * pi[k + 1]
+                pi[k] -= a * pi[k + 1] + b * pr[k + 1]
+    nodes = []
+    for k, (a, b, m) in enumerate(zip(xr, xi, mults)):
+        chain, w = [(pr, pi)], []
+        for i in range(m + (1 if m == 1 else 3)):  # m deflations, then W~'s Taylor terms
+            *quotient, re, im = _deflate(*chain[-1], a, b)
+            chain.append(quotient)
+            if i >= m:
+                w.append(from_gaussian_ints(re, im, 1))
+        if not w[0]:
+            raise VerificationFailed("h-system is singular: two Hermite nodes coincide")
+        v = [ONE / w[0]]  # sum_l w_l v_(i-l) = 0 for i > 0
+        for i in range(1, m):
+            v.append(-v[0] * sum([w[l] * v[i - l] for l in range(1, i + 1)], ZERO))
+        nodes.append((m, (1 + k, 1 + num + k, 1 + 2 * num + k)[:m], chain[1 : m + 1], (a, b), w, v))
+    return e, (pr, pi), nodes
+
+
+def _deflate(pr: list, pi: list, a: int, b: int) -> tuple:
+    """Synthetic division of pr + pi i by Z - (a + b i) on Gaussian integers:
+    the quotient's int lists and the remainder, the value at a + b i."""
+    qr, qi = pr[1:], pi[1:]
+    x = y = 0
+    for k in range(len(qr) - 1, -1, -1):
+        qr[k] += a * x - b * y
+        qi[k] += a * y + b * x
+        x, y = qr[k], qi[k]
+    return qr, qi, pr[0] + a * x - b * y, pi[0] + a * y + b * x
+
+
+def solve_h(instance: FuchsianInstance, g: Polynomial, free_values=()) -> Polynomial:
+    """h_residuals' h, which must solve the whole h-system: a nonzero residual,
+    momenta that violate the over case's constraints, raises VerificationFailed."""
     h, residuals = h_residuals(instance, g, free_values)
     if any(value for _, value in residuals):
         raise VerificationFailed("h-system is inconsistent")
@@ -230,12 +290,3 @@ def construct(instance: FuchsianInstance) -> FuchsianEquation:
         )
     g = solve_g(instance)
     return FuchsianEquation(g, solve_h(instance, g), instance)
-
-
-def _power_row(x: GaussianRational, width: int) -> list:
-    """(1, x, x^2, ..., x^(width-1)); width >= 1."""
-    row = [ONE]
-    for _ in range(width - 1):
-        row.append(row[-1] * x)
-    return row
-

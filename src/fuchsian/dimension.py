@@ -10,32 +10,16 @@ With n prescribed finite points and N apparent ones the h-system has
 
 In every regime N + (free coefficients) - (constraints) = n - 2, the
 dimension of the space of equations once positions are fixed.  Every regime
-reaches h through builder.h_residuals, one elimination of the leading rows
-of the h-system: the under case adds its free values along the returned
-nullspace, and the over case solves the leading Hermite block and finds the
-constraint values at its momenta in the residuals of the rows after it.
+reaches h through builder.h_residuals, the Hermite interpolant of the
+leading rows of the h-system, whose residuals on the later rows are the
+over case's constraint values at its momenta.
 
-The constraints are the Fredholm conditions of the h-system.  Its matrix
-has maximal rank, so for N > n - 2 the right-hand side is reachable exactly
-when y . rhs = 0 for every y in the left nullspace (the nullspace of the
-transpose), which depends on the points only.  The first 2(n + N) - 1 rows
-are Hermite data on distinct nodes and so independent; the left nullspace
-therefore has one vector per remaining row r, the second-derivative row of
-some q_j, with y_r = 1 and zeros on the other remaining rows.  Since the
-right-hand side of a second-derivative row is quadratic in its momentum,
-each such y gives one quadratic equation, the one for point j carrying the
-quadratic term of p_j while the others cannot.  Each constraint is read off
-builder.h_rhs_terms directly: sum_k y_k * (const, lin, quad)_k, collected
-per momentum.
-
-So quadratic_constraints costs one elimination, of the transposed h-matrix,
-and check_momenta one, of the leading block with the instance's right-hand
-side (complex under complex momenta, still cheaper than the transposed
-elimination plus a full solve): since row_r = -sum_k y_k row_k over the
-block, the residual rhs_r - row_r . h is y . rhs, so its violations need no
-constraint objects and its h is the witness when they all vanish.  The constraints stay on the
-transpose because they must hold for every momentum, which a right-hand
-side at given momenta cannot express.
+The constraints are the Fredholm conditions of the h-system: its matrix has
+maximal rank, so for N > n - 2 the right-hand side is reachable exactly when
+y . rhs = 0 for every y in the left nullspace, one closed-form vector per
+dependent row h''(q_j) (builder.left_nullspace).  That row's right-hand side
+is quadratic in p_j, so each y gives one quadratic equation in the momenta,
+sum_k y_k * (const, lin, quad)_k over builder.h_rhs_terms, that carries p_j^2.
 
 Floats appear only at the edges.  solve_quadratic_float finds the roots of
 a scalar constraint numerically.  float_obstructions takes float momenta at
@@ -49,9 +33,8 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .builder import VerificationFailed, h_matrix, h_residuals, h_rhs_terms, solve_g, solve_h
+from .builder import VerificationFailed, h_residuals, h_rhs_terms, left_nullspace, solve_g, solve_h
 from .frobenius import frobenius_obstruction, local_expansion, verify
-from .linalg import Matrix, eliminate
 from .model import FuchsianEquation, FuchsianInstance, require_valid
 from .scalars import ZERO, GaussianRational
 
@@ -82,12 +65,7 @@ def classify(instance: FuchsianInstance) -> CaseReport:
     """Compare N with n - 2 and report the counting consequences."""
     require_valid(instance)
     n, num = instance.n, instance.num_apparent
-    if num < n - 2:
-        case = "under"
-    elif num == n - 2:
-        case = "square"
-    else:
-        case = "over"
+    case = "under" if num < n - 2 else "square" if num == n - 2 else "over"
     h_free_dim = max(n - 2 - num, 0)
     constraint_count = max(num - n + 2, 0)
     return CaseReport(
@@ -103,18 +81,15 @@ def classify(instance: FuchsianInstance) -> CaseReport:
 def solve_under(instance: FuchsianInstance, free_values) -> FuchsianEquation:
     """Solve the underdetermined case with the given free coefficient values.
 
-    free_values[k] becomes the coefficient of z^(n+3N+k) in h (see
-    builder.solve_h); the result is verified by series analysis before being
-    returned.
+    free_values[k] becomes the coefficient of z^(n+3N+k) in h; the result is
+    verified by series analysis before being returned.
     """
     report = classify(instance)
     if report.case != "under":
         raise ValueError(f"instance is {report.case}, not underdetermined")
     free_values = [GaussianRational.coerce(v) for v in free_values]
     if len(free_values) != report.h_free_dim:
-        raise ValueError(
-            f"expected {report.h_free_dim} free values, got {len(free_values)}"
-        )
+        raise ValueError(f"expected {report.h_free_dim} free values, got {len(free_values)}")
     g = solve_g(instance)
     return _verified(FuchsianEquation(g, solve_h(instance, g, free_values), instance))
 
@@ -164,36 +139,18 @@ class QuadraticConstraint:
 
 def quadratic_constraints(instance: FuchsianInstance) -> list:
     """The N - n + 2 momentum constraints of the overdetermined case, exact
-    for every momentum choice, from one elimination of the transposed
-    h-matrix.
-
-    The rows of the h-matrix are the columns of its transpose.  The first
-    2d - 1 are independent, so they must be the pivot columns; each
-    remaining row r is then a free column, whose nullspace vector y has
-    y_r = 1 and zeros at the other remaining rows.  Its constraint is
-    sum_k y_k * h_rhs_terms[k] = 0, collected per momentum.
-    """
+    for every momentum choice: sum_k y_k * h_rhs_terms[k] = 0 for each
+    vector y of builder.left_nullspace, collected per momentum."""
     case = classify(instance).case
     if case != "over":
         raise ValueError(f"instance is {case}, not overdetermined")
-    g = solve_g(instance)
-    matrix = h_matrix(instance)
-    transpose = Matrix.from_rows(zip(*(matrix.row(r) for r in range(matrix.rows))))
-    outcome = eliminate(transpose, (ZERO,) * transpose.rows)
-    if outcome.pivot_cols != tuple(range(matrix.cols)):
-        raise VerificationFailed(
-            f"pivot rows {outcome.pivot_cols} of the h-matrix are not its first {matrix.cols}"
-        )
-    terms = h_rhs_terms(instance, g)
-
+    terms = h_rhs_terms(instance, solve_g(instance))
     constraints = []
-    for r, y in zip(range(matrix.cols, matrix.rows), outcome.nullspace_basis):
+    for r, y in left_nullspace(instance):
         const, lin, quad = ZERO, {}, {}
         for (k, c, lin_k, quad_k), y_k in zip(terms, y):
-            if not y_k:
-                continue
-            const = const + y_k * c
-            if k is not None:
+            const = const + y_k * c if y_k else const
+            if y_k and k is not None:
                 lin[k + 1] = lin.get(k + 1, ZERO) + y_k * lin_k
                 quad[k + 1] = quad.get(k + 1, ZERO) + y_k * quad_k
         constraints.append(
@@ -215,11 +172,8 @@ class MomentaCheck:
 
 
 def check_momenta(instance: FuchsianInstance) -> MomentaCheck:
-    """Evaluate the constraints at the instance's momenta, exactly.
-
-    The nonzero residuals of one builder.h_residuals call are the
-    violations; without any, its h gives the verified witness equation.
-    """
+    """Evaluate the constraints at the instance's momenta, exactly: the nonzero
+    residuals of one builder.h_residuals call, whose h is otherwise the witness."""
     case = classify(instance).case
     if case != "over":
         raise ValueError(f"instance is {case}, not overdetermined")
@@ -268,19 +222,12 @@ def solve_quadratic_float(a: complex, b: complex, c: complex):
 def float_obstructions(instance: FuchsianInstance, momenta) -> list:
     """Logarithm obstructions at every apparent point for float momenta.
 
-    Each momentum is taken at its exact binary value and everything after
-    that is exact; only the returned values are rounded to complex.  h solves
-    the leading square block of the h-system: the top coefficient, values at
-    every point, first derivatives at every q_j and second derivatives at
-    q_1 .. q_(n-2).  That is Hermite data on distinct nodes, a nonsingular
-    confluent Vandermonde system, so h is unique, and the verifier's
-    recursion gives omega_j at each q_j: exactly 0 where q_j's
-    second-derivative row is in the block, C_j(p) / delta_j elsewhere (C_j
-    the constraint of q_j, delta_j = -2 psi'(q_j)^2 its coefficient of
-    p_j^2, as in builder.h_rhs_terms).  Raises ValueError for an
-    underdetermined instance, which has no such block, and for momenta that
-    are not finite.
-    The block is solved by builder.h_residuals, as for check_momenta.
+    Momenta are taken at their exact binary values and everything after that
+    is exact; only the results are rounded to complex.  h is h_residuals'
+    interpolant, unique for N >= n - 2, and omega_j is exactly 0 where
+    h''(q_j) is interpolated, C_j(p) / delta_j elsewhere (C_j the constraint
+    of q_j, delta_j = -2 psi'(q_j)^2 its p_j^2 coefficient).  Raises
+    ValueError for an underdetermined instance and for momenta not finite.
     """
     if classify(instance).case == "under":
         raise ValueError("instance is under; float_obstructions needs N >= n - 2")

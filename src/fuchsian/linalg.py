@@ -6,12 +6,8 @@ so no magnitude-based pivoting is needed and every run of the same system
 produces the same pivots and the same solution.
 
 A row that carries no pivot eliminates to (0 .. 0 | r), and the system is
-consistent exactly when every such r vanishes.  The outcome says nothing
-more about those rows.  A caller that needs the linear relations between
-the rows of A eliminates the transpose instead: each vector y of its
-nullspace, the left nullspace of A, gives a Fredholm condition y . b = 0,
-and A x = b is solvable exactly when all of them hold.  dimension reads the
-momentum constraints off the h-matrix that way.
+consistent exactly when every such r vanishes.  The package solves g and h
+in closed form; elimination is the oracle its tests, and det-check, use.
 
 The arithmetic runs on plain ints.  Each row of [A | b] (of A alone for rank
 and det) is scaled once by the lcm of its denominators, and a row update
@@ -25,12 +21,9 @@ carries each solution vector over one common denominator, and det
 multiplies out the scale factors it recorded.  Every result is converted to
 a canonical GaussianRational once, so the outcome is exactly that of
 elimination over the rationals.
-Primitive rows rather than Bareiss fraction-free elimination: on the
-h-systems the Bareiss entries are minors that grow with every step (about
-2000 bits on the real 31x31 h-matrices at n = 9, whose forward elimination
-took a median 27 ms with Bareiss against 7 ms with primitive rows, Python
-3.11 on one x86-64 core), while dividing out the content keeps entries near
-the size of the data.
+Primitive rows rather than Bareiss fraction-free elimination: Bareiss
+entries are minors that grow with every step (about 2000 bits on the real
+31x31 h-matrices at n = 9, 27 ms against 7 ms with primitive rows).
 """
 
 from __future__ import annotations

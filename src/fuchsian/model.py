@@ -322,9 +322,19 @@ def equation_to_json_obj(eq: FuchsianEquation) -> dict:
 
 
 def equation_from_json_obj(obj, instance: FuchsianInstance) -> FuchsianEquation:
+    """Parse the equation schema, refusing "G" or "H" longer than
+    equation_to_json_obj writes them before any coefficient is parsed."""
+    d = instance.n + instance.num_apparent
     try:
+        for key, full in (("G", d), ("H", 2 * d - 1)):
+            if len(obj[key]) > full:
+                raise InvalidInstance(
+                    f'"{key}" has {len(obj[key])} coefficients, over its full length {full}'
+                )
         g = Polynomial([GaussianRational.from_pair(c) for c in obj["G"]])
         h = Polynomial([GaussianRational.from_pair(c) for c in obj["H"]])
     except (KeyError, TypeError, ValueError) as exc:
+        if isinstance(exc, InvalidInstance):
+            raise
         raise InvalidInstance(f"malformed equation JSON: {exc}") from exc
     return FuchsianEquation(g, h, instance)

@@ -12,11 +12,11 @@ from math import factorial
 
 import fraction_reference as ref
 import pytest
+from elimination_reference import build_g_system
 
 from fuchsian.builder import (
     FuchsViolation,
     VerificationFailed,
-    build_g_system,
     build_h_system,
     construct,
     h_matrix,

@@ -356,3 +356,22 @@ def test_4000_digit_coordinate_is_refused_before_parsing(tmp_path, capsys, monke
     err = capsys.readouterr().err
     assert f"a coordinate has 4000 digits, over the cap MAX_DIGITS = {MAX_DIGITS}" in err, err
     assert len(err) < 200
+
+
+def test_2000_coefficient_equation_is_refused_before_parsing(tmp_path, capsys, monkeypatch):
+    # an 8 MB equation file for an n = 3 instance: "G" may hold 3 coefficients
+    src, equation = tmp_path / "instance.json", tmp_path / "equation.json"
+    src.write_text(json.dumps(_capped_instance_obj(3)), encoding="utf-8")
+    equation.write_text(json.dumps({"G": [["7" * 4000, "0"]] * 2000, "H": []}), encoding="utf-8")
+    parse = GaussianRational.from_pair
+
+    def guarded(obj):
+        if len(obj[0]) > 10:
+            raise AssertionError("an equation coefficient was parsed")
+        return parse(obj)
+
+    monkeypatch.setattr(GaussianRational, "from_pair", guarded)
+    assert main(["verify", "-i", str(src), "-e", str(equation)]) == 1
+    err = capsys.readouterr().err
+    assert '"G" has 2000 coefficients, over its full length 3' in err, err
+    assert len(err) < 200

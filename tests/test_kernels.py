@@ -17,7 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_reference as ref
-from fuchsian.builder import build_g_system, build_h_system, h_matrix, solve_g, solve_h
+from elimination_reference import build_g_system
+from fuchsian.builder import build_h_system, h_matrix, solve_g, solve_h
 from fuchsian.frobenius import (
     DEFAULT_DEPTH,
     frobenius_obstruction,

@@ -145,6 +145,27 @@ def test_equation_degree_bounds_enforced():
         )
 
 
+def test_equation_length_is_checked_before_parsing(monkeypatch):
+    # equation_to_json_obj writes full-length arrays; one entry more is refused
+    # before any coefficient is parsed, zero padding included
+    inst = random_instance(3, seed=1)  # d = 4: "G" holds 4 coefficients, "H" 7
+    eq = construct(inst)
+    obj = equation_to_json_obj(eq)
+    assert (len(obj["G"]), len(obj["H"])) == (4, 7)
+    again = equation_from_json_obj(obj, inst)
+    assert (again.g, again.h) == (eq.g, eq.h)
+
+    def refuse(*args):
+        raise AssertionError("a coefficient was parsed")
+
+    monkeypatch.setattr(GaussianRational, "from_pair", refuse)
+    for key, full in (("G", 4), ("H", 7)):
+        longer = dict(obj, **{key: obj[key] + [["0", "0"]]})
+        message = f'"{key}" has {full + 1} coefficients, over its full length {full}'
+        with pytest.raises(InvalidInstance, match=message):
+            equation_from_json_obj(longer, inst)
+
+
 def test_momenta_replacement():
     inst = random_instance(4, seed=9)
     replaced = inst.with_momenta([gr(5), gr(6)])
