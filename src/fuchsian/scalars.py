@@ -12,7 +12,7 @@ Serialization convention (shared with the CLI): a rational is the string
 "p/q" with q > 0 in lowest terms, or just "p" when q == 1; a complex value is
 the two-element list [re, im] of such strings.
 
-The exact kernels of the linear algebra and series code do their inner
+The exact kernels of the interpolation and series code do their inner
 arithmetic on plain ints: ``to_gaussian_ints`` writes a vector over one
 common denominator, and ``from_gaussian_ints`` turns each result back into a
 canonical value, so gcds are paid once per output rather than once per

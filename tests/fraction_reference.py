@@ -1,10 +1,12 @@
-"""The Fraction algorithms that the package's integer kernels replaced.
+"""Straightforward exact algorithms: the oracles of the differential tests.
 
-They run every step on canonical GaussianRational values, one gcd per
-operation, exactly as the package did before its elimination and series code
-moved to Gaussian integers over a common denominator.  The differential
-tests compare the kernels with them; nothing in the package imports this
-module.
+Every step runs on canonical GaussianRational values, one gcd per operation.
+`taylor_head`, the series product and quotient, `obstruction` and
+`series_residual` are the package's series code as it was before it moved to
+Gaussian integers over a common denominator.  `eliminate`, `rank` and `det`
+are a second, independent elimination that records the row operations in a
+transform matrix instead of an augmented column; `fuchsian.linalg` must agree
+with it exactly.  Nothing in the package imports this module.
 
 `obstruction` and `series_residual` are the verifier's Frobenius recursion
 and its series-form residual w'' + (g/psi) w' + (h/psi^2) w, as they were

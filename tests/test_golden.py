@@ -7,8 +7,8 @@ their constraints, every other one Gaussian-shifted.  Each command's
 outputs are serialized as the CLI and the JSON schemas write them, and the
 digest of the whole list is pinned.  The elimination oracle is pinned the
 same way: `eliminate` on each instance's h-system, `rank` and `det` on its
-h-matrix, and the `det-check` JSON for n = 2..6.  A change that alters any output, even
-by a formatting detail or the order of a dict, fails here.
+h-matrix, and the `det-check` JSON for n = 2..6.  A change that alters any
+output, even by a formatting detail or the order of a dict, fails here.
 
 When an output is meant to change, print the new digests with
 

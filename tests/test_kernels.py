@@ -1,7 +1,7 @@
-"""The integer kernels against the Fraction algorithms they replaced.
+"""Elimination and the integer kernels against the Fraction algorithms.
 
 Elimination, rank, determinant, Taylor heads, series products and quotients
-and the Frobenius recursion are each uniquely determined, so the kernels must
+and the Frobenius recursion are each uniquely determined, so the package must
 return exactly what `fraction_reference` computes one canonical
 GaussianRational step at a time.  The cleared residual is a different
 polynomial from the series-form one, so only its vanishing is compared.
@@ -10,7 +10,6 @@ polynomial from the series-form one, so only its vanishing is compared.
 import dataclasses
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,14 +17,14 @@ from hypothesis import strategies as st
 
 import fraction_reference as ref
 from elimination_reference import build_g_system
-from fuchsian.builder import build_h_system, h_matrix, solve_g, solve_h
+from fuchsian.builder import build_h_system, solve_g, solve_h
 from fuchsian.frobenius import (
     DEFAULT_DEPTH,
     frobenius_obstruction,
     local_expansion,
     series_residual,
 )
-from fuchsian.linalg import Matrix, _echelon, _scaled_rows, det, eliminate, rank
+from fuchsian.linalg import Matrix, det, eliminate, rank
 from fuchsian.model import FuchsianEquation, FuchsianInstance
 from fuchsian.polynomials import LaurentSeries, Polynomial, _taylor_head
 from fuchsian.scalars import ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
@@ -111,37 +110,19 @@ def test_g_and_h_systems_match_fraction_reference(regime_instances):
         _assert_same_rank_det(h_matrix)
 
 
-def test_elimination_keeps_rows_primitive():
-    # Rows with content 1 going in stay primitive: every update divides out
-    # its content, so coefficients do not grow by a factor per step.
-    rng = random.Random(606)
-    for k in range(30):
-        size = rng.randint(2, 6)
-        grid = [[GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9) * (k % 2))
-                 for _ in range(size)] for _ in range(size)]
-        for row in grid:
-            row[rng.randrange(size)] = GaussianRational(1)
-        rows, real, _ = _scaled_rows(grid)
-        _echelon(rows, size, real)
-        for row in rows:
-            assert gcd(*row) in (0, 1)  # 0 for a row that vanished
-
-
-def test_mixed_real_and_imaginary_rows_keep_their_size():
-    # Real finite points beside apparent points on the imaginary axis.  A
-    # complex update scales a row by the rational integer |c|^2, so the row
-    # stays a rational-integer multiple of its row over the rationals and no
-    # Gaussian factor can build up that the integer content does not remove.
+def test_mixed_real_and_imaginary_rows_match_fraction_reference():
+    # Real finite points beside apparent points off the real axis, the layout
+    # on which elimination over Gaussian integers once grew out of bounds.
+    n, num = 5, 6
     instance = FuchsianInstance(
-        [(t, (0, 0)) for t in (1, 2, 3, 4)], (0, -1),
-        [(GaussianRational(0, y), 0) for y in (5, 6, 7, 8)],
+        [(t, (0, 0)) for t in range(1, n + 1)], (0, -2),
+        [(GaussianRational(Fraction(1, 3), y), 0) for y in range(5, 5 + num)],
     )
-    matrix = h_matrix(instance)
-    rows, real, _ = _scaled_rows([matrix.row(r) for r in range(matrix.rows)])
-    bits_in = max(abs(x).bit_length() for row in rows for x in row)
-    _echelon(rows, matrix.cols, real)
-    bits_out = max(abs(x).bit_length() for row in rows for x in row)
-    assert bits_out <= 2 * bits_in, (bits_in, bits_out)
+    matrix, rhs = build_h_system(instance, solve_g(instance))
+    for b in (rhs, [ZERO] * matrix.rows):
+        outcome = _assert_same_outcome(matrix, b)
+        assert outcome.rank == min(2 * n + 2 * num - 1, n + 3 * num + 1)
+    _assert_same_rank_det(matrix)
 
 
 def test_scale_helpers_round_trip():

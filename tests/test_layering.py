@@ -1,0 +1,70 @@
+"""The package's import layering, read off its source with `ast`.
+
+- The verifier stays independent of construction: besides the standard
+  library, `frobenius` imports only `model`, `polynomials` and `scalars`.
+- Elimination is an oracle: only `builder` (for `Matrix`), `cli` (for
+  det-check's `det`) and `__init__` import `linalg`.
+- No package module imports a module of the test suite, and every import
+  outside the package is from the standard library.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import fuchsian
+
+PACKAGE = Path(fuchsian.__file__).parent
+TEST_MODULES = {path.stem for path in Path(__file__).parent.glob("*.py")}
+
+
+def _imports(path: Path) -> list:
+    """(module, imported names) for every import in the file; package
+    modules are named fuchsian.<module>."""
+    imports = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imports += [(alias.name, ()) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level and not node.module:
+            imports += [("fuchsian." + alias.name, ()) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "fuchsian." + node.module if node.level else node.module
+            imports.append((module, tuple(alias.name for alias in node.names)))
+    return imports
+
+
+def _package_imports() -> dict:
+    return {path.stem: _imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_frobenius_imports_only_model_polynomials_scalars():
+    imported = [module for module, _ in _package_imports()["frobenius"]]
+    assert imported
+    for name in imported:
+        top, _, rest = name.partition(".")
+        if top == "fuchsian":
+            assert rest in {"model", "polynomials", "scalars"}, name
+
+
+def test_only_builder_cli_and_init_import_linalg():
+    importers = {}
+    for stem, imports in _package_imports().items():
+        for module, names in imports:
+            if module == "fuchsian.linalg":
+                importers.setdefault(stem, set()).update(names)
+    assert set(importers) == {"__init__", "builder", "cli"}
+    assert importers["builder"] == {"Matrix"}
+    assert importers["cli"] == {"det"}
+
+
+def test_package_imports_nothing_from_the_tests():
+    modules = _package_imports()
+    assert {"builder", "frobenius", "linalg"} <= set(modules)
+    for stem, imports in modules.items():
+        for module, _ in imports:
+            top = module.partition(".")[0]
+            assert top not in TEST_MODULES, (stem, module)
+            assert top in ("fuchsian", "__future__") or top in sys.stdlib_module_names, (
+                stem,
+                module,
+            )
