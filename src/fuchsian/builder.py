@@ -53,7 +53,7 @@ from operator import mul
 
 from .linalg import Matrix
 from .model import FuchsianEquation, FuchsianInstance, fuchs_defect, psi, require_valid
-from .polynomials import Polynomial
+from .polynomials import Polynomial, _taylor_values
 from .scalars import ONE, ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
 
 
@@ -104,14 +104,16 @@ def h_rhs_terms(instance: FuchsianInstance, g: Polynomial) -> list:
     of apparent point j (0-based); rows whose value involves no momentum have
     j = None and lin = quad = 0.  Row order is that of h_matrix.
     """
-    p = psi(instance)  # psi'(x) and psi''(x) / 2 from its Taylor window at the root x
+    # psi'(x), psi''(x) / 2 and g'(x) from Taylor heads on ints, psi and g
+    # written over one denominator each for the whole call
+    p_ints, g_ints = to_gaussian_ints(psi(instance).coeffs), to_gaussian_ints(g.coeffs)
     terms = [(None, instance.infinity_exponents.product, ZERO, ZERO)]
     for t, pair in instance.finite_points:
-        (slope,) = p.taylor(t, 1).coeffs
+        _, slope = _taylor_values(*p_ints, t, 2)
         terms.append((None, pair.product * slope * slope, ZERO, ZERO))
     terms += [(None, ZERO, ZERO, ZERO)] * instance.num_apparent
     qs = instance.apparent_positions
-    local = [(*p.taylor(q, 2).coeffs, g.taylor(q, 2).coefficient(1)) for q in qs]
+    local = [(*_taylor_values(*p_ints, q, 3)[1:], _taylor_values(*g_ints, q, 2)[1]) for q in qs]
     terms += [(j, ZERO, slope * slope, ZERO) for j, (slope, _, _) in enumerate(local)]
     terms += [
         (j, ZERO, 2 * slope * (half - dg), -2 * slope * slope)
@@ -156,6 +158,18 @@ def h_residuals(instance: FuchsianInstance, g: Polynomial, free_values=()):
     y from left_nullspace.  Raises VerificationFailed unless the rows leave
     len(free_values) coefficients free.
     """
+    h, rhs, frame = _interpolant(instance, g, free_values)
+    offset = instance.n + 2 * instance.num_apparent
+    residuals = [
+        (r - offset, sum([a * b for a, b in zip(y, rhs) if a and b], ZERO))
+        for r, y in left_nullspace(instance, frame)
+    ]
+    return h, tuple(residuals)
+
+
+def _interpolant(instance: FuchsianInstance, g: Polynomial, free_values) -> tuple:
+    """(h, rhs, frame): h_residuals' h, with the h-system's right-hand side
+    and the _hermite_frame it was summed in."""
     n, num = instance.n, instance.num_apparent
     free = max(n - 2 - num, 0)
     if len(free_values) != free:
@@ -186,11 +200,7 @@ def h_residuals(instance: FuchsianInstance, g: Polynomial, free_values=()):
     top, up = deg + free, e**free  # h_k = H_k E^k / (L E^D) = H_k E^free / (L E^(top-k))
     dens = [den * e ** (top - k) for k in range(top + 1)]
     coeffs = [from_gaussian_ints(a * up, b * up, d) for a, b, d in zip(hr, hi, dens)]
-    residuals = [
-        (r - n - 2 * num, sum([a * b for a, b in zip(y, rhs) if a and b], ZERO))
-        for r, y in left_nullspace(instance, frame)
-    ]
-    return Polynomial(coeffs), tuple(residuals)
+    return Polynomial(coeffs), rhs, frame
 
 
 def left_nullspace(instance: FuchsianInstance, frame=None):

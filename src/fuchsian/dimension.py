@@ -33,7 +33,15 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .builder import VerificationFailed, h_residuals, h_rhs_terms, left_nullspace, solve_g, solve_h
+from .builder import (
+    VerificationFailed,
+    _interpolant,
+    h_residuals,
+    h_rhs_terms,
+    left_nullspace,
+    solve_g,
+    solve_h,
+)
 from .frobenius import frobenius_obstruction, local_expansion, verify
 from .model import FuchsianEquation, FuchsianInstance, require_valid
 from .scalars import ZERO, GaussianRational
@@ -224,10 +232,11 @@ def float_obstructions(instance: FuchsianInstance, momenta) -> list:
 
     Momenta are taken at their exact binary values and everything after that
     is exact; only the results are rounded to complex.  h is h_residuals'
-    interpolant, unique for N >= n - 2, and omega_j is exactly 0 where
-    h''(q_j) is interpolated, C_j(p) / delta_j elsewhere (C_j the constraint
-    of q_j, delta_j = -2 psi'(q_j)^2 its p_j^2 coefficient).  Raises
-    ValueError for an underdetermined instance and for momenta not finite.
+    interpolant, unique for N >= n - 2, taken without the residuals, and
+    omega_j is exactly 0 where h''(q_j) is interpolated, C_j(p) / delta_j
+    elsewhere (C_j the constraint of q_j, delta_j = -2 psi'(q_j)^2 its p_j^2
+    coefficient).  Raises ValueError for an underdetermined instance and for
+    momenta not finite.
     """
     if classify(instance).case == "under":
         raise ValueError("instance is under; float_obstructions needs N >= n - 2")
@@ -240,7 +249,7 @@ def float_obstructions(instance: FuchsianInstance, momenta) -> list:
         [GaussianRational(Fraction(p.real), Fraction(p.imag)) for p in momenta]
     )
     g = solve_g(exact)
-    eq = FuchsianEquation(g, h_residuals(exact, g)[0], exact)
+    eq = FuchsianEquation(g, _interpolant(exact, g, ())[0], exact)
     # the resonance at s = 2 reads orders up to 0 only: the shortest window
     return [
         frobenius_obstruction(local_expansion(eq, q, terms=3))[0].to_complex()

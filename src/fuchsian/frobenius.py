@@ -1,16 +1,30 @@
 """Independent verification of constructed equations by local series analysis.
 
 Nothing in this module reuses the linear systems of the builder: every check
-re-derives local data from the coefficient polynomials by exact Laurent
-expansion, so a bug in the construction cannot hide behind itself.  At each
-point psi is expanded once: its truncated Taylor head divides g's, and its
-square divides h's, so no full Taylor shift and no psi^2 is ever built.
+re-derives local data from the coefficient polynomials, so a bug in the
+construction cannot hide behind itself.
+
+verify writes psi, g and h once over their own denominators dp, dg and dh,
+padded to degrees d, d - 1 and 2d - 2 (d = n + N), and stays on Gaussian
+integers from there.  At a point x = A/E it takes Taylor heads in the scaled
+coordinate u = E (z - x): the raw synthetic-division remainders Psi_k, G_k
+and H_k are the coefficients of E^d dp psi, E^(d-1) dg g and E^(2d-2) dh h
+in u, over no denominator.  In u the equation reads
+
+    w'' + g~ w' + h~ w = 0,   g~ = (dp/dg) G/Psi,   h~ = (dp^2/dh) H/Psi^2,
+
+the powers of E cancelling.  The residue of g~ and the order -2 coefficient
+of h~ are those of g/psi and h/psi^2 in z - x; the order -1 coefficient of
+h/psi^2, the recovered momentum, is E times h~'s, and the logarithm
+obstruction is E^2 times its value in u.
 
 At a finite point the indicial polynomial is r*(r-1) + g0*r + h0 where g0 is
-the residue of g/psi and h0 the order -2 coefficient of h/psi^2.  At
-infinity, with x = 1/z, the same data is read off the reversed coefficient
-polynomials and the indicial polynomial becomes l*(l+1) - g0*l + h0, the
-standard convention.
+the residue of g/psi and h0 the order -2 coefficient of h/psi^2.  At a root
+of psi both are closed forms, g(t)/psi'(t) = dp G_0 / (dg Psi_1) and
+h(t)/psi'(t)^2 = dp^2 H_0 / (dh Psi_1^2): two Horner passes and psi's slope,
+no series division.  At infinity, with x = 1/z, the indicial polynomial is
+l*(l+1) - g0*l + h0, the standard convention, and as psi is monic g0 and h0
+are the top coefficients of g and h.
 
 At an apparent point the power-series solution w = sum a_s x^s of
 
@@ -22,30 +36,45 @@ right side takes there is the logarithm obstruction.  Its closed form
 (g_0 + h_{-1}) * h_{-1} + h_0 is asserted against the recursion in the test
 suite, which makes the equivalence an executable statement rather than a
 remark.  The recursion runs fraction-free on Gaussian integers, since its
-divisors s*(s-2) are known in advance.
+divisors s*(s-2) are known in advance.  verify feeds it g~ and h~ in
+v = u / Psi_1, where psi's unit part Psi / u leads with 1, so that dividing
+by it stays on Gaussian integers.
 
 The truncated series is then substituted into the equation with its
-denominators cleared, psi^2 w'' + psi g w' + h w, built from the Taylor heads
-of psi, g and h.  Its series form would restate the recursion term for term
-(the coefficient of a_s in order s-2 is s*(s-2) exactly when the residue is
--1 and h has no double pole), so it would re-check the recursion code while a
-wrong series division went unseen; the cleared form involves no division.
+denominators cleared, dg dh Psi^2 w'' + dp dh Psi G w' + dp^2 dg H w, built
+from the raw heads only.  Its series form would restate the recursion term
+for term (the coefficient of a_s in order s-2 is s*(s-2) exactly when the
+residue is -1 and h has no double pole), so it would re-check the recursion
+code while a wrong series division went unseen; the cleared form involves no
+division.
+
+local_expansion, indicial_roots, frobenius_obstruction and series_residual
+give the same local data in z - x as LaurentSeries windows, computed by the
+same Taylor-head, quotient, recursion and residual kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd
 
 from .model import (
-    INFINITY,
     ExponentPair,
     FuchsianEquation,
     Infinity,
     psi,
     require_valid,
 )
-from .polynomials import LaurentSeries, Polynomial
+from .polynomials import (
+    LaurentSeries,
+    Polynomial,
+    _gaussian_powers,
+    _powers,
+    _taylor_head_ints,
+    _times_powers,
+    _unit_quotient,
+)
 from .scalars import ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
 
 #: Series depth of the recursion verify() runs; the resonance sits at s = 2,
@@ -112,10 +141,11 @@ def indicial_roots(local: LocalExpansion) -> Indicial:
     g0 = local.g_series.coefficient(-1)
     h0 = local.h_series.coefficient(-2)
     if isinstance(local.point, Infinity):
-        root_sum = g0 - 1
-    else:
-        root_sum = 1 - g0
-    root_product = h0
+        return _indicial(g0 - 1, h0)
+    return _indicial(1 - g0, h0)
+
+
+def _indicial(root_sum: GaussianRational, root_product: GaussianRational) -> Indicial:
     disc = root_sum * root_sum - 4 * root_product
     sqrt_disc = disc.sqrt()
     pair = None
@@ -130,11 +160,8 @@ def frobenius_obstruction(local: LocalExpansion):
     Returns (omega, coefficients).  omega is the value closing the resonance
     at s = 2; the series continues past it, normalized by a_0 = 1 and
     a_2 = 0, only when omega vanishes.  It runs to s = DEFAULT_DEPTH, or as
-    far as the series windows reach.
-
-    Fraction-free: g and h are Gaussian integers over one denominator D, the
-    a_k over one shared denominator E.  Step s != 2 scales every a_k by the
-    known divisor D*s*(s-2), appends -acc and divides out the integer content.
+    far as the series windows reach.  g and h are written over one
+    denominator and run through verify's integer recursion.
     """
     g, h = local.g_series, local.h_series
     if g.coefficient(-1) != GaussianRational(-1):
@@ -152,8 +179,25 @@ def frobenius_obstruction(local: LocalExpansion):
         [g.coefficient(o) for o in range(-1, top - 1)]
         + [h.coefficient(o) for o in range(-1, top - 1)]
     )
-    g_re, g_im, h_re, h_im = re[:top], im[:top], re[top:], im[top:]
-    ar, ai, e = [1], [0], 1  # a_k = (ar[k] + ai[k]*i) / e
+    omega, ar, ai, e = _recursion(den, (re[:top], im[:top]), (re[top:], im[top:]))
+    return from_gaussian_ints(*omega), tuple(
+        [from_gaussian_ints(x, y, e) for x, y in zip(ar, ai)]
+    )
+
+
+def _recursion(den: int, g: tuple, h: tuple) -> tuple:
+    """The recursion of frobenius_obstruction, fraction-free on Gaussian
+    integers: g and h are (re, im) int lists over den > 0, index o + 1
+    holding order o, and the a_k share one denominator e.  It runs to s =
+    top, the windows' length.
+
+    Returns ((re, im, den) of omega, ar, ai, e) with a_k = (ar[k] + ai[k]*i)
+    / e.  Step s != 2 scales every a_k by the known divisor den*s*(s-2),
+    appends -acc and divides out the integer content.
+    """
+    (g_re, g_im), (h_re, h_im) = g, h
+    top = len(g_re)
+    ar, ai, e = [1], [0], 1
     omega = None
     for s in range(1, top + 1):
         # acc * den * e = sum_k (k g_(s-1-k) + h_(s-2-k)) * a_k
@@ -166,8 +210,8 @@ def frobenius_obstruction(local: LocalExpansion):
             acc_r += cr * ar[k] - ci * ai[k]
             acc_i += cr * ai[k] + ci * ar[k]
         if s == 2:
-            omega = from_gaussian_ints(acc_r, acc_i, den * e)
-            if omega:
+            omega = (acc_r, acc_i, den * e)
+            if acc_r or acc_i:
                 break
             ar.append(0)
             ai.append(0)
@@ -184,7 +228,7 @@ def frobenius_obstruction(local: LocalExpansion):
             ar = [x // content for x in ar]
             ai = [x // content for x in ai]
             e //= content
-    return omega, tuple([from_gaussian_ints(x, y, e) for x, y in zip(ar, ai)])
+    return omega, ar, ai, e
 
 
 def series_residual(local: LocalExpansion, coefficients) -> list:
@@ -193,10 +237,8 @@ def series_residual(local: LocalExpansion, coefficients) -> list:
 
     The point must be a root of psi, where psi^2 is x^2 times a unit: these
     orders vanish exactly when orders -2 .. K-2 of w'' + (g/psi) w' +
-    (h/psi^2) w do, and no series division is involved.  Written as
-    psi (psi w'' + g w') + h w, they read psi and h through order K and g
-    through order K - 1.  The heads and the a_k are Gaussian integers over
-    one denominator each.
+    (h/psi^2) w do, and no series division is involved.  The heads and the
+    a_k are Gaussian integers over one denominator each.
     """
     if local.heads is None:
         raise ValueError("local expansion carries no Taylor heads")
@@ -210,14 +252,23 @@ def series_residual(local: LocalExpansion, coefficients) -> list:
         + [h_head.coefficient(o) for o in range(size)]
     )
     p, g = (re[:size], im[:size]), (re[size : 2 * size - 1], im[size : 2 * size - 1])
-    h = tuple([den * x for x in part[2 * size - 1 :]] for part in (re, im))  # over den^2
+    h = (re[2 * size - 1 :], im[2 * size - 1 :])
     e, wr, wi = to_gaussian_ints(coefficients)
-    w = (wr, wi)
-    w1 = tuple([k * x for k, x in enumerate(part) if k] for part in w)
-    w2 = tuple([k * (k - 1) * x for k, x in enumerate(part) if k > 1] for part in w)
-    u = _mul_add(p, w2, g, w1, size - 1)  # psi w'' + g w', over den * e
-    rr, ri = _mul_add(p, u, h, w, size)  # psi u + h w, over den^2 * e
+    rr, ri = _cleared_residual(p, g, h, (wr, wi), (1, 1, den))  # over den^2 * e
     return [from_gaussian_ints(x, y, den * den * e) for x, y in zip(rr, ri)]
+
+
+def _cleared_residual(p: tuple, g: tuple, h: tuple, w: tuple, weights: tuple) -> tuple:
+    """Orders 0 .. K of a P^2 w'' + b P G w' + c H w, written P (a P w'' +
+    b G w') + c H w, for Gaussian-integer windows from order 0 ((re, im) int
+    lists): w of K + 1 terms, P and H read through order K, G through K - 1;
+    weights = (a, b, c) are ints."""
+    a, b, c = weights
+    size = len(w[0])
+    w1 = tuple([b * k * x for k, x in enumerate(part) if k] for part in w)
+    w2 = tuple([a * k * (k - 1) * x for k, x in enumerate(part) if k > 1] for part in w)
+    inner = _mul_add(p, w2, g, w1, size - 1)
+    return _mul_add(p, inner, h, tuple([c * x for x in part] for part in w), size)
 
 
 def _mul_add(f, u, g, v, size: int) -> tuple:
@@ -283,20 +334,26 @@ def verify(eq: FuchsianEquation) -> VerificationReport:
     """
     require_valid(eq.instance)
     instance = eq.instance
+    d = instance.n + instance.num_apparent
+    # psi, g and h over their own denominators, at the degrees the heads assume
+    (dp, *psi_ints), (dg, *g_ints), (dh, *h_ints) = [
+        to_gaussian_ints(f.padded(size))
+        for f, size in ((psi(instance), d + 1), (eq.g, d), (eq.h, 2 * d - 1))
+    ]
+    polys, scales = (psi_ints, g_ints, h_ints), (dp, dg, dh)
 
-    # finite points and infinity need only indicial_roots, which reads
-    # orders -1 and -2: the shortest window will do
     finite_reports = []
     for t, expected in instance.finite_points:
-        local = local_expansion(eq, t, 3)
-        ind = indicial_roots(local)
+        _, heads = _heads(polys, t, (2, 1, 1))
+        residue, product = _pole_terms(scales, heads)
+        ind = _indicial(1 - residue, product)
         match = ind.sum == expected.sum and ind.product == expected.product
         finite_reports.append(
             FinitePointReport(point=t, expected=expected, indicial=ind, match=match)
         )
 
-    inf_local = local_expansion(eq, INFINITY, 3)
-    inf_ind = indicial_roots(inf_local)
+    # psi is monic: g/psi and h/psi^2 lead with g's and h's top coefficients
+    inf_ind = _indicial(eq.g.coefficient(d - 1) - 1, eq.h.coefficient(2 * d - 2))
     expected_inf = instance.infinity_exponents
     infinity_report = InfinityReport(
         expected=expected_inf,
@@ -305,24 +362,23 @@ def verify(eq: FuchsianEquation) -> VerificationReport:
     )
 
     two = GaussianRational(2)
+    depth = DEFAULT_DEPTH
     apparent_reports = []
     for q, p in instance.apparent_points:
-        local = local_expansion(eq, q)
-        residue = local.g_series.coefficient(-1)
+        e, heads = _heads(polys, q, (depth + 1, depth, depth + 1))
+        residue, product = _pole_terms(scales, heads)
         residue_ok = residue == GaussianRational(-1)
-        double_pole_absent = not local.h_series.coefficient(-2)
-        ind = indicial_roots(local)
+        double_pole_absent = not product
+        ind = _indicial(1 - residue, product)
         indicial_ok = ind.sum == two and not ind.product
-        recovered = local.h_series.coefficient(-1)
+        recovered = _momentum(scales, e, heads)
         momentum_ok = recovered == p
         obstruction = None
         log_free = False
         residual_ok = False
         if residue_ok and double_pole_absent:
-            obstruction, coefficients = frobenius_obstruction(local)
+            obstruction, residual_ok = _log_free_check(scales, e, heads)
             log_free = not obstruction
-            if log_free:
-                residual_ok = all(not r for r in series_residual(local, coefficients))
         apparent_reports.append(
             ApparentPointReport(
                 point=q,
@@ -359,6 +415,88 @@ def verify(eq: FuchsianEquation) -> VerificationReport:
         infinity=infinity_report,
         overall=overall,
     )
+
+
+def _heads(polys: tuple, x: GaussianRational, sizes: tuple) -> tuple:
+    """(E, heads): x = A / E, and for each Gaussian-integer polynomial F of
+    polys ((re, im) int lists, padded to its degree) the first sizes[k]
+    coefficients of E^deg F(x + u/E) in u = E (z - x)."""
+    e, (a,), (b,) = to_gaussian_ints([x])
+    powers = _powers(e, max(len(re) for re, _ in polys))
+    return e, [
+        _taylor_head_ints(re, im, a, b, powers, size) for (re, im), size in zip(polys, sizes)
+    ]
+
+
+def _pole_terms(scales: tuple, heads: tuple) -> tuple:
+    """Residue of g/psi and order -2 coefficient of h/psi^2 at a root of
+    psi: dp G_0 / (dg c) and dp^2 H_0 / (dh c^2), c = Psi_1.  Both are the
+    same in u as in z - x."""
+    dp, dg, dh = scales
+    (pr, pi), (gr, gi), (hr, hi) = heads
+    cr, ci = pr[1], pi[1]
+    residue = from_gaussian_ints(dp * gr[0], dp * gi[0], dg * cr, dg * ci)
+    square = dp * dp
+    product = from_gaussian_ints(
+        square * hr[0], square * hi[0], dh * (cr * cr - ci * ci), 2 * dh * cr * ci
+    )
+    return residue, product
+
+
+def _momentum(scales: tuple, e: int, heads: tuple) -> GaussianRational:
+    """Order -1 coefficient of h/psi^2 at a root of psi: E times that of
+    h~ = (dp^2/dh) H / (u^2 U^2), U = Psi / u, which is (dp^2/dh) (H_1 c -
+    2 H_0 U_1) / c^3 with c = U_0."""
+    dp, _, dh = scales
+    (pr, pi), _, (hr, hi) = heads
+    cr, ci, ur, ui = pr[1], pi[1], pr[2], pi[2]
+    nr = hr[1] * cr - hi[1] * ci - 2 * (hr[0] * ur - hi[0] * ui)
+    ni = hr[1] * ci + hi[1] * cr - 2 * (hr[0] * ui + hi[0] * ur)
+    sr, si = cr * cr - ci * ci, 2 * cr * ci
+    scale = e * dp * dp
+    return from_gaussian_ints(
+        scale * nr, scale * ni, dh * (sr * cr - si * ci), dh * (sr * ci + si * cr)
+    )
+
+
+def _log_free_check(scales: tuple, e: int, heads: tuple) -> tuple:
+    """(omega, residual_ok) at a root of psi where g/psi has residue -1 and
+    h/psi^2 no double pole (H_0 = 0).
+
+    In v = u / c, c = Psi_1, psi's unit part U~ = Psi(c v) / (c^2 v) leads
+    with 1, and g_v = (dp/dg) G^ / (c v U~), h_v = (dp^2/dh) H'^ / (c v U~^2)
+    with G^_i = G_i c^i and H'^_i = H_(i+1) c^i: the quotients by U~ are
+    Gaussian-integer series.  The recursion runs on them over a real
+    denominator, and omega in z - x is E^2 / c^2 times its value in v.  Its
+    a_k are the coefficients in v; a_k c^(K-k) are those in u times c^K, and
+    the cleared residual dg dh Psi^2 w'' + dp dh Psi G w' + dp^2 dg H w
+    reads them with the raw heads only.
+    """
+    dp, dg, dh = scales
+    (pr, pi), (gr, gi), (hr, hi) = heads
+    depth = len(gr)
+    cr, ci = pr[1], pi[1]
+    powers = _gaussian_powers(cr, ci, depth + 1)
+    ur, ui = _times_powers(pr[2:], pi[2:], powers)
+    unit = ([1] + ur, [0] + ui)
+    g_v = _unit_quotient(*_times_powers(gr, gi, powers), *unit)
+    h_v = _unit_quotient(*_unit_quotient(*_times_powers(hr[1:], hi[1:], powers), *unit), *unit)
+    # 1/c = (kr + ki i) / m: with c = k c' and c' primitive, conj(c') / (k |c'|^2)
+    k = gcd(cr, ci)
+    kr, ki = cr // k, -ci // k
+    m = k * (kr * kr + ki * ki)
+    g_v = _times_powers(*g_v, repeat((dp * dh * kr, dp * dh * ki)))
+    h_v = _times_powers(*h_v, repeat((dp * dp * dg * kr, dp * dp * dg * ki)))
+    (wr, wi, wden), ar, ai, _ = _recursion(dg * dh * m, g_v, h_v)
+    sr, si = powers[2]
+    omega = from_gaussian_ints(wr * e * e, wi * e * e, wden * sr, wden * si)
+    if omega:
+        return omega, False
+    w = _times_powers(ar, ai, powers[::-1])
+    residual = _cleared_residual(
+        (pr, pi), (gr, gi), (hr, hi), w, (dg * dh, dp * dh, dp * dp * dg)
+    )
+    return omega, not any(residual[0]) and not any(residual[1])
 
 
 def report_to_json_obj(report: VerificationReport) -> dict:

@@ -16,14 +16,20 @@ every closed-form constant elsewhere in the package.
 Synthetic division, series products and series quotients run on plain ints:
 the inputs are written over a common denominator once (the point at = A/e
 too), the inner loops multiply and add Gaussian integers, and each output
-coefficient becomes a canonical GaussianRational once.  The quotient is
-fraction-free: O_i = out_i * u_0^(i+1) obeys an integer recursion, so only
-the final division by u_0^(i+1) brings in a denominator.
+coefficient becomes a canonical GaussianRational once.  Synthetic division by
+Z - A of the coefficients scaled by powers of e (_taylor_ints) yields the
+Taylor coefficients in the scaled coordinate u = e (z - at) with no
+denominator at all; the verifier reads these raw values.  A quotient by a
+window with head u_0 is taken in the coordinate x / u_0, where the divisor
+leads with 1 and division is a Gaussian-integer recursion (_unit_quotient),
+so only the final division by u_0^(i+1) brings in a denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 
 from .scalars import ONE, ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
 
@@ -246,32 +252,20 @@ class LaurentSeries:
             raise ZeroDivisionError("divisor series is zero in its window")
         if self.is_zero:
             return self
-        # With v = V / dv and u = U / du over Gaussian integers, the quotient
-        # is (du / dv) * o where o = V / U; O_i = o_i * U_0^(i+1) obeys
-        # O_i = U_0^i V_i - sum_(j=1..i) U_j U_0^(j-1) O_(i-j), all in ints.
+        # With v = V / dv and u = U / du over Gaussian integers and c = U_0,
+        # v / u = (du / dv) * sum_i O_i x^i / c^(i+1), where O = V~ / U~ in
+        # the coordinate x / c: V~_i = V_i c^i and U~_j = U_j c^(j-1), so that
+        # U~_0 = 1 and the quotient stays on Gaussian integers.
         dv, vr, vi = to_gaussian_ints(self.coeffs)
         du, ur, ui = to_gaussian_ints(other.coeffs)
         length = min(len(vr), len(ur))
-        u0r, u0i = ur[0], ui[0]
-        powers = [(1, 0)]  # U_0^k
-        for _ in range(length):
-            pr, pi = powers[-1]
-            powers.append((pr * u0r - pi * u0i, pr * u0i + pi * u0r))
-        weights = [None] + [  # U_j U_0^(j-1)
-            (ur[j] * pr - ui[j] * pi, ur[j] * pi + ui[j] * pr)
-            for j, (pr, pi) in zip(range(1, length), powers)
+        powers = _gaussian_powers(ur[0], ui[0], length + 1)
+        ur, ui = _times_powers(ur[1:length], ui[1:length], powers)
+        quotient = _unit_quotient(*_times_powers(vr, vi, powers), [1] + ur, [0] + ui)
+        out = [
+            from_gaussian_ints(x * du, y * du, dv * pr, dv * pi)
+            for x, y, (pr, pi) in zip(*quotient, powers[1:])
         ]
-        big_o, out = [], []
-        for i in range(length):
-            pr, pi = powers[i]
-            acc_r, acc_i = pr * vr[i] - pi * vi[i], pr * vi[i] + pi * vr[i]
-            for j in range(1, i + 1):
-                (wr, wi), (xr, xi) = weights[j], big_o[i - j]
-                acc_r -= wr * xr - wi * xi
-                acc_i -= wr * xi + wi * xr
-            big_o.append((acc_r, acc_i))
-            pr, pi = powers[i + 1]
-            out.append(from_gaussian_ints(acc_r * du, acc_i * du, dv * pr, dv * pi))
         return LaurentSeries(self.base_point, self.min_order - other.min_order, out)
 
     def __eq__(self, other):
@@ -309,35 +303,107 @@ def _taylor_head(coeffs, at: GaussianRational, terms: int):
     """Order at `at` of sum c_i z^i and its first `terms` Taylor coefficients
     from that order on (zero-padded; order 0 for the zero polynomial).
 
-    Synthetic division by (z - at) on ints: with at = A/e and the c_i over a
-    common denominator D, W_i = D * e^(deg-i) * w_i turns the step
-    w_i += at * w_(i+1) into W_i += A * W_(i+1).  After step k the remainder
-    W_k divided by D * e^(deg-k) is the k-th Taylor coefficient.
+    With the c_i over a common denominator D and at = A/e, _taylor_ints
+    yields W_k = D * e^(deg-k) * w_k, w_k the k-th Taylor coefficient.
     """
-    den, wr, wi = to_gaussian_ints(coeffs)
+    den, re, im = to_gaussian_ints(coeffs)
     e, (a,), (b,) = to_gaussian_ints([at])
     deg = len(coeffs) - 1
-    powers = [1]
-    for _ in range(deg):
-        powers.append(powers[-1] * e)
-    for i in range(deg + 1):
-        wr[i] *= powers[deg - i]
-        wi[i] *= powers[deg - i]
-    real = not b and not any(wi)
+    powers = _powers(e, deg + 1)
     order, head = 0, []
-    for k in range(deg + 1):
-        if len(head) == terms:
-            break
-        if real:
-            for i in range(deg - 1, k - 1, -1):
-                wr[i] += a * wr[i + 1]
-        else:
-            for i in range(deg - 1, k - 1, -1):
-                x, y = wr[i + 1], wi[i + 1]
-                wr[i] += a * x - b * y
-                wi[i] += a * y + b * x
-        if head or wr[k] or wi[k]:
-            head.append(from_gaussian_ints(wr[k], wi[k], den * powers[deg - k]))
+    for k, (x, y) in enumerate(_taylor_ints(re, im, a, b, powers)):
+        if head or x or y:
+            head.append(from_gaussian_ints(x, y, den * powers[deg - k]))
+            if len(head) == terms:
+                break
         else:
             order += 1
     return order, head + [ZERO] * (terms - len(head))
+
+
+def _taylor_values(den: int, re: list, im: list, at: GaussianRational, terms: int) -> list:
+    """Taylor coefficients of orders 0 .. terms-1 at `at` of the polynomial
+    (re + im*i) / den, given as ascending int lists: f(at), f'(at),
+    f''(at)/2, ..."""
+    e, (a,), (b,) = to_gaussian_ints([at])
+    deg = len(re) - 1
+    powers = _powers(e, deg + 1)
+    return [
+        from_gaussian_ints(x, y, den * powers[deg - k]) if k <= deg else ZERO
+        for k, (x, y) in enumerate(zip(*_taylor_head_ints(re, im, a, b, powers, terms)))
+    ]
+
+
+def _taylor_ints(re: list, im: list, a: int, b: int, powers: list):
+    """Yield the Taylor coefficients of order 0, 1, ... of a Gaussian-integer
+    polynomial in the scaled coordinate u = e (z - x), as (re, im) pairs.
+
+    F = re + im*i in ascending degree, deg = len(re) - 1, x = (a + b*i) / e
+    and powers[k] = e^k for k <= deg.  The k-th value is the coefficient of
+    u^k in e^deg F(x + u/e): with c_i scaled by e^(deg-i), synthetic
+    division by Z - (a + b*i) stays on Gaussian integers and its k-th
+    remainder is exactly that coefficient, so no denominator arises.
+    """
+    deg = len(re) - 1
+    wr = [c * powers[deg - i] for i, c in enumerate(re)]
+    wi = [c * powers[deg - i] for i, c in enumerate(im)]
+    if not b and not any(wi):
+        for k in range(deg + 1):
+            for i in range(deg - 1, k - 1, -1):
+                wr[i] += a * wr[i + 1]
+            yield wr[k], 0
+        return
+    for k in range(deg + 1):
+        for i in range(deg - 1, k - 1, -1):
+            x, y = wr[i + 1], wi[i + 1]
+            wr[i] += a * x - b * y
+            wi[i] += a * y + b * x
+        yield wr[k], wi[k]
+
+
+def _taylor_head_ints(re: list, im: list, a: int, b: int, powers: list, terms: int) -> tuple:
+    """Orders 0 .. terms-1 of _taylor_ints as (re, im) int lists; orders
+    past the degree are 0."""
+    hr, hi = [0] * terms, [0] * terms
+    for k, (x, y) in zip(range(terms), _taylor_ints(re, im, a, b, powers)):
+        hr[k], hi[k] = x, y
+    return hr, hi
+
+
+def _unit_quotient(vr: list, vi: list, ur: list, ui: list) -> tuple:
+    """Truncated quotient v / u of Gaussian-integer windows with u_0 = 1, as
+    long as the shorter one: o_i = v_i - sum_(j=1..i) u_j o_(i-j), exact on
+    Gaussian integers.  Returns (re, im) int lists."""
+    length = min(len(vr), len(ur))
+    out_r, out_i = [], []
+    for i in range(length):
+        acc_r, acc_i = vr[i], vi[i]
+        for j in range(1, i + 1):
+            x, y = out_r[i - j], out_i[i - j]
+            acc_r -= ur[j] * x - ui[j] * y
+            acc_i -= ur[j] * y + ui[j] * x
+        out_r.append(acc_r)
+        out_i.append(acc_i)
+    return out_r, out_i
+
+
+def _powers(e: int, count: int) -> list:
+    """[1, e, e^2, ..., e^(count-1)]."""
+    return list(accumulate(repeat(e, count - 1), mul, initial=1))
+
+
+def _gaussian_powers(cr: int, ci: int, count: int) -> list:
+    """[(1, 0), c, c^2, ..., c^(count-1)] for c = cr + ci*i, as (re, im) pairs."""
+    powers = [(1, 0)]
+    for _ in range(count - 1):
+        pr, pi = powers[-1]
+        powers.append((pr * cr - pi * ci, pr * ci + pi * cr))
+    return powers
+
+
+def _times_powers(re: list, im: list, powers: list) -> tuple:
+    """(re[k] + im[k]*i) * powers[k] for each k, as (re, im) int lists."""
+    return (
+        [x * pr - y * pi for x, y, (pr, pi) in zip(re, im, powers)],
+        [x * pi + y * pr for x, y, (pr, pi) in zip(re, im, powers)],
+    )

@@ -202,24 +202,26 @@ class GaussianRational:
     def sqrt(self) -> GaussianRational | None:
         """An exact square root within the Gaussian rationals, or None.
 
-        A Gaussian rational has such a root iff |z| is rational and
-        (re + |z|)/2 is a rational square; both conditions are decidable
-        with integer square roots.
+        (r + j*i) / d has one iff the Gaussian integer R + J*i = (r + j*i) * d
+        has one, x + y*i over d.  Then m = x^2 + y^2 is the integer square
+        root of R^2 + J^2, x^2 = (R + m) / 2 and 2xy = J, so R + m must be
+        even.  The root returned has x >= 0, and y > 0 when x = 0, the case
+        of a negative real.
         """
-        if self.im == 0:
-            if self.re >= 0:
-                root = rational_sqrt(self.re)
-                return None if root is None else GaussianRational(root)
-            root = rational_sqrt(-self.re)
-            return None if root is None else GaussianRational(0, root)
-        modulus = rational_sqrt(self.re * self.re + self.im * self.im)
-        if modulus is None:
+        d = self._d
+        big_r, big_j = self._r * d, self._i * d
+        norm = big_r * big_r + big_j * big_j
+        m = isqrt(norm)
+        if m * m != norm or (big_r + m) & 1:
             return None
-        half = (self.re + modulus) / 2
-        c = rational_sqrt(half)
-        if c is None or c == 0:
+        half = (big_r + m) >> 1
+        x = isqrt(half)
+        if x * x != half:
             return None
-        return GaussianRational(c, self.im / (2 * c))
+        if x:
+            return _canon(x, big_j // (2 * x), d)
+        y = isqrt(m)  # R = -m and J = 0: y^2 = m
+        return _canon(0, y, d) if y * y == m else None
 
     def to_complex(self) -> complex:
         """Nearest float complex; only the quarantined float paths use this."""

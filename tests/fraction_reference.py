@@ -13,6 +13,12 @@ and its series-form residual w'' + (g/psi) w' + (h/psi^2) w, as they were
 before the recursion went fraction-free and the residual was cleared of
 denominators.
 
+`verify` is the verifier as it was before it moved to Gaussian integers in
+a scaled local coordinate: Taylor heads of g, h and psi at each point, g's
+divided by psi's and h's by psi's squared, the indicial data read off those
+series, the recursion and the series-form residual, all built from the
+functions above, with square roots taken by `FractionGaussian`.
+
 `FractionGaussian` is the scalar the package used before GaussianRational
 became one canonical int triple: two `Fraction`s, each kept in lowest terms
 by `fractions`.  With `fraction_to_gaussian_ints` and
@@ -24,7 +30,17 @@ checked against.
 from fractions import Fraction
 from math import lcm
 
+from fuchsian.frobenius import (
+    ApparentPointReport,
+    FinitePointReport,
+    Indicial,
+    InfinityReport,
+    LocalExpansion,
+    VerificationReport,
+)
 from fuchsian.linalg import Matrix, SolveOutcome
+from fuchsian.model import ExponentPair, psi
+from fuchsian.polynomials import LaurentSeries
 from fuchsian.scalars import (
     ONE,
     ZERO,
@@ -397,3 +413,91 @@ def series_residual(local, coefficients):
             acc = acc + term * a_k
         out.append(acc)
     return out
+
+
+def _local(point, g, h, p, terms):
+    """LocalExpansion of g/p and h/p^2 at point from coefficient tuples."""
+    (g_order, g_head), (h_order, h_head), (p_order, p_head) = (
+        taylor_head(coeffs, point, terms) for coeffs in (g, h, p)
+    )
+    square = series_product(p_head, p_head)
+    return LocalExpansion(
+        point=point,
+        g_series=LaurentSeries(point, g_order - p_order, series_quotient(g_head, p_head)),
+        h_series=LaurentSeries(point, h_order - 2 * p_order, series_quotient(h_head, square)),
+        heads=(
+            LaurentSeries(point, p_order, p_head),
+            LaurentSeries(point, g_order, g_head),
+            LaurentSeries(point, h_order, h_head),
+        ),
+    )
+
+
+def _indicial(root_sum, root_product):
+    disc = root_sum * root_sum - 4 * root_product
+    root = FractionGaussian(disc.re, disc.im).sqrt()
+    pair = None
+    if root is not None:
+        root = GaussianRational(root.re, root.im)
+        pair = ExponentPair((root_sum + root) / 2, (root_sum - root) / 2)
+    return Indicial(sum=root_sum, product=root_product, pair=pair)
+
+
+def verify(eq, depth: int = 8):
+    """The VerificationReport of eq, read off series windows of depth + 2
+    terms at each apparent point and 3 terms elsewhere."""
+    inst = eq.instance
+    d = inst.n + inst.num_apparent
+    g, h, p = eq.g.padded(d), eq.h.padded(2 * d - 1), psi(inst).padded(d + 1)
+    finite = []
+    for t, expected in inst.finite_points:
+        local = _local(t, g, h, p, 3)
+        ind = _indicial(1 - local.g_series.coefficient(-1), local.h_series.coefficient(-2))
+        match = ind.sum == expected.sum and ind.product == expected.product
+        finite.append(FinitePointReport(point=t, expected=expected, indicial=ind, match=match))
+    # at infinity, in x = 1/z: x^(d-1) g(1/x) / (x * x^d psi(1/x)), likewise h
+    local = _local(ZERO, g[::-1], h[::-1], (ZERO,) + p[::-1], 3)
+    ind = _indicial(local.g_series.coefficient(-1) - 1, local.h_series.coefficient(-2))
+    expected = inst.infinity_exponents
+    match = ind.sum == expected.sum and ind.product == expected.product
+    infinity = InfinityReport(expected=expected, indicial=ind, match=match)
+    apparent = []
+    for q, momentum in inst.apparent_points:
+        local = _local(q, g, h, p, depth + 2)
+        residue = local.g_series.coefficient(-1)
+        double_pole = local.h_series.coefficient(-2)
+        ind = _indicial(1 - residue, double_pole)
+        recovered = local.h_series.coefficient(-1)
+        omega, log_free, residual_ok = None, False, False
+        if residue == GaussianRational(-1) and not double_pole:
+            omega, coefficients = obstruction(local, depth)
+            log_free = not omega
+            residual_ok = log_free and not any(series_residual(local, coefficients))
+        apparent.append(
+            ApparentPointReport(
+                point=q,
+                residue=residue,
+                residue_ok=residue == GaussianRational(-1),
+                double_pole_absent=not double_pole,
+                indicial=ind,
+                indicial_ok=ind.sum == GaussianRational(2) and not ind.product,
+                momentum_expected=momentum,
+                momentum_recovered=recovered,
+                momentum_ok=recovered == momentum,
+                obstruction=omega,
+                log_free=log_free,
+                residual_ok=residual_ok,
+            )
+        )
+    overall = (
+        all(r.match for r in finite)
+        and infinity.match
+        and all(
+            r.residue_ok and r.double_pole_absent and r.indicial_ok and r.momentum_ok
+            and r.log_free and r.residual_ok
+            for r in apparent
+        )
+    )
+    return VerificationReport(
+        finite=tuple(finite), apparent=tuple(apparent), infinity=infinity, overall=overall
+    )

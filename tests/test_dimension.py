@@ -415,6 +415,26 @@ def test_float_obstructions_rejects_what_has_no_leading_block():
         float_obstructions(N2N1, [1.0, 2.0])
 
 
+
+def test_float_obstructions_build_no_left_nullspace(monkeypatch):
+    # the obstructions read h alone; only the over case's constraints and
+    # residuals need the left-nullspace vectors
+    calls = []
+    original = fuchsian.builder.left_nullspace
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (fuchsian.builder, fuchsian.dimension):
+        monkeypatch.setattr(module, "left_nullspace", counting)
+    for inst in (N2N1, random_instance(4, 3, seed=8), random_instance(5, 3, seed=2)):
+        omegas = float_obstructions(inst, [1.0] * inst.num_apparent)
+        assert len(omegas) == inst.num_apparent
+    assert calls == []
+    check_momenta(N2N1)  # the counter sees the calls that do happen
+    assert len(calls) == 1
+
 def _same_as_elimination(inst, free=()):
     """Assert that h, the residuals, the left nullspace and the constraints of
     the closed forms equal those of the elimination oracle; True when inst is

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import fuchsian.frobenius
 from fuchsian.builder import construct, solve_g, solve_h
 from fuchsian.frobenius import (
     DEFAULT_DEPTH,
@@ -245,21 +246,20 @@ def test_local_expansion_matches_generic_laurent(regime_instances):
 
 
 def test_cleared_residual_catches_a_wrong_series_division(monkeypatch):
-    # A division that is wrong from order min + 4 on (order 3 of g/psi and
-    # h/psi^2 at an apparent point) leaves residue, double pole, momentum and
-    # omega alone, and the recursion reads the wrong series consistently;
-    # only the residual, which never divides series, can see it.
-    divide = LaurentSeries.__truediv__
+    # A division that is wrong from index 4 on (order 3 of g/psi and
+    # h/psi^2 at an apparent point, in verify's scaled coordinate) leaves
+    # residue, double pole, momentum and omega alone, and the recursion reads
+    # the wrong series consistently; only the residual, which never divides
+    # series, can see it.
+    divide = fuchsian.frobenius._unit_quotient
 
-    def wrong(self, other):
-        result = divide(self, other)
-        if len(result.coeffs) <= 4:
-            return result
-        coeffs = list(result.coeffs)
-        coeffs[4] = coeffs[4] + 1
-        return LaurentSeries(result.base_point, result.min_order, coeffs)
+    def wrong(*windows):
+        out_r, out_i = divide(*windows)
+        if len(out_r) > 4:
+            out_r[4] += 1
+        return out_r, out_i
 
-    monkeypatch.setattr(LaurentSeries, "__truediv__", wrong)
+    monkeypatch.setattr(fuchsian.frobenius, "_unit_quotient", wrong)
     rng = random.Random(8128)
     checked = 0
     for n in (4, 5, 6):

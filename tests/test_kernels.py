@@ -17,12 +17,13 @@ from hypothesis import strategies as st
 
 import fraction_reference as ref
 from elimination_reference import build_g_system
-from fuchsian.builder import build_h_system, solve_g, solve_h
+from fuchsian.builder import build_h_system, construct, solve_g, solve_h
 from fuchsian.frobenius import (
     DEFAULT_DEPTH,
     frobenius_obstruction,
     local_expansion,
     series_residual,
+    verify,
 )
 from fuchsian.linalg import Matrix, det, eliminate, rank
 from fuchsian.model import FuchsianEquation, FuchsianInstance
@@ -252,3 +253,59 @@ def test_series_residual_needs_taylor_heads_at_a_root_of_psi():
         series_residual(headless, series)
     with pytest.raises(ValueError):
         series_residual(local_expansion(eq, 5), series)
+
+
+def _with_tampering(eq):
+    """eq, eq with g tampered by the product over the apparent points (the
+    residue stays -1, so the recursion runs to a nonzero omega) and eq with
+    h tampered by 1 + z^2."""
+    inst = eq.instance
+    q_prod = Polynomial.from_roots(inst.apparent_positions)
+    return (
+        eq,
+        FuchsianEquation(eq.g + q_prod, eq.h, inst),
+        FuchsianEquation(eq.g, eq.h + Polynomial((1, 0, 1)), inst),
+    )
+
+
+def test_verify_matches_fraction_reference(regime_instances):
+    # every field of the report, on square, under and over equations, half at
+    # Gaussian positions, untampered and tampered
+    outcomes = []
+    for case, inst, free in regime_instances(2718, 45):
+        g = solve_g(inst)
+        for eq in _with_tampering(FuchsianEquation(g, solve_h(inst, g, free), inst)):
+            report = verify(eq)
+            assert report == ref.verify(eq), (case, eq)
+            outcomes.append(report.overall)
+    assert outcomes[::3] == [True] * 45 and not any(outcomes[1::3] + outcomes[2::3])
+
+
+_small = st.builds(
+    lambda a, b, c, e: GaussianRational(Fraction(a, b), Fraction(c, e)),
+    st.integers(-6, 6), st.integers(1, 4), st.integers(-6, 6), st.integers(1, 4),
+)
+
+
+@st.composite
+def _gaussian_square_instances(draw):
+    """A square instance (N = n - 2) at distinct Gaussian-rational positions,
+    with the second exponent at infinity closing the Fuchs relation."""
+    n = draw(st.integers(2, 5))
+    num = n - 2
+    positions = draw(st.lists(_small, min_size=n + num, max_size=n + num, unique=True))
+    exponents = draw(st.lists(_small, min_size=2 * n + 1, max_size=2 * n + 1))
+    momenta = draw(st.lists(_small, min_size=num, max_size=num))
+    finite = [(positions[i], (exponents[2 * i], exponents[2 * i + 1])) for i in range(n)]
+    total = sum((exponents[i] for i in range(2 * n + 1)), ZERO)
+    infinity = (exponents[2 * n], GaussianRational(n - num - 1) - total)
+    return FuchsianInstance(finite, infinity, list(zip(positions[n:], momenta)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_gaussian_square_instances())
+def test_verify_matches_fraction_reference_at_gaussian_positions(inst):
+    eq = construct(inst)
+    for tampered in _with_tampering(eq):
+        assert verify(tampered) == ref.verify(tampered)
+    assert verify(eq).overall

@@ -261,3 +261,29 @@ def test_from_gaussian_ints_matches_fraction_oracle(re, im, den, den_im):
         from_gaussian_ints(re, im, den, den_im),
         ref.fraction_from_gaussian_ints(re, im, den, den_im),
     )
+
+
+_BIG = st.one_of(st.integers(-20, 20), st.integers(-(10**40), 10**40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_BIG, _BIG, st.one_of(st.integers(1, 12), st.integers(1, 10**20)))
+def test_sqrt_of_large_squares_matches_fraction_oracle(a, b, d):
+    # ((a + b i) / d)^2 always has a root, +-(a + b i) / d
+    x = GaussianRational(Fraction(a, d), Fraction(b, d))
+    value, want = x * x, ref.FractionGaussian(Fraction(a, d), Fraction(b, d)) ** 2
+    root = value.sqrt()
+    assert root in (x, -x)
+    _assert_same(root, want.sqrt())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_BIG, _BIG)
+def test_sqrt_rejects_non_squares_with_odd_r_plus_m(a, c):
+    # R + J i = 2ab + (a^2 - b^2) i has the integer modulus m = a^2 + b^2,
+    # and R + m = (a + b)^2 is odd, so there is no Gaussian-integer root
+    b = a + 2 * c + 1
+    value = GaussianRational(2 * a * b, a * a - b * b)
+    assert value._d == 1 and (value._r + a * a + b * b) % 2 == 1
+    assert value.sqrt() is None
+    assert ref.FractionGaussian(2 * a * b, a * a - b * b).sqrt() is None
