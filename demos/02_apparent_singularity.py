@@ -7,22 +7,15 @@ With n = 3 prescribed points the equation has one apparent singularity
 coefficient of H/psi^2 there) can be chosen freely, and the equation with
 exponents {0, 2} at q and NO logarithm in its solutions is then unique.
 
-The demo builds two equations that differ only in the momentum, shows the
-local data the construction had to hit, and runs the power-series recursion
-whose resonance value decides logarithm-freeness.
+The demo builds two equations that differ only in the momentum and reads
+off the verifier's report the local data the construction had to hit,
+together with the resonance value of the power-series recursion, which
+decides logarithm-freeness.
 """
 
 from fractions import Fraction
 
-from fuchsian import (
-    FuchsianInstance,
-    GaussianRational,
-    construct,
-    frobenius_obstruction,
-    local_expansion,
-    solve_g,
-    verify,
-)
+from fuchsian import FuchsianInstance, construct, solve_g, verify
 from fuchsian.builder import h_rhs_terms
 
 points = [(0, (0, 1)), (1, (0, 1)), (2, (0, 1))]
@@ -35,15 +28,13 @@ for momentum in (0, Fraction(5, 2)):
     print(f"momentum p = {momentum}:")
     print("  H =", equation.h)
 
-    local = local_expansion(equation, q)
-    print("  residue of G/psi at q:      ", local.g_series.coefficient(-1), "(must be -1)")
-    print("  H/psi^2 order -2 coefficient:", local.h_series.coefficient(-2), "(must be 0)")
-    print("  recovered momentum:          ", local.h_series.coefficient(-1))
-
-    omega, series = frobenius_obstruction(local)
-    print("  logarithm obstruction:       ", omega, "(0 = log-free)")
-    print("  series solution starts:      ", [str(c) for c in series[:4]])
-    print("  full verification:           ", verify(equation).overall)
+    report = verify(equation)
+    at_q = report.apparent[0]
+    print("  residue of G/psi at q:      ", at_q.residue, "(must be -1)")
+    print("  H/psi^2 order -2 coefficient:", at_q.indicial.product, "(must be 0)")
+    print("  recovered momentum:          ", at_q.momentum_recovered)
+    print("  logarithm obstruction:       ", at_q.obstruction, "(0 = log-free)")
+    print("  full verification:           ", report.overall)
     print()
 
 # The constants behind the second-derivative row of the linear system: its

@@ -3,10 +3,11 @@ singularities, constructed and independently verified in exact arithmetic.
 
 The construction writes the w'-coefficient down by partial fractions and
 interpolates the w-coefficient on confluent (Hermite) data; verification
-re-derives every local quantity by Laurent expansion and runs the
-power-series recursion at each apparent point.  For apparent-point counts other than
-n - 2 the dimension module counts free parameters and builds the quadratic
-momentum constraints of the overdetermined case.
+re-derives every local quantity from Taylor heads of the coefficient
+polynomials, on Gaussian integers, and runs the power-series recursion at
+each apparent point.  For apparent-point counts other than n - 2 the
+dimension module counts free parameters and builds the quadratic momentum
+constraints of the overdetermined case.
 """
 
 from .builder import (
@@ -30,15 +31,7 @@ from .dimension import (
     solve_quadratic_float,
     solve_under,
 )
-from .frobenius import (
-    LocalExpansion,
-    VerificationReport,
-    frobenius_obstruction,
-    indicial_roots,
-    local_expansion,
-    series_residual,
-    verify,
-)
+from .frobenius import VerificationReport, verify
 from .linalg import Matrix, SolveOutcome, det, eliminate, rank
 from .model import (
     INFINITY,
@@ -55,7 +48,7 @@ from .model import (
     psi,
     validate,
 )
-from .polynomials import LaurentSeries, Polynomial, Z, laurent_expand
+from .polynomials import Polynomial, Z
 from .sampling import random_instance
 from .scalars import GaussianRational, format_rational, parse_rational, rational_sqrt
 
@@ -70,8 +63,6 @@ __all__ = [
     "GaussianRational",
     "INFINITY",
     "InvalidInstance",
-    "LaurentSeries",
-    "LocalExpansion",
     "Matrix",
     "MomentaCheck",
     "Polynomial",
@@ -92,21 +83,16 @@ __all__ = [
     "exact_quadratic_roots",
     "float_obstructions",
     "format_rational",
-    "frobenius_obstruction",
     "fuchs_defect",
     "h_matrix",
-    "indicial_roots",
     "instance_from_json_obj",
     "instance_to_json_obj",
-    "laurent_expand",
-    "local_expansion",
     "parse_rational",
     "psi",
     "quadratic_constraints",
     "random_instance",
     "rank",
     "rational_sqrt",
-    "series_residual",
     "solve_g",
     "solve_h",
     "solve_quadratic_float",

@@ -42,7 +42,7 @@ from .builder import (
     solve_g,
     solve_h,
 )
-from .frobenius import frobenius_obstruction, local_expansion, verify
+from .frobenius import apparent_obstructions, verify
 from .model import FuchsianEquation, FuchsianInstance, require_valid
 from .scalars import ZERO, GaussianRational
 
@@ -235,8 +235,8 @@ def float_obstructions(instance: FuchsianInstance, momenta) -> list:
     interpolant, unique for N >= n - 2, taken without the residuals, and
     omega_j is exactly 0 where h''(q_j) is interpolated, C_j(p) / delta_j
     elsewhere (C_j the constraint of q_j, delta_j = -2 psi'(q_j)^2 its p_j^2
-    coefficient).  Raises ValueError for an underdetermined instance and for
-    momenta not finite.
+    coefficient).  Raises ValueError for an underdetermined instance, for
+    momenta not finite and where h does not leave a point apparent-shaped.
     """
     if classify(instance).case == "under":
         raise ValueError("instance is under; float_obstructions needs N >= n - 2")
@@ -250,8 +250,4 @@ def float_obstructions(instance: FuchsianInstance, momenta) -> list:
     )
     g = solve_g(exact)
     eq = FuchsianEquation(g, _interpolant(exact, g, ())[0], exact)
-    # the resonance at s = 2 reads orders up to 0 only: the shortest window
-    return [
-        frobenius_obstruction(local_expansion(eq, q, terms=3))[0].to_complex()
-        for q in exact.apparent_positions
-    ]
+    return [omega.to_complex() for omega in apparent_obstructions(eq)]

@@ -4,7 +4,7 @@ Nothing in this module reuses the linear systems of the builder: every check
 re-derives local data from the coefficient polynomials, so a bug in the
 construction cannot hide behind itself.
 
-verify writes psi, g and h once over their own denominators dp, dg and dh,
+Each call writes psi, g and h once over their own denominators dp, dg and dh,
 padded to degrees d, d - 1 and 2d - 2 (d = n + N), and stays on Gaussian
 integers from there.  At a point x = A/E it takes Taylor heads in the scaled
 coordinate u = E (z - x): the raw synthetic-division remainders Psi_k, G_k
@@ -48,9 +48,8 @@ residue is -1 and h has no double pole), so it would re-check the recursion
 code while a wrong series division went unseen; the cleared form involves no
 division.
 
-local_expansion, indicial_roots, frobenius_obstruction and series_residual
-give the same local data in z - x as LaurentSeries windows, computed by the
-same Taylor-head, quotient, recursion and residual kernels.
+apparent_obstructions runs the same kernels on the shortest heads that reach
+the resonance, for callers that need omega alone.
 """
 
 from __future__ import annotations
@@ -59,37 +58,19 @@ from dataclasses import dataclass
 from itertools import repeat
 from math import gcd
 
-from .model import (
-    ExponentPair,
-    FuchsianEquation,
-    Infinity,
-    psi,
-    require_valid,
-)
+from .model import ExponentPair, FuchsianEquation, psi, require_valid
 from .polynomials import (
-    LaurentSeries,
-    Polynomial,
     _gaussian_powers,
     _powers,
     _taylor_head_ints,
     _times_powers,
     _unit_quotient,
 )
-from .scalars import ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
+from .scalars import GaussianRational, from_gaussian_ints, to_gaussian_ints
 
 #: Series depth of the recursion verify() runs; the resonance sits at s = 2,
 #: so the depth beyond it is pure safety margin.
 DEFAULT_DEPTH = 8
-
-
-@dataclass(frozen=True)
-class LocalExpansion:
-    """Exact expansions of the two equation coefficients at one point."""
-
-    point: object  # GaussianRational or INFINITY
-    g_series: LaurentSeries
-    h_series: LaurentSeries
-    heads: tuple | None = None  # Taylor heads (psi, g, h) the series came from
 
 
 @dataclass(frozen=True)
@@ -102,50 +83,10 @@ class Indicial:
     pair: ExponentPair | None
 
 
-def local_expansion(eq: FuchsianEquation, point, terms: int = DEFAULT_DEPTH + 2) -> LocalExpansion:
-    """Expansions of g/psi and h/psi^2 at a finite point or at infinity.
-
-    At infinity the expansions are taken in the coordinate x = 1/z of the
-    raw coefficient functions, scaled so that the top coefficients of g and
-    h appear at orders -1 and -2 respectively: reversed g and h are divided
-    by x * psi_rev and by its square.
-    """
-    if terms < 3:
-        raise ValueError("terms must be >= 3")
-    p = psi(eq.instance)
-    if isinstance(point, Infinity):
-        d = eq.instance.n + eq.instance.num_apparent
-        g_rev = Polynomial(tuple(reversed(eq.g.padded(d))))
-        h_rev = Polynomial(tuple(reversed(eq.h.padded(2 * d - 1))))
-        x_psi_rev = Polynomial((ZERO,) + tuple(reversed(p.padded(d + 1))))
-        g_head, h_head, psi_head = (f.taylor(ZERO, terms) for f in (g_rev, h_rev, x_psi_rev))
-    else:
-        point = GaussianRational.coerce(point)
-        g_head, h_head, psi_head = (f.taylor(point, terms) for f in (eq.g, eq.h, p))
-    return LocalExpansion(
-        point=point,
-        g_series=g_head / psi_head,
-        h_series=h_head / (psi_head * psi_head),
-        heads=(psi_head, g_head, h_head),
-    )
-
-
-def indicial_roots(local: LocalExpansion) -> Indicial:
-    """Roots of the indicial equation at the expansion point.
-
-    The root pair is exact when the discriminant has a Gaussian-rational
-    square root; otherwise only the (sum, product) data is reported and
-    comparisons fall back to it.  For a quadratic the root multiset and the
-    (sum, product) pair determine each other, so nothing is lost.
-    """
-    g0 = local.g_series.coefficient(-1)
-    h0 = local.h_series.coefficient(-2)
-    if isinstance(local.point, Infinity):
-        return _indicial(g0 - 1, h0)
-    return _indicial(1 - g0, h0)
-
-
 def _indicial(root_sum: GaussianRational, root_product: GaussianRational) -> Indicial:
+    """The root pair is exact when the discriminant has a Gaussian-rational
+    square root; otherwise comparisons fall back to (sum, product), which
+    for a quadratic determines the root multiset, so nothing is lost."""
     disc = root_sum * root_sum - 4 * root_product
     sqrt_disc = disc.sqrt()
     pair = None
@@ -154,42 +95,12 @@ def _indicial(root_sum: GaussianRational, root_product: GaussianRational) -> Ind
     return Indicial(sum=root_sum, product=root_product, pair=pair)
 
 
-def frobenius_obstruction(local: LocalExpansion):
-    """Run the power-series recursion at an apparent-shaped point.
-
-    Returns (omega, coefficients).  omega is the value closing the resonance
-    at s = 2; the series continues past it, normalized by a_0 = 1 and
-    a_2 = 0, only when omega vanishes.  It runs to s = DEFAULT_DEPTH, or as
-    far as the series windows reach.  g and h are written over one
-    denominator and run through verify's integer recursion.
-    """
-    g, h = local.g_series, local.h_series
-    if g.coefficient(-1) != GaussianRational(-1):
-        raise ValueError(f"not apparent-shaped: residue of g-series is {g.coefficient(-1)}")
-    if h.coefficient(-2):
-        raise ValueError(
-            f"not apparent-shaped: h-series has order -2 coefficient {h.coefficient(-2)}"
-        )
-    limit = min(_stored_top(g), _stored_top(h)) + 2
-    top = min(DEFAULT_DEPTH, limit)
-    if top < 2:
-        raise ValueError("series windows too short to reach the resonance at s = 2")
-    # orders -1 .. top-2 of g, then of h; after the split, index o + 1 is order o
-    den, re, im = to_gaussian_ints(
-        [g.coefficient(o) for o in range(-1, top - 1)]
-        + [h.coefficient(o) for o in range(-1, top - 1)]
-    )
-    omega, ar, ai, e = _recursion(den, (re[:top], im[:top]), (re[top:], im[top:]))
-    return from_gaussian_ints(*omega), tuple(
-        [from_gaussian_ints(x, y, e) for x, y in zip(ar, ai)]
-    )
-
-
 def _recursion(den: int, g: tuple, h: tuple) -> tuple:
-    """The recursion of frobenius_obstruction, fraction-free on Gaussian
-    integers: g and h are (re, im) int lists over den > 0, index o + 1
-    holding order o, and the a_k share one denominator e.  It runs to s =
-    top, the windows' length.
+    """The power-series recursion at an apparent point, fraction-free on
+    Gaussian integers: g and h are (re, im) int lists over den > 0, index
+    o + 1 holding order o, and the a_k share one denominator e, with a_0 = 1.
+    It stops at the resonance s = 2 when omega there is nonzero, and otherwise
+    sets a_2 = 0 and runs on to s = top, the windows' length.
 
     Returns ((re, im, den) of omega, ar, ai, e) with a_k = (ar[k] + ai[k]*i)
     / e.  Step s != 2 scales every a_k by the known divisor den*s*(s-2),
@@ -229,33 +140,6 @@ def _recursion(den: int, g: tuple, h: tuple) -> tuple:
             ai = [x // content for x in ai]
             e //= content
     return omega, ar, ai, e
-
-
-def series_residual(local: LocalExpansion, coefficients) -> list:
-    """Orders 0 .. K of psi^2 w'' + psi g w' + h w for the truncated series
-    w = sum_(k<=K) a_k x^k, from the Taylor heads of psi, g and h.
-
-    The point must be a root of psi, where psi^2 is x^2 times a unit: these
-    orders vanish exactly when orders -2 .. K-2 of w'' + (g/psi) w' +
-    (h/psi^2) w do, and no series division is involved.  The heads and the
-    a_k are Gaussian integers over one denominator each.
-    """
-    if local.heads is None:
-        raise ValueError("local expansion carries no Taylor heads")
-    psi_head, g_head, h_head = local.heads
-    if psi_head.coefficient(0):
-        raise ValueError("the cleared residual needs a root of psi as its point")
-    size = len(coefficients)
-    den, re, im = to_gaussian_ints(
-        [psi_head.coefficient(o) for o in range(size)]
-        + [g_head.coefficient(o) for o in range(size - 1)]
-        + [h_head.coefficient(o) for o in range(size)]
-    )
-    p, g = (re[:size], im[:size]), (re[size : 2 * size - 1], im[size : 2 * size - 1])
-    h = (re[2 * size - 1 :], im[2 * size - 1 :])
-    e, wr, wi = to_gaussian_ints(coefficients)
-    rr, ri = _cleared_residual(p, g, h, (wr, wi), (1, 1, den))  # over den^2 * e
-    return [from_gaussian_ints(x, y, den * den * e) for x, y in zip(rr, ri)]
 
 
 def _cleared_residual(p: tuple, g: tuple, h: tuple, w: tuple, weights: tuple) -> tuple:
@@ -335,12 +219,7 @@ def verify(eq: FuchsianEquation) -> VerificationReport:
     require_valid(eq.instance)
     instance = eq.instance
     d = instance.n + instance.num_apparent
-    # psi, g and h over their own denominators, at the degrees the heads assume
-    (dp, *psi_ints), (dg, *g_ints), (dh, *h_ints) = [
-        to_gaussian_ints(f.padded(size))
-        for f, size in ((psi(instance), d + 1), (eq.g, d), (eq.h, 2 * d - 1))
-    ]
-    polys, scales = (psi_ints, g_ints, h_ints), (dp, dg, dh)
+    polys, scales = _frame(eq)
 
     finite_reports = []
     for t, expected in instance.finite_points:
@@ -415,6 +294,40 @@ def verify(eq: FuchsianEquation) -> VerificationReport:
         infinity=infinity_report,
         overall=overall,
     )
+
+
+def apparent_obstructions(eq: FuchsianEquation) -> list:
+    """The logarithm obstruction omega at each apparent point of eq, in
+    instance order.
+
+    Each point reads the shortest heads that reach the resonance at s = 2:
+    psi to order 2, g to order 1 and h to order 2.  Raises ValueError at a
+    point that is not apparent-shaped, where g/psi has a residue other than
+    -1 or h/psi^2 a double pole.
+    """
+    polys, scales = _frame(eq)
+    omegas = []
+    for q in eq.instance.apparent_positions:
+        e, heads = _heads(polys, q, (3, 2, 3))
+        residue, product = _pole_terms(scales, heads)
+        if residue != GaussianRational(-1) or product:
+            raise ValueError(
+                f"not apparent-shaped at {q}: residue {residue}, order -2 coefficient {product}"
+            )
+        omegas.append(_log_free_check(scales, e, heads)[0])
+    return omegas
+
+
+def _frame(eq: FuchsianEquation) -> tuple:
+    """(polys, scales): psi, g and h as Gaussian-integer (re, im) int lists
+    over their own denominators (dp, dg, dh), padded to the degrees d, d - 1
+    and 2d - 2 (d = n + N) that the heads assume."""
+    d = eq.instance.n + eq.instance.num_apparent
+    (dp, *psi_ints), (dg, *g_ints), (dh, *h_ints) = [
+        to_gaussian_ints(f.padded(size))
+        for f, size in ((psi(eq.instance), d + 1), (eq.g, d), (eq.h, 2 * d - 1))
+    ]
+    return (psi_ints, g_ints, h_ints), (dp, dg, dh)
 
 
 def _heads(polys: tuple, x: GaussianRational, sizes: tuple) -> tuple:
@@ -545,9 +458,3 @@ def report_to_json_obj(report: VerificationReport) -> dict:
         "overall": report.overall,
     }
 
-
-def _stored_top(series: LaurentSeries) -> int:
-    """Highest queryable order; a zero window answers every query with 0."""
-    if series.is_zero:
-        return 10**9
-    return series.max_order

@@ -1,28 +1,21 @@
-"""Dense polynomials and local Laurent expansions over the Gaussian rationals.
+"""Dense polynomials over the Gaussian rationals, and the Gaussian-integer
+kernels of local series.
 
 A polynomial is a tuple of coefficients in ascending degree with trailing
 zeros trimmed; the zero polynomial is the empty tuple and its degree is the
-distinguished value -inf (never the -1 convention).  A Laurent series stores
-a base point, the order of its first stored coefficient and a finite window
-of coefficients; asking for a coefficient above the stored window is an
-error, never a silent zero.
+distinguished value -inf (never the -1 convention).
 
-Expansions of rational functions num/den at a point compute only the Taylor
-heads the window needs, by repeated synthetic division, and divide them by
-exact power-series inversion of the unit part of den.  This works uniformly
-at ordinary points and at poles and serves as the independent oracle for
-every closed-form constant elsewhere in the package.
-
-Synthetic division, series products and series quotients run on plain ints:
-the inputs are written over a common denominator once (the point at = A/e
-too), the inner loops multiply and add Gaussian integers, and each output
-coefficient becomes a canonical GaussianRational once.  Synthetic division by
-Z - A of the coefficients scaled by powers of e (_taylor_ints) yields the
-Taylor coefficients in the scaled coordinate u = e (z - at) with no
-denominator at all; the verifier reads these raw values.  A quotient by a
-window with head u_0 is taken in the coordinate x / u_0, where the divisor
-leads with 1 and division is a Gaussian-integer recursion (_unit_quotient),
-so only the final division by u_0^(i+1) brings in a denominator.
+The kernels run on plain ints: the inputs are written over a common
+denominator once (the point at = A/e too), the inner loops multiply and add
+Gaussian integers, and each output coefficient becomes a canonical
+GaussianRational at most once.  Synthetic division by Z - A of the
+coefficients scaled by powers of e (_taylor_ints) yields the Taylor
+coefficients in the scaled coordinate u = e (z - at) with no denominator at
+all; the verifier reads these raw values, and _taylor_values divides them out
+for the builder and for Polynomial.shift.  A quotient by a window that leads
+with 1 is a Gaussian-integer recursion (_unit_quotient).  The test suite
+checks every kernel against a plain Fraction reference and reads its
+independent Laurent expansions off that reference, not off these kernels.
 """
 
 from __future__ import annotations
@@ -97,15 +90,11 @@ class Polynomial:
 
     def shift(self, a) -> Polynomial:
         """Taylor shift: the polynomial q with q(x) = p(x + a)."""
-        order, head = _taylor_head(self.coeffs, GaussianRational.coerce(a), len(self.coeffs))
-        return Polynomial([ZERO] * order + head)
-
-    def taylor(self, at, terms: int) -> LaurentSeries:
-        """Window of `terms` Taylor coefficients at `at`, from p's order there."""
-        if terms < 1:
-            raise ValueError("terms must be >= 1")
-        at = GaussianRational.coerce(at)
-        return LaurentSeries(at, *_taylor_head(self.coeffs, at, terms))
+        return Polynomial(
+            _taylor_values(
+                *to_gaussian_ints(self.coeffs), GaussianRational.coerce(a), len(self.coeffs)
+            )
+        )
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
@@ -182,143 +171,6 @@ class Polynomial:
 
 #: The identity polynomial z, convenient for building expressions.
 Z = Polynomial((0, 1))
-
-
-class LaurentSeries:
-    """A finite window of an exact Laurent expansion at a base point.
-
-    Coefficients cover orders min_order .. min_order + len(coeffs) - 1 in the
-    local coordinate (z - base_point).  Orders below the window are truly
-    zero and may be queried; orders above it are unknown and raise.
-    """
-
-    __slots__ = ("base_point", "min_order", "coeffs")
-
-    def __init__(self, base_point, min_order: int, coeffs):
-        values = [GaussianRational.coerce(c) for c in coeffs]
-        while values and not values[0]:
-            values.pop(0)
-            min_order += 1
-        self.base_point = base_point
-        self.min_order = min_order
-        self.coeffs = tuple(values)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def max_order(self) -> int:
-        """Highest order carried by the stored window."""
-        if not self.coeffs:
-            raise ValueError("series is identically zero to the stored order")
-        return self.min_order + len(self.coeffs) - 1
-
-    def coefficient(self, order: int) -> GaussianRational:
-        if not self.coeffs:
-            return ZERO
-        if order < self.min_order:
-            return ZERO
-        if order > self.max_order:
-            raise ValueError(
-                f"coefficient of order {order} is beyond the stored window "
-                f"(max {self.max_order})"
-            )
-        return self.coeffs[order - self.min_order]
-
-    def __mul__(self, other):
-        """Truncated product; its window is as long as the shorter factor's."""
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        da, ar, ai = to_gaussian_ints(self.coeffs)
-        db, br, bi = to_gaussian_ints(other.coeffs)
-        out = []
-        for i in range(min(len(ar), len(br))):
-            pairs = [(j, i - j) for j in range(i + 1)]
-            out.append(
-                from_gaussian_ints(
-                    sum(ar[j] * br[k] - ai[j] * bi[k] for j, k in pairs),
-                    sum(ar[j] * bi[k] + ai[j] * br[k] for j, k in pairs),
-                    da * db,
-                )
-            )
-        return LaurentSeries(self.base_point, self.min_order + other.min_order, out)
-
-    def __truediv__(self, other):
-        """Truncated quotient, as long as the shorter window; 0 / s is 0."""
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("divisor series is zero in its window")
-        if self.is_zero:
-            return self
-        # With v = V / dv and u = U / du over Gaussian integers and c = U_0,
-        # v / u = (du / dv) * sum_i O_i x^i / c^(i+1), where O = V~ / U~ in
-        # the coordinate x / c: V~_i = V_i c^i and U~_j = U_j c^(j-1), so that
-        # U~_0 = 1 and the quotient stays on Gaussian integers.
-        dv, vr, vi = to_gaussian_ints(self.coeffs)
-        du, ur, ui = to_gaussian_ints(other.coeffs)
-        length = min(len(vr), len(ur))
-        powers = _gaussian_powers(ur[0], ui[0], length + 1)
-        ur, ui = _times_powers(ur[1:length], ui[1:length], powers)
-        quotient = _unit_quotient(*_times_powers(vr, vi, powers), [1] + ur, [0] + ui)
-        out = [
-            from_gaussian_ints(x * du, y * du, dv * pr, dv * pi)
-            for x, y, (pr, pi) in zip(*quotient, powers[1:])
-        ]
-        return LaurentSeries(self.base_point, self.min_order - other.min_order, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return (
-            self.base_point == other.base_point
-            and self.min_order == other.min_order
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.base_point, self.min_order, self.coeffs))
-
-    def __repr__(self):
-        terms = ", ".join(
-            f"{self.min_order + k}: {c}" for k, c in enumerate(self.coeffs)
-        )
-        return f"LaurentSeries(at {self.base_point}; {terms})"
-
-
-def laurent_expand(num: Polynomial, den: Polynomial, at, terms: int) -> LaurentSeries:
-    """Exact Laurent expansion of num/den at a point, with `terms` coefficients.
-
-    Writes den = (z-a)^m * u(z) with u(a) != 0; the expansion starts at
-    min_order = ord_a(num) - m and is computed by power-series inversion of
-    the Taylor head of u.  A zero numerator yields the zero window at order 0.
-    """
-    if den.is_zero:
-        raise ZeroDivisionError("denominator is the zero polynomial")
-    return num.taylor(at, terms) / den.taylor(at, terms)
-
-
-def _taylor_head(coeffs, at: GaussianRational, terms: int):
-    """Order at `at` of sum c_i z^i and its first `terms` Taylor coefficients
-    from that order on (zero-padded; order 0 for the zero polynomial).
-
-    With the c_i over a common denominator D and at = A/e, _taylor_ints
-    yields W_k = D * e^(deg-k) * w_k, w_k the k-th Taylor coefficient.
-    """
-    den, re, im = to_gaussian_ints(coeffs)
-    e, (a,), (b,) = to_gaussian_ints([at])
-    deg = len(coeffs) - 1
-    powers = _powers(e, deg + 1)
-    order, head = 0, []
-    for k, (x, y) in enumerate(_taylor_ints(re, im, a, b, powers)):
-        if head or x or y:
-            head.append(from_gaussian_ints(x, y, den * powers[deg - k]))
-            if len(head) == terms:
-                break
-        else:
-            order += 1
-    return order, head + [ZERO] * (terms - len(head))
 
 
 def _taylor_values(den: int, re: list, im: list, at: GaussianRational, terms: int) -> list:

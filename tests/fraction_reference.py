@@ -3,7 +3,10 @@
 Every step runs on canonical GaussianRational values, one gcd per operation.
 `taylor_head`, the series product and quotient, `obstruction` and
 `series_residual` are the package's series code as it was before it moved to
-Gaussian integers over a common denominator.  `eliminate`, `rank` and `det`
+Gaussian integers over a common denominator.  `Window` holds a finite window
+of a Laurent expansion, and `laurent_expand` builds one from two Taylor
+heads and their quotient: the tests read every closed-form local constant
+off these expansions.  `eliminate`, `rank` and `det`
 are a second, independent elimination that records the row operations in a
 transform matrix instead of an augmented column; `fuchsian.linalg` must agree
 with it exactly.  Nothing in the package imports this module.
@@ -27,6 +30,8 @@ tests.  `dot` is the plain sum of products that h-system residuals are
 checked against.
 """
 
+from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -35,12 +40,10 @@ from fuchsian.frobenius import (
     FinitePointReport,
     Indicial,
     InfinityReport,
-    LocalExpansion,
     VerificationReport,
 )
 from fuchsian.linalg import Matrix, SolveOutcome
 from fuchsian.model import ExponentPair, psi
-from fuchsian.polynomials import LaurentSeries
 from fuchsian.scalars import (
     ONE,
     ZERO,
@@ -367,16 +370,63 @@ def series_quotient(v, u):
     return out
 
 
+@dataclass(frozen=True)
+class Window:
+    """Orders min_order .. max_order of a Laurent expansion at point.  Orders
+    below the window are zero; asking above it raises, unless every stored
+    coefficient is zero."""
+
+    point: GaussianRational
+    min_order: int
+    coeffs: tuple
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    @property
+    def max_order(self) -> int:
+        return self.min_order + len(self.coeffs) - 1
+
+    def coefficient(self, order: int):
+        if self.is_zero or order < self.min_order:
+            return ZERO
+        if order > self.max_order:
+            raise ValueError(f"order {order} is above the window (max {self.max_order})")
+        return self.coeffs[order - self.min_order]
+
+
+#: g/psi and h/psi^2 at one point as Windows, with the Taylor heads of psi,
+#: g and h they came from (None for hand-built data).
+Local = namedtuple("Local", "g_series h_series heads", defaults=(None,))
+
+
+def laurent_expand(num, den, at, terms: int) -> Window:
+    """The first `terms` coefficients of num/den at `at`, from the quotient
+    of the two Taylor heads; a zero numerator gives the zero window at order
+    0, and a zero denominator raises ZeroDivisionError."""
+    if terms < 1:
+        raise ValueError("terms must be >= 1")
+    at = GaussianRational.coerce(at)
+    (num_order, v), (den_order, u) = (taylor_head(f.coeffs, at, terms) for f in (num, den))
+    if num.is_zero:
+        return Window(at, 0, tuple(v))
+    return Window(at, num_order - den_order, tuple(series_quotient(v, u)))
+
+
+def recursion_top(local, depth: int) -> int:
+    """The last step s of the recursion: depth, or as far as the windows of
+    g (read to order s - 2) and h (to order s - 2) reach."""
+    tops = [10**9 if w.is_zero else w.max_order for w in (local.g_series, local.h_series)]
+    return min(depth, min(tops) + 2)
+
+
 def obstruction(local, depth: int):
     """(omega, a_0 .. a_s) of the power-series recursion at an apparent-shaped
     local expansion: s (s-2) a_s = -sum_(k<s) (k g_(s-1-k) + h_(s-2-k)) a_k,
     stopping at s = 2 when the resonance value omega is nonzero."""
     g, h = local.g_series, local.h_series
-
-    def stored_top(series):
-        return 10**9 if series.is_zero else series.max_order
-
-    top = min(depth, min(stored_top(g), stored_top(h)) + 2)
+    top = recursion_top(local, depth)
     coefficients = [GaussianRational(1)]
     omega = None
     for s in range(1, top + 1):
@@ -416,19 +466,18 @@ def series_residual(local, coefficients):
 
 
 def _local(point, g, h, p, terms):
-    """LocalExpansion of g/p and h/p^2 at point from coefficient tuples."""
+    """Local of g/p and h/p^2 at point from coefficient tuples."""
     (g_order, g_head), (h_order, h_head), (p_order, p_head) = (
         taylor_head(coeffs, point, terms) for coeffs in (g, h, p)
     )
     square = series_product(p_head, p_head)
-    return LocalExpansion(
-        point=point,
-        g_series=LaurentSeries(point, g_order - p_order, series_quotient(g_head, p_head)),
-        h_series=LaurentSeries(point, h_order - 2 * p_order, series_quotient(h_head, square)),
+    return Local(
+        g_series=Window(point, g_order - p_order, tuple(series_quotient(g_head, p_head))),
+        h_series=Window(point, h_order - 2 * p_order, tuple(series_quotient(h_head, square))),
         heads=(
-            LaurentSeries(point, p_order, p_head),
-            LaurentSeries(point, g_order, g_head),
-            LaurentSeries(point, h_order, h_head),
+            Window(point, p_order, tuple(p_head)),
+            Window(point, g_order, tuple(g_head)),
+            Window(point, h_order, tuple(h_head)),
         ),
     )
 

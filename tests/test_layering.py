@@ -6,6 +6,8 @@
   det-check's `det`) and `__init__` import `linalg`.
 - No package module imports a module of the test suite, and every import
   outside the package is from the standard library.
+- The public surface is exactly `PUBLIC_NAMES`: widening or narrowing
+  `fuchsian.__all__` shows up as an edit of this file.
 """
 
 import ast
@@ -15,6 +17,17 @@ from pathlib import Path
 import fuchsian
 
 PACKAGE = Path(fuchsian.__file__).parent
+PUBLIC_NAMES = [
+    "CaseReport", "ExponentPair", "FuchsViolation", "FuchsianEquation", "FuchsianInstance",
+    "GaussianRational", "INFINITY", "InvalidInstance", "Matrix", "MomentaCheck", "Polynomial",
+    "QuadraticConstraint", "SolveOutcome", "VerificationFailed", "VerificationReport",
+    "Violation", "Z", "build_h_system", "check_momenta", "classify", "construct", "det",
+    "eliminate", "equation_from_json_obj", "equation_to_json_obj", "exact_quadratic_roots",
+    "float_obstructions", "format_rational", "fuchs_defect", "h_matrix",
+    "instance_from_json_obj", "instance_to_json_obj", "parse_rational", "psi",
+    "quadratic_constraints", "random_instance", "rank", "rational_sqrt", "solve_g", "solve_h",
+    "solve_quadratic_float", "solve_under", "validate", "verify",
+]
 TEST_MODULES = {path.stem for path in Path(__file__).parent.glob("*.py")}
 
 
@@ -68,3 +81,9 @@ def test_package_imports_nothing_from_the_tests():
                 stem,
                 module,
             )
+
+
+def test_public_surface_is_pinned():
+    assert fuchsian.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(fuchsian, name) is not None, name
