@@ -48,7 +48,7 @@ from .model import (
     psi,
     validate,
 )
-from .polynomials import Polynomial, Z
+from .polynomials import Polynomial
 from .sampling import random_instance
 from .scalars import GaussianRational, format_rational, parse_rational, rational_sqrt
 
@@ -71,7 +71,6 @@ __all__ = [
     "VerificationFailed",
     "VerificationReport",
     "Violation",
-    "Z",
     "build_h_system",
     "check_momenta",
     "classify",

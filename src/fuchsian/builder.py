@@ -6,10 +6,13 @@ apparent point q_j.  With deg g < deg psi this is the partial-fraction sum
 
     g / psi = sum_k c_k / (z - x_k),   g = sum_k c_k * psi / (z - x_k),
 
-so g needs no linear system: each term is psi deflated by one root.  The top
-coefficient of g is sum_k c_k; the condition at infinity asks for 1 + l1 + l2,
-and the two differ by exactly the exponent-sum defect, so solve_g re-checks
-that condition and rejects an inadmissible instance.
+so g needs no linear system: each term is psi deflated by one root.  With
+x_k = X_k / E and c_k = C_k / L over one denominator each, solve_g sums
+G~ = sum_k C_k Psi~ / (Z - X_k) on Gaussian integers, Psi~ = prod (Z - X_k),
+and g_j = G~_j / (L E^(d-1-j)).  The top coefficient of g is sum_k c_k; the
+condition at infinity asks for 1 + l1 + l2, and the two differ by exactly
+the exponent-sum defect, so solve_g re-checks that condition and rejects an
+inadmissible instance.
 
 The h-system stacks one top-coefficient row for infinity, value rows at all
 points, and first- plus second-derivative rows at the apparent points:
@@ -38,22 +41,23 @@ and Bulirsch, section 2.1.5).  S is l1 * l2, or for N < n - 2 of degree
 n - 2 - N with lower coefficients set by free_k, h's coefficient of z^(D+k).
 h_residuals sums this on Gaussian integers: with Z = E z, E the lcm of the
 point denominators, Omega~(Z) = E^D Omega(z) and each deflation
-Omega~ / (Z - X)^k, as in solve_g, have Gaussian-integer coefficients.  For
-N > n - 2 each later row h''(q_j) has a closed-form left-nullspace vector y,
-and y . rhs is q_j's momentum constraint at the instance's momenta.
-h_matrix and build_h_system stay for det-check and for the tests, which
-compare every closed form here with elimination and Laurent series.
+Omega~ / (Z - X)^k have Gaussian-integer coefficients, from the product
+and deflation kernels that also build Psi~ and G~.  For N > n - 2 each
+later row h''(q_j) has a closed-form left-nullspace vector y, and y . rhs
+is q_j's momentum constraint at the instance's momenta.  h_matrix and
+build_h_system stay for det-check and for the tests, which compare every
+closed form here with elimination and Laurent series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import mul
 
 from .linalg import Matrix
 from .model import FuchsianEquation, FuchsianInstance, fuchs_defect, psi, require_valid
-from .polynomials import Polynomial, _taylor_values
+from .polynomials import Polynomial, _deflate, _monic_ints, _powers, _taylor_values
 from .scalars import ONE, ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
 
 
@@ -76,17 +80,17 @@ def solve_g(instance: FuchsianInstance) -> Polynomial:
     which is exactly when the top coefficient disagrees with 1 + l1 + l2.
     """
     require_valid(instance)
-    psi_coeffs = psi(instance).coeffs
-    residues = [(t, ONE - pair.sum) for t, pair in instance.finite_points]
-    residues += [(q, -ONE) for q in instance.apparent_positions]
-    d = len(psi_coeffs) - 1
-    coeffs = [ZERO] * d
-    for x, c in residues:
-        quotient = ZERO  # synthetic division of psi by (z - x), top down
-        for i in range(d - 1, -1, -1):
-            quotient = quotient * x + psi_coeffs[i + 1]
-            coeffs[i] = coeffs[i] + c * quotient
-    g = Polynomial(coeffs)
+    e, xr, xi = to_gaussian_ints(instance.finite_positions + instance.apparent_positions)
+    residues = [ONE - pair.sum for _, pair in instance.finite_points]
+    den, cr, ci = to_gaussian_ints(residues + [-ONE] * instance.num_apparent)
+    product, d = _monic_ints(xr, xi, repeat(1)), len(xr)
+    gr, gi = [0] * d, [0] * d
+    for a, b, c, s in zip(xr, xi, cr, ci):
+        qr, qi, _, _ = _deflate(*product, a, b)
+        for j, (x, y) in enumerate(zip(qr, qi)):
+            gr[j] += c * x - s * y
+            gi[j] += c * y + s * x
+    g = Polynomial(map(from_gaussian_ints, gr, gi, [den * p for p in reversed(_powers(e, d))]))
     expected_top = ONE + instance.infinity_exponents.sum
     if g.coefficient(d - 1) != expected_top:
         defect = fuchs_defect(instance)
@@ -240,13 +244,7 @@ def _hermite_frame(instance: FuchsianInstance):
     n, num = instance.n, instance.num_apparent
     mults = [1] * n + [3] * min(num, n - 2) + [2] * max(num - n + 2, 0)
     e, xr, xi = to_gaussian_ints(instance.finite_positions + instance.apparent_positions)
-    pr, pi = [1], [0]
-    for a, b, m in zip(xr, xi, mults):
-        for _ in range(m):  # times Z - X
-            pr, pi = [0] + pr, [0] + pi
-            for k in range(len(pr) - 1):
-                pr[k] -= a * pr[k + 1] - b * pi[k + 1]
-                pi[k] -= a * pi[k + 1] + b * pr[k + 1]
+    pr, pi = _monic_ints(xr, xi, mults)
     nodes = []
     for k, (a, b, m) in enumerate(zip(xr, xi, mults)):
         chain, w = [(pr, pi)], []
@@ -262,18 +260,6 @@ def _hermite_frame(instance: FuchsianInstance):
             v.append(-v[0] * sum([w[l] * v[i - l] for l in range(1, i + 1)], ZERO))
         nodes.append((m, (1 + k, 1 + num + k, 1 + 2 * num + k)[:m], chain[1 : m + 1], (a, b), w, v))
     return e, (pr, pi), nodes
-
-
-def _deflate(pr: list, pi: list, a: int, b: int) -> tuple:
-    """Synthetic division of pr + pi i by Z - (a + b i) on Gaussian integers:
-    the quotient's int lists and the remainder, the value at a + b i."""
-    qr, qi = pr[1:], pi[1:]
-    x = y = 0
-    for k in range(len(qr) - 1, -1, -1):
-        qr[k] += a * x - b * y
-        qi[k] += a * y + b * x
-        x, y = qr[k], qi[k]
-    return qr, qi, pr[0] + a * x - b * y, pi[0] + a * y + b * x
 
 
 def solve_h(instance: FuchsianInstance, g: Polynomial, free_values=()) -> Polynomial:

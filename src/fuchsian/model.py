@@ -18,9 +18,10 @@ hypergeometric equation carries its textbook exponents at infinity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
-from .polynomials import Polynomial
-from .scalars import GaussianRational
+from .polynomials import Polynomial, _monic_ints, _powers
+from .scalars import GaussianRational, from_gaussian_ints, to_gaussian_ints
 
 
 MAX_POINTS = 128  # cap on n + N in instance JSON; gen's 121 pool positions stay under it
@@ -241,12 +242,14 @@ def fuchs_defect(instance: FuchsianInstance) -> GaussianRational:
 
 def psi(instance: FuchsianInstance) -> Polynomial:
     """The monic polynomial vanishing at every finite prescribed or apparent
-    point; degree n + N.  Cached on the (immutable) instance."""
+    point; degree d = n + N.  Cached on the (immutable) instance.  With the
+    points at X / E over their lcm E, psi's coefficient of z^k is Psi~_k /
+    E^(d-k), Psi~ = prod (Z - X) on Gaussian integers."""
     if instance._psi is None:
         require_valid(instance)
-        instance._psi = Polynomial.from_roots(
-            instance.finite_positions + instance.apparent_positions
-        )
+        e, xr, xi = to_gaussian_ints(instance.finite_positions + instance.apparent_positions)
+        pr, pi = _monic_ints(xr, xi, repeat(1))
+        instance._psi = Polynomial(map(from_gaussian_ints, pr, pi, reversed(_powers(e, len(pr)))))
     return instance._psi
 
 

@@ -1,9 +1,13 @@
 """Dense polynomials over the Gaussian rationals, and the Gaussian-integer
-kernels of local series.
+kernels behind them.
 
-A polynomial is a tuple of coefficients in ascending degree with trailing
-zeros trimmed; the zero polynomial is the empty tuple and its degree is the
-distinguished value -inf (never the -1 convention).
+A Polynomial is a container, with a Taylor shift and no arithmetic: a tuple
+of coefficients in ascending degree with trailing zeros trimmed; the zero
+polynomial is the empty tuple and its degree is the distinguished value
+-inf (never the -1 convention).
+
+_monic_ints, the one product prod (Z - X)^m, builds psi and the Hermite
+frame's Omega~; _deflate divides by Z - X, its remainder the value at X.
 
 The kernels run on plain ints: the inputs are written over a common
 denominator once (the point at = A/e too), the inner loops multiply and add
@@ -20,7 +24,6 @@ independent Laurent expansions off that reference, not off these kernels.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
 
@@ -41,15 +44,6 @@ class Polynomial:
     @classmethod
     def zero(cls) -> Polynomial:
         return cls(())
-
-    @classmethod
-    def from_roots(cls, roots) -> Polynomial:
-        """Monic polynomial with exactly the given roots (with multiplicity)."""
-        result = cls((1,))
-        for root in roots:
-            root = GaussianRational.coerce(root)
-            result = result * cls((-root, 1))
-        return result
 
     @property
     def is_zero(self) -> bool:
@@ -72,22 +66,6 @@ class Polynomial:
             raise ValueError(f"degree {self.degree} exceeds padded length {length}")
         return self.coeffs + (ZERO,) * (length - len(self.coeffs))
 
-    def __call__(self, x) -> GaussianRational:
-        x = GaussianRational.coerce(x)
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self, k: int = 1) -> Polynomial:
-        """Exact k-th derivative (k >= 1)."""
-        if k < 1:
-            raise ValueError("derivative order must be >= 1")
-        coeffs = self.coeffs
-        for _ in range(k):
-            coeffs = [coeffs[i] * i for i in range(1, len(coeffs))]
-        return Polynomial(coeffs)
-
     def shift(self, a) -> Polynomial:
         """Taylor shift: the polynomial q with q(x) = p(x + a)."""
         return Polynomial(
@@ -95,47 +73,6 @@ class Polynomial:
                 *to_gaussian_ints(self.coeffs), GaussianRational.coerce(a), len(self.coeffs)
             )
         )
-
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial([self.coefficient(i) + other.coefficient(i) for i in range(n)])
-
-    def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial([self.coefficient(i) - other.coefficient(i) for i in range(n)])
-
-    def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            scalar = GaussianRational.coerce(other)
-            return Polynomial([c * scalar for c in self.coeffs])
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Polynomial.zero()
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        result = Polynomial((1,))
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -169,8 +106,29 @@ class Polynomial:
         return f"Polynomial([{', '.join(str(c) for c in self.coeffs)}])"
 
 
-#: The identity polynomial z, convenient for building expressions.
-Z = Polynomial((0, 1))
+def _monic_ints(xr: list, xi: list, mults) -> tuple:
+    """prod (Z - X)^m over X = xr[k] + xi[k]*i and m = mults[k], as ascending
+    (re, im) int lists."""
+    pr, pi = [1], [0]
+    for a, b, m in zip(xr, xi, mults):
+        for _ in range(m):  # times Z - X
+            pr, pi = [0] + pr, [0] + pi
+            for k in range(len(pr) - 1):
+                pr[k] -= a * pr[k + 1] - b * pi[k + 1]
+                pi[k] -= a * pi[k + 1] + b * pr[k + 1]
+    return pr, pi
+
+
+def _deflate(pr: list, pi: list, a: int, b: int) -> tuple:
+    """Synthetic division of pr + pi i by Z - (a + b i) on Gaussian integers:
+    the quotient's int lists and the remainder, the value at a + b i."""
+    qr, qi = pr[1:], pi[1:]
+    x = y = 0
+    for k in range(len(qr) - 1, -1, -1):
+        qr[k] += a * x - b * y
+        qi[k] += a * y + b * x
+        x, y = qr[k], qi[k]
+    return qr, qi, pr[0] + a * x - b * y, pi[0] + a * y + b * x
 
 
 def _taylor_values(den: int, re: list, im: list, at: GaussianRational, terms: int) -> list:

@@ -9,7 +9,7 @@ import pytest
 import fraction_reference as ref
 from fuchsian.dimension import quadratic_constraints
 from fuchsian.frobenius import DEFAULT_DEPTH, _cleared_residual, _recursion
-from fuchsian.model import FuchsianInstance, psi
+from fuchsian.model import FuchsianInstance
 from fuchsian.sampling import random_instance
 from fuchsian.scalars import ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
 
@@ -116,7 +116,7 @@ def recursion(local, depth=DEFAULT_DEPTH):
 def reference_local(eq, point, terms=DEFAULT_DEPTH + 2):
     """fraction_reference's Local of eq at a finite point: windows of `terms`
     coefficients of g/psi and h/psi^2 and the Taylor heads of psi, g and h."""
-    return ref._local(point, eq.g.coeffs, eq.h.coeffs, psi(eq.instance).coeffs, terms)
+    return ref._local(point, eq.g.coeffs, eq.h.coeffs, ref.psi(eq.instance).coeffs, terms)
 
 
 def cleared_residual(local, coefficients):

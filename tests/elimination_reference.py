@@ -11,10 +11,12 @@ differential tests compare the closed forms with them; nothing in the
 package imports this module.
 """
 
+import fraction_reference as ref
+
 from fuchsian.builder import VerificationFailed, build_h_system, h_matrix, h_rhs_terms, solve_g
 from fuchsian.dimension import QuadraticConstraint, classify
 from fuchsian.linalg import Matrix, eliminate
-from fuchsian.model import psi, require_valid
+from fuchsian.model import require_valid
 from fuchsian.polynomials import Polynomial
 from fuchsian.scalars import ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
 
@@ -31,9 +33,12 @@ def build_g_system(instance):
     d = instance.n + instance.num_apparent
     points = instance.finite_positions + instance.apparent_positions
     rows = [[x**k for k in range(d)] for x in points]
-    dpsi = psi(instance).derivative()
-    rhs = [(GaussianRational(1) - pair.sum) * dpsi(t) for t, pair in instance.finite_points]
-    rhs += [-dpsi(q) for q in instance.apparent_positions]
+    dpsi = ref.poly_derivative(ref.psi(instance))
+    rhs = [
+        (GaussianRational(1) - pair.sum) * ref.poly_eval(dpsi, t)
+        for t, pair in instance.finite_points
+    ]
+    rhs += [-ref.poly_eval(dpsi, q) for q in instance.apparent_positions]
     return Matrix.from_rows(rows), tuple(rhs)
 
 

@@ -22,6 +22,12 @@ divided by psi's and h's by psi's squared, the indicial data read off those
 series, the recursion and the series-form residual, all built from the
 functions above, with square roots taken by `FractionGaussian`.
 
+`poly_add`, `poly_mul`, `poly_from_roots`, `poly_eval` and `poly_derivative`
+are plain GaussianRational polynomial arithmetic on the package's
+coefficient container, and `psi` is the product of the instance's linear
+factors built from them: the package forms psi on Gaussian integers, and
+the tests compare it with this one.
+
 `FractionGaussian` is the scalar the package used before GaussianRational
 became one canonical int triple: two `Fraction`s, each kept in lowest terms
 by `fractions`.  With `fraction_to_gaussian_ints` and
@@ -43,7 +49,8 @@ from fuchsian.frobenius import (
     VerificationReport,
 )
 from fuchsian.linalg import Matrix, SolveOutcome
-from fuchsian.model import ExponentPair, psi
+from fuchsian.model import ExponentPair
+from fuchsian.polynomials import Polynomial
 from fuchsian.scalars import (
     ONE,
     ZERO,
@@ -202,6 +209,53 @@ def fraction_from_gaussian_ints(re: int, im: int, den: int, den_im: int = 0):
     if den_im:
         re, im, den = re * den + im * den_im, im * den - re * den_im, den * den + den_im * den_im
     return FractionGaussian(Fraction(re, den), Fraction(im, den))
+
+
+def poly_add(*terms) -> Polynomial:
+    """The sum of the given polynomials, coefficient by coefficient."""
+    size = max(len(p.coeffs) for p in terms)
+    return Polynomial([sum((p.coefficient(k) for p in terms), ZERO) for k in range(size)])
+
+
+def poly_mul(p, q) -> Polynomial:
+    """p * q by the schoolbook convolution."""
+    if p.is_zero or q.is_zero:
+        return Polynomial.zero()
+    out = [ZERO] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return Polynomial(out)
+
+
+def poly_from_roots(roots) -> Polynomial:
+    """The monic polynomial with exactly the given roots, with multiplicity,
+    one linear factor at a time."""
+    result = Polynomial((1,))
+    for root in roots:
+        result = poly_mul(result, Polynomial((-GaussianRational.coerce(root), 1)))
+    return result
+
+
+def poly_eval(p, x) -> GaussianRational:
+    """p(x) by Horner's rule."""
+    x, acc = GaussianRational.coerce(x), ZERO
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def poly_derivative(p, k: int = 1) -> Polynomial:
+    """The k-th derivative of p."""
+    coeffs = p.coeffs
+    for _ in range(k):
+        coeffs = [coeffs[i] * i for i in range(1, len(coeffs))]
+    return Polynomial(coeffs)
+
+
+def psi(instance) -> Polynomial:
+    """The monic polynomial vanishing at every finite and apparent point."""
+    return poly_from_roots(instance.finite_positions + instance.apparent_positions)
 
 
 def dot(row, vector) -> GaussianRational:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import elimination_reference as ref
 import pytest
 from conftest import _consistent_over
+from fraction_reference import poly_add
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -423,7 +424,7 @@ def test_float_obstructions_raise_where_h_has_a_double_pole(monkeypatch):
 
     def bumped(instance, g, free_values):
         h, *rest = original(instance, g, free_values)
-        return (h + Polynomial((1,)), *rest)
+        return (poly_add(h, Polynomial((1,))), *rest)
 
     monkeypatch.setattr(fuchsian.dimension, "_interpolant", bumped)
     for inst in (N2N1, random_instance(4, 2, seed=3)):

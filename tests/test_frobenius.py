@@ -83,11 +83,11 @@ def test_obstruction_shape_errors():
     # and h + 1 gives h/psi^2 a double pole
     eq = construct(EXAMPLE_C)
     assert apparent_obstructions(eq) == [ZERO]
-    bad_residue = FuchsianEquation(eq.g + Polynomial((18,)), eq.h, EXAMPLE_C)
+    bad_residue = FuchsianEquation(ref.poly_add(eq.g, Polynomial((18,))), eq.h, EXAMPLE_C)
     assert verify(bad_residue).apparent[0].residue == gr(2)
     with pytest.raises(ValueError):
         apparent_obstructions(bad_residue)
-    bad_pole = FuchsianEquation(eq.g, eq.h + Polynomial((1,)), EXAMPLE_C)
+    bad_pole = FuchsianEquation(eq.g, ref.poly_add(eq.h, Polynomial((1,))), EXAMPLE_C)
     assert not verify(bad_pole).apparent[0].double_pole_absent
     with pytest.raises(ValueError):
         apparent_obstructions(bad_pole)
@@ -157,22 +157,25 @@ def test_series_solution_by_polynomial_substitution():
     # recursion into psi^2 w'' + psi g w' + h w using plain polynomial
     # arithmetic (no series division); the residual must vanish at q to
     # order K+1.
-    from fuchsian.model import psi as psi_of
-
     rng = random.Random(424242)
     instances = [EXAMPLE_C] + [
         random_instance(rng.randint(3, 5), seed=rng.randint(0, 10**6)) for _ in range(4)
     ]
     for inst in instances:
         eq = construct(inst)
-        p = psi_of(inst)
+        p = ref.psi(inst)
+        square = ref.poly_mul(p, p)
         for q, _ in inst.apparent_points:
             omega, series = recursion(reference_local(eq, q))
             assert omega == ZERO
             depth = len(series) - 1
             w_local = Polynomial(series)  # in the coordinate x = z - q
             w = w_local.shift(-q)  # back to z
-            residual = p * p * w.derivative(2) + p * eq.g * w.derivative() + eq.h * w
+            residual = ref.poly_add(
+                ref.poly_mul(square, ref.poly_derivative(w, 2)),
+                ref.poly_mul(ref.poly_mul(p, eq.g), ref.poly_derivative(w)),
+                ref.poly_mul(eq.h, w),
+            )
             at_q = residual.shift(q)
             for order in range(depth + 1):
                 assert at_q.coefficient(order) == ZERO
@@ -243,11 +246,11 @@ def test_report_bytes_are_pinned(regime_instances):
     for case, inst, free in regime_instances(4711, 30):
         g = solve_g(inst)
         eq = FuchsianEquation(g, solve_h(inst, g, free), inst)
-        q_prod = Polynomial.from_roots(inst.apparent_positions)
+        q_prod = ref.poly_from_roots(inst.apparent_positions)
         for tampered in (
             eq,
-            FuchsianEquation(eq.g + q_prod, eq.h, inst),
-            FuchsianEquation(eq.g, eq.h + Polynomial((1, 0, 1)), inst),
+            FuchsianEquation(ref.poly_add(eq.g, q_prod), eq.h, inst),
+            FuchsianEquation(eq.g, ref.poly_add(eq.h, Polynomial((1, 0, 1))), inst),
         ):
             reports.append(report_to_json_obj(verify(tampered)))
     reports.append(

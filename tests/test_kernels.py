@@ -1,8 +1,9 @@
 """Elimination and the integer kernels against the Fraction algorithms.
 
-Elimination, rank, determinant, Taylor shifts, series products and
-quotients and the Frobenius recursion are each uniquely determined, so the
-package must return exactly what `fraction_reference` computes one canonical
+Elimination, rank, determinant, the monic product prod (Z - X)^m and its
+deflation, psi, Taylor shifts, series products and quotients and the
+Frobenius recursion are each uniquely determined, so the package must
+return exactly what `fraction_reference` computes one canonical
 GaussianRational step at a time.  The cleared residual is a different
 polynomial from the series-form one, so only its vanishing is compared.
 """
@@ -21,8 +22,8 @@ from elimination_reference import build_g_system
 from fuchsian.builder import build_h_system, construct, solve_g, solve_h
 from fuchsian.frobenius import DEFAULT_DEPTH, _mul_add, apparent_obstructions, verify
 from fuchsian.linalg import Matrix, det, eliminate, rank
-from fuchsian.model import FuchsianEquation, FuchsianInstance
-from fuchsian.polynomials import Polynomial, _unit_quotient
+from fuchsian.model import FuchsianEquation, FuchsianInstance, psi
+from fuchsian.polynomials import Polynomial, _deflate, _monic_ints, _unit_quotient
 from fuchsian.scalars import ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
 
 
@@ -191,6 +192,49 @@ def test_taylor_head_matches_fraction_reference(coeffs, at, terms):
     assert [shifted.coefficient(k) for k in range(order + terms)] == [ZERO] * order + head
 
 
+_nodes = st.lists(st.tuples(_coefficients, st.integers(1, 3)), min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nodes=_nodes)
+@example(nodes=[(ZERO, 3), (GaussianRational(Fraction(1, 2), Fraction(-2, 3)), 2)])
+def test_monic_product_matches_fraction_reference(nodes):
+    # prod (Z - X)^m on the points written over their lcm, X = E x, against
+    # the reference product of linear factors
+    _, xr, xi = to_gaussian_ints([x for x, _ in nodes])
+    mults = [m for _, m in nodes]
+    pr, pi = _monic_ints(xr, xi, mults)
+    roots = [GaussianRational(a, b) for a, b, m in zip(xr, xi, mults) for _ in range(m)]
+    assert Polynomial(_values(pr, pi)) == ref.poly_from_roots(roots)
+    assert len(pr) == len(pi) == len(roots) + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(window=_int_windows.filter(bool), at=st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
+@example(window=[(5, -1)], at=(0, 0))
+@example(window=[(0, 0), (0, 0), (1, 0)], at=(2, -3))
+def test_deflate_times_linear_factor_plus_remainder_is_the_input(window, at):
+    qr, qi, re, im = _deflate(*_parts(window), *at)
+    assert len(qr) == len(qi) == len(window) - 1
+    factor = Polynomial((-GaussianRational(*at), 1))
+    quotient, remainder = Polynomial(_values(qr, qi)), Polynomial((GaussianRational(re, im),))
+    rebuilt = ref.poly_add(ref.poly_mul(quotient, factor), remainder)
+    assert rebuilt == Polynomial(_values(*_parts(window)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(points=st.lists(_coefficients, min_size=2, max_size=7, unique=True),
+       apparent=st.integers(0, 5))
+@example(points=[ZERO, GaussianRational(Fraction(1, 3), 2), GaussianRational(Fraction(-5, 2))],
+         apparent=1)
+def test_psi_matches_fraction_reference(points, apparent):
+    n = max(2, len(points) - apparent)
+    inst = FuchsianInstance(
+        [(t, (0, 0)) for t in points[:n]], (0, 0), [(q, 0) for q in points[n:]]
+    )
+    assert psi(inst) == ref.psi(inst)
+
+
 def _apparent_locals(regime_instances, terms):
     """(label, reference local) at every apparent point of 60 seeded
     square/under/over equations."""
@@ -253,13 +297,13 @@ def test_cleared_residual_vanishes_with_series_residual(regime_instances):
             continue
         g = solve_g(inst)
         eq = FuchsianEquation(g, solve_h(inst, g, free), inst)
-        q_prod = Polynomial.from_roots(inst.apparent_positions)
+        q_prod = ref.poly_from_roots(inst.apparent_positions)
         variants = [
             eq,
             # keeps the residue -1 at every q_j, so the recursion still runs
-            FuchsianEquation(eq.g + q_prod, eq.h, inst),
-            FuchsianEquation(eq.g, eq.h + q_prod * q_prod, inst),
-            FuchsianEquation(eq.g, eq.h + Polynomial((0, 1)), inst),
+            FuchsianEquation(ref.poly_add(eq.g, q_prod), eq.h, inst),
+            FuchsianEquation(eq.g, ref.poly_add(eq.h, ref.poly_mul(q_prod, q_prod)), inst),
+            FuchsianEquation(eq.g, ref.poly_add(eq.h, Polynomial((0, 1))), inst),
         ]
         for q in inst.apparent_positions:
             _, own = recursion(reference_local(eq, q))
@@ -285,11 +329,11 @@ def _with_tampering(eq):
     residue stays -1, so the recursion runs to a nonzero omega) and eq with
     h tampered by 1 + z^2."""
     inst = eq.instance
-    q_prod = Polynomial.from_roots(inst.apparent_positions)
+    q_prod = ref.poly_from_roots(inst.apparent_positions)
     return (
         eq,
-        FuchsianEquation(eq.g + q_prod, eq.h, inst),
-        FuchsianEquation(eq.g, eq.h + Polynomial((1, 0, 1)), inst),
+        FuchsianEquation(ref.poly_add(eq.g, q_prod), eq.h, inst),
+        FuchsianEquation(eq.g, ref.poly_add(eq.h, Polynomial((1, 0, 1))), inst),
     )
 
 

@@ -8,6 +8,9 @@
   outside the package is from the standard library.
 - The public surface is exactly `PUBLIC_NAMES`: widening or narrowing
   `fuchsian.__all__` shows up as an edit of this file.
+- `Polynomial` is a coefficient container: the attributes and methods its
+  class defines are exactly `POLYNOMIAL_NAMES`, so no arithmetic operator
+  comes back to it unnoticed.  The tests' polynomial arithmetic is in `fraction_reference`.
 """
 
 import ast
@@ -21,12 +24,16 @@ PUBLIC_NAMES = [
     "CaseReport", "ExponentPair", "FuchsViolation", "FuchsianEquation", "FuchsianInstance",
     "GaussianRational", "INFINITY", "InvalidInstance", "Matrix", "MomentaCheck", "Polynomial",
     "QuadraticConstraint", "SolveOutcome", "VerificationFailed", "VerificationReport",
-    "Violation", "Z", "build_h_system", "check_momenta", "classify", "construct", "det",
+    "Violation", "build_h_system", "check_momenta", "classify", "construct", "det",
     "eliminate", "equation_from_json_obj", "equation_to_json_obj", "exact_quadratic_roots",
     "float_obstructions", "format_rational", "fuchs_defect", "h_matrix",
     "instance_from_json_obj", "instance_to_json_obj", "parse_rational", "psi",
     "quadratic_constraints", "random_instance", "rank", "rational_sqrt", "solve_g", "solve_h",
     "solve_quadratic_float", "solve_under", "validate", "verify",
+]
+POLYNOMIAL_NAMES = [
+    "__eq__", "__hash__", "__init__", "__repr__", "__str__",
+    "coefficient", "coeffs", "degree", "is_zero", "padded", "shift", "zero",
 ]
 TEST_MODULES = {path.stem for path in Path(__file__).parent.glob("*.py")}
 
@@ -87,3 +94,11 @@ def test_public_surface_is_pinned():
     assert fuchsian.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(fuchsian, name) is not None, name
+
+
+def test_polynomial_is_a_coefficient_container():
+    # dunder data such as __doc__ and __slots__ varies with the Python version
+    defined = vars(fuchsian.Polynomial).items()
+    names = sorted(name for name, value in defined if not name.startswith("__") or callable(value))
+    assert names == POLYNOMIAL_NAMES
+    assert not hasattr(fuchsian.polynomials, "Z")
