@@ -6,13 +6,13 @@ apparent point q_j.  With deg g < deg psi this is the partial-fraction sum
 
     g / psi = sum_k c_k / (z - x_k),   g = sum_k c_k * psi / (z - x_k),
 
-so g needs no linear system: each term is psi deflated by one root.  With
-x_k = X_k / E and c_k = C_k / L over one denominator each, solve_g sums
-G~ = sum_k C_k Psi~ / (Z - X_k) on Gaussian integers, Psi~ = prod (Z - X_k),
-and g_j = G~_j / (L E^(d-1-j)).  The top coefficient of g is sum_k c_k; the
-condition at infinity asks for 1 + l1 + l2, and the two differ by exactly
-the exponent-sum defect, so solve_g re-checks that condition and rejects an
-inadmissible instance.
+so g needs no linear system: each term is psi deflated by one root.  In
+the instance's point frame, model._psi_ints, x_k = X_k / E over the lcm E
+of the point denominators and Psi~ = prod (Z - X_k) on Gaussian integers;
+with c_k = C_k / L, solve_g sums G~ = sum_k C_k Psi~ / (Z - X_k) and g_j =
+G~_j / (L E^(d-1-j)).  The top coefficient of g is sum_k c_k, the condition
+at infinity asks for 1 + l1 + l2, and they differ by the exponent-sum
+defect, so solve_g re-checks it and rejects an inadmissible instance.
 
 The h-system stacks one top-coefficient row for infinity, value rows at all
 points, and first- plus second-derivative rows at the apparent points:
@@ -27,7 +27,8 @@ with delta_j = -2 psi'(q_j)^2 and epsilon_j = psi'(q_j) * (psi''(q_j) -
 2 g'(q_j)), which is delta_j * (g1_j - psi''(q_j)/psi'(q_j)), g1_j the
 order-0 Laurent coefficient of g/psi at q_j, simplified so that no
 right-hand side needs a division.  h_rhs_terms is the one definition of
-these right-hand sides, as coefficients of each row's own momentum.
+these right-hand sides, as coefficients of each row's own momentum; psi'(x)
+and psi''(x) / 2 are Psi~'s Taylor coefficients at X over E^(d-1), E^(d-2).
 
 h is a closed form too.  The first min(rows, cols) rows are the top
 coefficient and Hermite data on distinct nodes, h'' given at q_1 .. q_(n-2)
@@ -39,10 +40,9 @@ is given and 2 elsewhere, h = S Omega + R, deg R < D = deg Omega, and
 C_(x,i) the i-th Taylor coefficient of h / (Omega / (z - x)^m) at x (Stoer
 and Bulirsch, section 2.1.5).  S is l1 * l2, or for N < n - 2 of degree
 n - 2 - N with lower coefficients set by free_k, h's coefficient of z^(D+k).
-h_residuals sums this on Gaussian integers: with Z = E z, E the lcm of the
-point denominators, Omega~(Z) = E^D Omega(z) and each deflation
-Omega~ / (Z - X)^k have Gaussian-integer coefficients, from the product
-and deflation kernels that also build Psi~ and G~.  For N > n - 2 each
+h_residuals sums this on Gaussian integers: with Z = E z, Omega~(Z) =
+E^D Omega(z) = Psi~ prod (Z - Q_j)^(m_j - 1) and each deflation
+Omega~ / (Z - X)^k have Gaussian-integer coefficients.  For N > n - 2 each
 later row h''(q_j) has a closed-form left-nullspace vector y, and y . rhs
 is q_j's momentum constraint at the instance's momenta.  h_matrix and
 build_h_system stay for det-check and for the tests, which compare every
@@ -52,12 +52,12 @@ closed form here with elimination and Laurent series.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import mul
 
 from .linalg import Matrix
-from .model import FuchsianEquation, FuchsianInstance, fuchs_defect, psi, require_valid
-from .polynomials import Polynomial, _deflate, _monic_ints, _powers, _taylor_values
+from .model import FuchsianEquation, FuchsianInstance, _psi_ints, fuchs_defect, require_valid
+from .polynomials import Polynomial, _deflate, _monic_ints, _taylor_head_ints, _taylor_values
 from .scalars import ONE, ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
 
 
@@ -79,18 +79,17 @@ def solve_g(instance: FuchsianInstance) -> Polynomial:
     Raises FuchsViolation when the instance's exponent sum is inadmissible,
     which is exactly when the top coefficient disagrees with 1 + l1 + l2.
     """
-    require_valid(instance)
-    e, xr, xi = to_gaussian_ints(instance.finite_positions + instance.apparent_positions)
+    e, xr, xi, product = _psi_ints(instance)
     residues = [ONE - pair.sum for _, pair in instance.finite_points]
     den, cr, ci = to_gaussian_ints(residues + [-ONE] * instance.num_apparent)
-    product, d = _monic_ints(xr, xi, repeat(1)), len(xr)
+    d = len(xr)
     gr, gi = [0] * d, [0] * d
     for a, b, c, s in zip(xr, xi, cr, ci):
         qr, qi, _, _ = _deflate(*product, a, b)
         for j, (x, y) in enumerate(zip(qr, qi)):
             gr[j] += c * x - s * y
             gi[j] += c * y + s * x
-    g = Polynomial(map(from_gaussian_ints, gr, gi, [den * p for p in reversed(_powers(e, d))]))
+    g = Polynomial(map(from_gaussian_ints, gr, gi, [den * e ** (d - 1 - j) for j in range(d)]))
     expected_top = ONE + instance.infinity_exponents.sum
     if g.coefficient(d - 1) != expected_top:
         defect = fuchs_defect(instance)
@@ -108,20 +107,21 @@ def h_rhs_terms(instance: FuchsianInstance, g: Polynomial) -> list:
     of apparent point j (0-based); rows whose value involves no momentum have
     j = None and lin = quad = 0.  Row order is that of h_matrix.
     """
-    # psi'(x), psi''(x) / 2 and g'(x) from Taylor heads on ints, psi and g
-    # written over one denominator each for the whole call
-    p_ints, g_ints = to_gaussian_ints(psi(instance).coeffs), to_gaussian_ints(g.coeffs)
+    # psi'(x) and psi''(x) / 2 from Psi~'s Taylor head at X = E x, over E^(d-1) and E^(d-2)
+    e, xr, xi, (pr, pi) = _psi_ints(instance)
+    n, d, g_ints = instance.n, len(xr), to_gaussian_ints(g.coeffs)
+    heads = [_taylor_head_ints(pr, pi, a, b, [1] * (d + 1), 3) for a, b in zip(xr, xi)]
+    slopes = [from_gaussian_ints(re[1], im[1], e ** (d - 1)) for re, im in heads]
+    halves = [from_gaussian_ints(re[2], im[2], e ** (d - 2)) for re, im in heads[n:]]
+    dgs = [_taylor_values(*g_ints, q, 2)[1] for q in instance.apparent_positions]
     terms = [(None, instance.infinity_exponents.product, ZERO, ZERO)]
-    for t, pair in instance.finite_points:
-        _, slope = _taylor_values(*p_ints, t, 2)
+    for (_, pair), slope in zip(instance.finite_points, slopes):
         terms.append((None, pair.product * slope * slope, ZERO, ZERO))
     terms += [(None, ZERO, ZERO, ZERO)] * instance.num_apparent
-    qs = instance.apparent_positions
-    local = [(*_taylor_values(*p_ints, q, 3)[1:], _taylor_values(*g_ints, q, 2)[1]) for q in qs]
-    terms += [(j, ZERO, slope * slope, ZERO) for j, (slope, _, _) in enumerate(local)]
+    terms += [(j, ZERO, slope * slope, ZERO) for j, slope in enumerate(slopes[n:])]
     terms += [
         (j, ZERO, 2 * slope * (half - dg), -2 * slope * slope)
-        for j, (slope, half, dg) in enumerate(local)
+        for j, (slope, half, dg) in enumerate(zip(slopes[n:], halves, dgs))
     ]
     return terms
 
@@ -243,8 +243,8 @@ def _hermite_frame(instance: FuchsianInstance):
     """
     n, num = instance.n, instance.num_apparent
     mults = [1] * n + [3] * min(num, n - 2) + [2] * max(num - n + 2, 0)
-    e, xr, xi = to_gaussian_ints(instance.finite_positions + instance.apparent_positions)
-    pr, pi = _monic_ints(xr, xi, mults)
+    e, xr, xi, (pr, pi) = _psi_ints(instance)
+    pr, pi = _monic_ints(pr, pi, xr, xi, [m - 1 for m in mults])  # Omega~ = Psi~ prod (Z - Q)^(m-1)
     nodes = []
     for k, (a, b, m) in enumerate(zip(xr, xi, mults)):
         chain, w = [(pr, pi)], []

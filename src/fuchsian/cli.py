@@ -247,19 +247,14 @@ def _cmd_gen(args) -> int:
 
 
 def _node_product(instance) -> GaussianRational:
-    """prod (t_i - t_k) * prod (t_i - q_j)^3 * prod (q_j - q_l)^9 over i<k, j<l."""
-    ts = instance.finite_positions
-    qs = instance.apparent_positions
+    """prod (x_a - x_b)^(m_a m_b) over a < b, finite points first, m = 1 at
+    each t and 3 at each q: the powers 1, 3 and 9 of t-t, t-q and q-q pairs."""
+    nodes = [(t, 1) for t in instance.finite_positions]
+    nodes += [(q, 3) for q in instance.apparent_positions]
     product = GaussianRational(1)
-    for a in range(len(ts)):
-        for b in range(a + 1, len(ts)):
-            product = product * (ts[a] - ts[b])
-    for t in ts:
-        for q in qs:
-            product = product * (t - q) ** 3
-    for a in range(len(qs)):
-        for b in range(a + 1, len(qs)):
-            product = product * (qs[a] - qs[b]) ** 9
+    for a, (x, m) in enumerate(nodes):
+        for y, k in nodes[a + 1 :]:
+            product = product * (x - y) ** (m * k)
     return product
 
 

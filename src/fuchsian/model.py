@@ -240,17 +240,22 @@ def fuchs_defect(instance: FuchsianInstance) -> GaussianRational:
     return total - GaussianRational(target)
 
 
-def psi(instance: FuchsianInstance) -> Polynomial:
-    """The monic polynomial vanishing at every finite prescribed or apparent
-    point; degree d = n + N.  Cached on the (immutable) instance.  With the
-    points at X / E over their lcm E, psi's coefficient of z^k is Psi~_k /
-    E^(d-k), Psi~ = prod (Z - X) on Gaussian integers."""
+def _psi_ints(instance: FuchsianInstance) -> tuple:
+    """(E, xr, xi, (pr, pi)), the point frame, cached after require_valid and
+    read-only: X = E x = xr[k] + xi[k] i at each point, finite ones first, E
+    the lcm of their denominators, and Psi~ = prod (Z - X) as int lists."""
     if instance._psi is None:
         require_valid(instance)
         e, xr, xi = to_gaussian_ints(instance.finite_positions + instance.apparent_positions)
-        pr, pi = _monic_ints(xr, xi, repeat(1))
-        instance._psi = Polynomial(map(from_gaussian_ints, pr, pi, reversed(_powers(e, len(pr)))))
+        instance._psi = e, xr, xi, _monic_ints([1], [0], xr, xi, repeat(1))
     return instance._psi
+
+
+def psi(instance: FuchsianInstance) -> Polynomial:
+    """The monic polynomial vanishing at every finite prescribed or apparent
+    point; degree d = n + N.  Its z^k coefficient is Psi~_k / E^(d-k)."""
+    e, _, _, (pr, pi) = _psi_ints(instance)
+    return Polynomial(map(from_gaussian_ints, pr, pi, reversed(_powers(e, len(pr)))))
 
 
 class FuchsianEquation:

@@ -6,8 +6,9 @@ of coefficients in ascending degree with trailing zeros trimmed; the zero
 polynomial is the empty tuple and its degree is the distinguished value
 -inf (never the -1 convention).
 
-_monic_ints, the one product prod (Z - X)^m, builds psi and the Hermite
-frame's Omega~; _deflate divides by Z - X, its remainder the value at X.
+_monic_ints multiplies by prod (Z - X)^m: it builds Psi~ = prod (Z - X) for
+psi and continues it to the Hermite frame's Omega~; _deflate divides by
+Z - X, its remainder the value at X.
 
 The kernels run on plain ints: the inputs are written over a common
 denominator once (the point at = A/e too), the inner loops multiply and add
@@ -106,10 +107,9 @@ class Polynomial:
         return f"Polynomial([{', '.join(str(c) for c in self.coeffs)}])"
 
 
-def _monic_ints(xr: list, xi: list, mults) -> tuple:
-    """prod (Z - X)^m over X = xr[k] + xi[k]*i and m = mults[k], as ascending
-    (re, im) int lists."""
-    pr, pi = [1], [0]
+def _monic_ints(pr: list, pi: list, xr: list, xi: list, mults) -> tuple:
+    """(pr + pi*i) * prod (Z - X)^m over X = xr[k] + xi[k]*i and m = mults[k],
+    as ascending (re, im) int lists; the start lists are not changed."""
     for a, b, m in zip(xr, xi, mults):
         for _ in range(m):  # times Z - X
             pr, pi = [0] + pr, [0] + pi

@@ -235,8 +235,8 @@ class GaussianRational:
             return NotImplemented
         return self._r == other._r and self._i == other._i and self._d == other._d
 
-    def __hash__(self):
-        return hash((self.re, self.im))
+    def __hash__(self):  # a real value hashes as its Fraction, as it compares equal to it
+        return hash((self.re, self.im)) if self._i else hash(self.re)
 
     def __bool__(self):
         return bool(self._r or self._i)

@@ -166,8 +166,8 @@ class FractionGaussian:
             return NotImplemented
         return self.re == other.re and self.im == other.im
 
-    def __hash__(self):
-        return hash((self.re, self.im))
+    def __hash__(self):  # a real value hashes as its Fraction, as GaussianRational does
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self):
         return self.re.numerator != 0 or self.im.numerator != 0

@@ -14,6 +14,9 @@ import fraction_reference as ref
 import pytest
 from elimination_reference import build_g_system
 
+import fuchsian.builder
+import fuchsian.model
+import fuchsian.polynomials
 from fuchsian.builder import (
     FuchsViolation,
     VerificationFailed,
@@ -343,6 +346,28 @@ def test_solve_g_matches_vandermonde_oracle(regime_instances):
         with pytest.raises(FuchsViolation) as caught:
             solve_g(bumped)
         assert str(caught.value) == expected, (k, case)
+
+
+def test_one_point_frame_per_instance(monkeypatch):
+    # Psi~ = prod (Z - X) is built once per instance and read by psi, solve_g,
+    # the h right-hand sides and the Hermite frame, which continues it to
+    # Omega~ with (Z - Q)^(m - 1): n = 6, N = 4 multiplies 10 + 8 factors.
+    original = fuchsian.polynomials._monic_ints
+    factors = []
+
+    def counting(*args):  # mults may be endless; the points bound the factors
+        factors.append(sum(m for _, m in zip(args[-2], args[-1])))
+        return original(*args)
+
+    for module in (fuchsian.polynomials, fuchsian.model, fuchsian.builder):
+        if hasattr(module, "_monic_ints"):
+            monkeypatch.setattr(module, "_monic_ints", counting)
+    inst = random_instance(6, seed=3)
+    assert verify(construct(inst)).overall
+    assert (len(factors), sum(factors)) == (2, 18)
+    factors.clear()
+    solve_g(inst)
+    assert factors == []
 
 
 def test_solve_h_rejects_wrong_nullity():

@@ -11,6 +11,7 @@ import pytest
 
 from fuchsian import sampling
 from fuchsian.cli import main
+from fuchsian.dimension import quadratic_constraints
 from fuchsian.model import (
     MAX_DIGITS,
     MAX_POINTS,
@@ -110,6 +111,20 @@ def test_constraints_payload(tmp_path, capsys):
     assert payload["float_roots"][0]["j"] == 1
 
 
+def test_constraints_of_several_momenta_have_no_float_roots(tmp_path, capsys):
+    # both constraints of this n = 2, N = 2 instance involve p_1 and p_2, so
+    # neither is a scalar quadratic with roots to report
+    inst = random_instance(2, 2, seed=0)
+    constraints = quadratic_constraints(inst)
+    assert [sorted(set(c.quad) | set(c.lin)) for c in constraints] == [[1, 2], [1, 2]]
+    src = tmp_path / "over.json"
+    _write_instance(src, inst)
+    assert main(["constraints", "-i", str(src)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["float_roots"] == []
+    assert payload["constraints"] == [c.to_json_obj() for c in constraints]
+
+
 def test_constraints_requires_over_case(tmp_path):
     src = tmp_path / "a.json"
     _write_instance(src, EXAMPLE_A)
@@ -199,6 +214,17 @@ def test_deeply_nested_json_is_unreadable_input(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("fuchsian: cannot read input: ") and "Traceback" not in err
         assert err.count("\n") == 1
+
+
+def test_malformed_equation_is_one_diagnostic_line(tmp_path, capsys):
+    src, equation = tmp_path / "a.json", tmp_path / "eq.json"
+    _write_instance(src, EXAMPLE_A)
+    equation.write_text(json.dumps({"G": [["-4", "0"], ["4", "0"]]}), encoding="utf-8")
+    assert main(["verify", "-i", str(src), "-e", str(equation)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("fuchsian: invalid instance: malformed equation JSON")
+    assert err.count("\n") == 1
 
 
 def test_text_format(tmp_path, capsys):

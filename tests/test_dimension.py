@@ -414,6 +414,11 @@ def test_float_obstructions_rejects_what_has_no_leading_block():
             float_obstructions(N2N1, [bad])
     with pytest.raises(ValueError):
         float_obstructions(N2N1, [1.0, 2.0])
+    # the constraints and their check exist in the over case only
+    for inst in (UNDER3, random_instance(4, 2, seed=1)):
+        for fn in (quadratic_constraints, check_momenta):
+            with pytest.raises(ValueError, match="not overdetermined"):
+                fn(inst)
 
 
 

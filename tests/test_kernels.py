@@ -203,10 +203,13 @@ def test_monic_product_matches_fraction_reference(nodes):
     # the reference product of linear factors
     _, xr, xi = to_gaussian_ints([x for x, _ in nodes])
     mults = [m for _, m in nodes]
-    pr, pi = _monic_ints(xr, xi, mults)
+    pr, pi = _monic_ints([1], [0], xr, xi, mults)
     roots = [GaussianRational(a, b) for a, b, m in zip(xr, xi, mults) for _ in range(m)]
     assert Polynomial(_values(pr, pi)) == ref.poly_from_roots(roots)
     assert len(pr) == len(pi) == len(roots) + 1
+    # continued from prod (Z - X), as Omega~ is from Psi~, the product is the same
+    start = _monic_ints([1], [0], xr, xi, [1] * len(mults))
+    assert _monic_ints(*start, xr, xi, [m - 1 for m in mults]) == (pr, pi)
 
 
 @settings(max_examples=200, deadline=None)

@@ -139,6 +139,18 @@ def test_equation_json_round_trip_and_padding():
     assert obj_b["H"] == [["0", "0"], ["0", "0"], ["0", "0"]]  # zero padded to full length
 
 
+def test_equation_json_malformed():
+    obj = equation_to_json_obj(construct(EXAMPLE_A))
+    for bad in (
+        {"G": obj["G"]},  # no "H"
+        [obj["G"], obj["H"]],  # not an object
+        dict(obj, G=[["-4"], ["4", "0"]]),  # a coefficient that is not a pair
+        dict(obj, H=[["0", "0"], [-2.0, "0"]]),  # a float coefficient
+    ):
+        with pytest.raises(InvalidInstance, match="malformed equation JSON"):
+            equation_from_json_obj(bad, EXAMPLE_A)
+
+
 def test_equation_degree_bounds_enforced():
     with pytest.raises(ValueError):
         equation_from_json_obj(

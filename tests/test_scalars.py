@@ -241,6 +241,15 @@ def test_unary_operations_match_fraction_oracle(parts, exponent):
 
 
 @settings(max_examples=200, deadline=None)
+@given(st.one_of(_NUMERATORS, _RATIONALS))
+def test_real_value_hashes_as_the_int_or_fraction_it_equals(x):
+    # equal values hash equal, so a set holds x and GaussianRational(x) once
+    assert GaussianRational(x) == x
+    assert hash(GaussianRational(x)) == hash(x)
+    assert len({x, GaussianRational(x)}) == 1
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.lists(_PARTS, max_size=6))
 def test_to_gaussian_ints_matches_fraction_oracle(parts):
     values, oracle = zip(*map(_both, parts)) if parts else ((), ())
