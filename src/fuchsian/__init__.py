@@ -34,7 +34,6 @@ from .dimension import (
 from .frobenius import VerificationReport, verify
 from .linalg import Matrix, SolveOutcome, det, eliminate, rank
 from .model import (
-    INFINITY,
     ExponentPair,
     FuchsianEquation,
     FuchsianInstance,
@@ -61,7 +60,6 @@ __all__ = [
     "FuchsianEquation",
     "FuchsianInstance",
     "GaussianRational",
-    "INFINITY",
     "InvalidInstance",
     "Matrix",
     "MomentaCheck",

@@ -27,8 +27,8 @@ with delta_j = -2 psi'(q_j)^2 and epsilon_j = psi'(q_j) * (psi''(q_j) -
 2 g'(q_j)), which is delta_j * (g1_j - psi''(q_j)/psi'(q_j)), g1_j the
 order-0 Laurent coefficient of g/psi at q_j, simplified so that no
 right-hand side needs a division.  h_rhs_terms is the one definition of
-these right-hand sides, as coefficients of each row's own momentum; psi'(x)
-and psi''(x) / 2 are Psi~'s Taylor coefficients at X over E^(d-1), E^(d-2).
+these right-hand sides, as coefficients of each row's own momentum, all read
+off Taylor heads in the instance's point frame.
 
 h is a closed form too.  The first min(rows, cols) rows are the top
 coefficient and Hermite data on distinct nodes, h'' given at q_1 .. q_(n-2)
@@ -57,7 +57,7 @@ from operator import mul
 
 from .linalg import Matrix
 from .model import FuchsianEquation, FuchsianInstance, _psi_ints, fuchs_defect, require_valid
-from .polynomials import Polynomial, _deflate, _monic_ints, _taylor_head_ints, _taylor_values
+from .polynomials import Polynomial, _deflate, _in_frame, _monic_ints, _taylor_head_ints
 from .scalars import ONE, ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
 
 
@@ -105,15 +105,18 @@ def h_rhs_terms(instance: FuchsianInstance, g: Polynomial) -> list:
 
     The row's value is const + lin * p_j + quad * p_j^2 with p_j the momentum
     of apparent point j (0-based); rows whose value involves no momentum have
-    j = None and lin = quad = 0.  Row order is that of h_matrix.
+    j = None and lin = quad = 0.  Row order is that of h_matrix.  psi'(x) and
+    psi''(x) / 2 are Psi~'s Taylor coefficients at X = E x over E^(d-1) and
+    E^(d-2), and g'(q) is that of G / gd = E^(d-1) g(Z/E) at Q over gd E^(d-2).
     """
-    # psi'(x) and psi''(x) / 2 from Psi~'s Taylor head at X = E x, over E^(d-1) and E^(d-2)
     e, xr, xi, (pr, pi) = _psi_ints(instance)
-    n, d, g_ints = instance.n, len(xr), to_gaussian_ints(g.coeffs)
-    heads = [_taylor_head_ints(pr, pi, a, b, [1] * (d + 1), 3) for a, b in zip(xr, xi)]
+    n, d = instance.n, len(xr)
+    gd, gr, gi = _in_frame(*to_gaussian_ints(g.padded(d)), e)
+    heads = [_taylor_head_ints(pr, pi, a, b, 3) for a, b in zip(xr, xi)]
     slopes = [from_gaussian_ints(re[1], im[1], e ** (d - 1)) for re, im in heads]
     halves = [from_gaussian_ints(re[2], im[2], e ** (d - 2)) for re, im in heads[n:]]
-    dgs = [_taylor_values(*g_ints, q, 2)[1] for q in instance.apparent_positions]
+    g_heads = [_taylor_head_ints(gr, gi, a, b, 2) for a, b in zip(xr[n:], xi[n:])]
+    dgs = [from_gaussian_ints(re[1], im[1], gd * e ** (d - 2)) for re, im in g_heads]
     terms = [(None, instance.infinity_exponents.product, ZERO, ZERO)]
     for (_, pair), slope in zip(instance.finite_points, slopes):
         terms.append((None, pair.product * slope * slope, ZERO, ZERO))

@@ -4,14 +4,16 @@ Nothing in this module reuses the linear systems of the builder: every check
 re-derives local data from the coefficient polynomials, so a bug in the
 construction cannot hide behind itself.
 
-Each call writes psi, g and h once over their own denominators dp, dg and dh,
-padded to degrees d, d - 1 and 2d - 2 (d = n + N), and stays on Gaussian
-integers from there.  At a point x = A/E it takes Taylor heads in the scaled
-coordinate u = E (z - x): the raw synthetic-division remainders Psi_k, G_k
-and H_k are the coefficients of E^d dp psi, E^(d-1) dg g and E^(2d-2) dh h
-in u, over no denominator.  In u the equation reads
+Each call reads the instance's point frame, model._psi_ints: E, the lcm of
+the point denominators, X = E x at every point and Psi~(Z) = E^d psi(Z/E) =
+prod (Z - X) on Gaussian integers (d = n + N).  It writes g and h once in
+the same frame Z = E z, G / dg = E^(d-1) g(Z/E) and H / dh = E^(2d-2)
+h(Z/E) with G and H Gaussian-integer and padded to degrees d - 1 and 2d - 2,
+and stays on Gaussian integers from there.  Every Taylor head at a point is
+plain repeated synthetic division by Z - X: the remainders Psi_k, G_k and
+H_k are the coefficients in u = Z - X = E (z - x).  In Z the equation reads
 
-    w'' + g~ w' + h~ w = 0,   g~ = (dp/dg) G/Psi,   h~ = (dp^2/dh) H/Psi^2,
+    w'' + g~ w' + h~ w = 0,   g~ = G / (dg Psi),   h~ = H / (dh Psi^2),
 
 the powers of E cancelling.  The residue of g~ and the order -2 coefficient
 of h~ are those of g/psi and h/psi^2 in z - x; the order -1 coefficient of
@@ -20,11 +22,11 @@ obstruction is E^2 times its value in u.
 
 At a finite point the indicial polynomial is r*(r-1) + g0*r + h0 where g0 is
 the residue of g/psi and h0 the order -2 coefficient of h/psi^2.  At a root
-of psi both are closed forms, g(t)/psi'(t) = dp G_0 / (dg Psi_1) and
-h(t)/psi'(t)^2 = dp^2 H_0 / (dh Psi_1^2): two Horner passes and psi's slope,
-no series division.  At infinity, with x = 1/z, the indicial polynomial is
-l*(l+1) - g0*l + h0, the standard convention, and as psi is monic g0 and h0
-are the top coefficients of g and h.
+of psi both are closed forms, g(t)/psi'(t) = G_0 / (dg Psi_1) and
+h(t)/psi'(t)^2 = H_0 / (dh Psi_1^2): two synthetic divisions and psi's
+slope, no series division.  At infinity, with x = 1/z, the indicial
+polynomial is l*(l+1) - g0*l + h0, the standard convention, and as psi is
+monic g0 and h0 are the top coefficients of g and h.
 
 At an apparent point the power-series solution w = sum a_s x^s of
 
@@ -41,9 +43,9 @@ v = u / Psi_1, where psi's unit part Psi / u leads with 1, so that dividing
 by it stays on Gaussian integers.
 
 The truncated series is then substituted into the equation with its
-denominators cleared, dg dh Psi^2 w'' + dp dh Psi G w' + dp^2 dg H w, built
-from the raw heads only.  Its series form would restate the recursion term
-for term (the coefficient of a_s in order s-2 is s*(s-2) exactly when the
+denominators cleared, dg dh Psi^2 w'' + dh Psi G w' + dg H w, built from
+the raw heads only.  Its series form would restate the recursion term for
+term (the coefficient of a_s in order s-2 is s*(s-2) exactly when the
 residue is -1 and h has no double pole), so it would re-check the recursion
 code while a wrong series division went unseen; the cleared form involves no
 division.
@@ -58,10 +60,10 @@ from dataclasses import dataclass
 from itertools import repeat
 from math import gcd
 
-from .model import ExponentPair, FuchsianEquation, psi, require_valid
+from .model import ExponentPair, FuchsianEquation, _psi_ints, require_valid
 from .polynomials import (
     _gaussian_powers,
-    _powers,
+    _in_frame,
     _taylor_head_ints,
     _times_powers,
     _unit_quotient,
@@ -218,12 +220,12 @@ def verify(eq: FuchsianEquation) -> VerificationReport:
     """
     require_valid(eq.instance)
     instance = eq.instance
-    d = instance.n + instance.num_apparent
-    polys, scales = _frame(eq)
+    n, d = instance.n, instance.n + instance.num_apparent
+    e, xr, xi, polys, scales = _frame(eq)
 
     finite_reports = []
-    for t, expected in instance.finite_points:
-        _, heads = _heads(polys, t, (2, 1, 1))
+    for (t, expected), a, b in zip(instance.finite_points, xr, xi):
+        heads = _heads(polys, a, b, (2, 1, 1))
         residue, product = _pole_terms(scales, heads)
         ind = _indicial(1 - residue, product)
         match = ind.sum == expected.sum and ind.product == expected.product
@@ -243,8 +245,8 @@ def verify(eq: FuchsianEquation) -> VerificationReport:
     two = GaussianRational(2)
     depth = DEFAULT_DEPTH
     apparent_reports = []
-    for q, p in instance.apparent_points:
-        e, heads = _heads(polys, q, (depth + 1, depth, depth + 1))
+    for (q, p), a, b in zip(instance.apparent_points, xr[n:], xi[n:]):
+        heads = _heads(polys, a, b, (depth + 1, depth, depth + 1))
         residue, product = _pole_terms(scales, heads)
         residue_ok = residue == GaussianRational(-1)
         double_pole_absent = not product
@@ -305,10 +307,11 @@ def apparent_obstructions(eq: FuchsianEquation) -> list:
     point that is not apparent-shaped, where g/psi has a residue other than
     -1 or h/psi^2 a double pole.
     """
-    polys, scales = _frame(eq)
+    n = eq.instance.n
+    e, xr, xi, polys, scales = _frame(eq)
     omegas = []
-    for q in eq.instance.apparent_positions:
-        e, heads = _heads(polys, q, (3, 2, 3))
+    for q, a, b in zip(eq.instance.apparent_positions, xr[n:], xi[n:]):
+        heads = _heads(polys, a, b, (3, 2, 3))
         residue, product = _pole_terms(scales, heads)
         if residue != GaussianRational(-1) or product:
             raise ValueError(
@@ -319,57 +322,50 @@ def apparent_obstructions(eq: FuchsianEquation) -> list:
 
 
 def _frame(eq: FuchsianEquation) -> tuple:
-    """(polys, scales): psi, g and h as Gaussian-integer (re, im) int lists
-    over their own denominators (dp, dg, dh), padded to the degrees d, d - 1
-    and 2d - 2 (d = n + N) that the heads assume."""
+    """(E, xr, xi, polys, (dg, dh)): the instance's point frame from
+    model._psi_ints, E and X = E x = xr[k] + xi[k]*i at each point, finite
+    ones first, and polys = (Psi~, G, H) as Gaussian-integer (re, im) int
+    lists with G / dg = E^(d-1) g(Z/E) and H / dh = E^(2d-2) h(Z/E), g and h
+    padded to the degrees d - 1 and 2d - 2 (d = n + N) that the heads assume."""
     d = eq.instance.n + eq.instance.num_apparent
-    (dp, *psi_ints), (dg, *g_ints), (dh, *h_ints) = [
-        to_gaussian_ints(f.padded(size))
-        for f, size in ((psi(eq.instance), d + 1), (eq.g, d), (eq.h, 2 * d - 1))
+    e, xr, xi, psi_ints = _psi_ints(eq.instance)
+    (dg, *g_ints), (dh, *h_ints) = [
+        _in_frame(*to_gaussian_ints(f.padded(size)), e)
+        for f, size in ((eq.g, d), (eq.h, 2 * d - 1))
     ]
-    return (psi_ints, g_ints, h_ints), (dp, dg, dh)
+    return e, xr, xi, (psi_ints, g_ints, h_ints), (dg, dh)
 
 
-def _heads(polys: tuple, x: GaussianRational, sizes: tuple) -> tuple:
-    """(E, heads): x = A / E, and for each Gaussian-integer polynomial F of
-    polys ((re, im) int lists, padded to its degree) the first sizes[k]
-    coefficients of E^deg F(x + u/E) in u = E (z - x)."""
-    e, (a,), (b,) = to_gaussian_ints([x])
-    powers = _powers(e, max(len(re) for re, _ in polys))
-    return e, [
-        _taylor_head_ints(re, im, a, b, powers, size) for (re, im), size in zip(polys, sizes)
-    ]
+def _heads(polys: tuple, a: int, b: int, sizes: tuple) -> list:
+    """For each Gaussian-integer polynomial of polys ((re, im) int lists) its
+    first sizes[k] Taylor coefficients at X = a + b*i: the coefficients in
+    u = Z - X = E (z - x)."""
+    return [_taylor_head_ints(re, im, a, b, size) for (re, im), size in zip(polys, sizes)]
 
 
 def _pole_terms(scales: tuple, heads: tuple) -> tuple:
     """Residue of g/psi and order -2 coefficient of h/psi^2 at a root of
-    psi: dp G_0 / (dg c) and dp^2 H_0 / (dh c^2), c = Psi_1.  Both are the
-    same in u as in z - x."""
-    dp, dg, dh = scales
+    psi: G_0 / (dg c) and H_0 / (dh c^2), c = Psi_1.  Both are the same in u
+    as in z - x."""
+    dg, dh = scales
     (pr, pi), (gr, gi), (hr, hi) = heads
     cr, ci = pr[1], pi[1]
-    residue = from_gaussian_ints(dp * gr[0], dp * gi[0], dg * cr, dg * ci)
-    square = dp * dp
-    product = from_gaussian_ints(
-        square * hr[0], square * hi[0], dh * (cr * cr - ci * ci), 2 * dh * cr * ci
-    )
+    residue = from_gaussian_ints(gr[0], gi[0], dg * cr, dg * ci)
+    product = from_gaussian_ints(hr[0], hi[0], dh * (cr * cr - ci * ci), 2 * dh * cr * ci)
     return residue, product
 
 
 def _momentum(scales: tuple, e: int, heads: tuple) -> GaussianRational:
     """Order -1 coefficient of h/psi^2 at a root of psi: E times that of
-    h~ = (dp^2/dh) H / (u^2 U^2), U = Psi / u, which is (dp^2/dh) (H_1 c -
-    2 H_0 U_1) / c^3 with c = U_0."""
-    dp, _, dh = scales
+    h~ = H / (dh u^2 U^2), U = Psi / u, which is (H_1 c - 2 H_0 U_1) /
+    (dh c^3) with c = U_0."""
+    _, dh = scales
     (pr, pi), _, (hr, hi) = heads
     cr, ci, ur, ui = pr[1], pi[1], pr[2], pi[2]
     nr = hr[1] * cr - hi[1] * ci - 2 * (hr[0] * ur - hi[0] * ui)
     ni = hr[1] * ci + hi[1] * cr - 2 * (hr[0] * ui + hi[0] * ur)
     sr, si = cr * cr - ci * ci, 2 * cr * ci
-    scale = e * dp * dp
-    return from_gaussian_ints(
-        scale * nr, scale * ni, dh * (sr * cr - si * ci), dh * (sr * ci + si * cr)
-    )
+    return from_gaussian_ints(e * nr, e * ni, dh * (sr * cr - si * ci), dh * (sr * ci + si * cr))
 
 
 def _log_free_check(scales: tuple, e: int, heads: tuple) -> tuple:
@@ -377,15 +373,15 @@ def _log_free_check(scales: tuple, e: int, heads: tuple) -> tuple:
     h/psi^2 no double pole (H_0 = 0).
 
     In v = u / c, c = Psi_1, psi's unit part U~ = Psi(c v) / (c^2 v) leads
-    with 1, and g_v = (dp/dg) G^ / (c v U~), h_v = (dp^2/dh) H'^ / (c v U~^2)
-    with G^_i = G_i c^i and H'^_i = H_(i+1) c^i: the quotients by U~ are
+    with 1, and g_v = G^ / (dg c v U~), h_v = H'^ / (dh c v U~^2) with
+    G^_i = G_i c^i and H'^_i = H_(i+1) c^i: the quotients by U~ are
     Gaussian-integer series.  The recursion runs on them over a real
     denominator, and omega in z - x is E^2 / c^2 times its value in v.  Its
     a_k are the coefficients in v; a_k c^(K-k) are those in u times c^K, and
-    the cleared residual dg dh Psi^2 w'' + dp dh Psi G w' + dp^2 dg H w
-    reads them with the raw heads only.
+    the cleared residual dg dh Psi^2 w'' + dh Psi G w' + dg H w reads them
+    with the raw heads only.
     """
-    dp, dg, dh = scales
+    dg, dh = scales
     (pr, pi), (gr, gi), (hr, hi) = heads
     depth = len(gr)
     cr, ci = pr[1], pi[1]
@@ -398,17 +394,15 @@ def _log_free_check(scales: tuple, e: int, heads: tuple) -> tuple:
     k = gcd(cr, ci)
     kr, ki = cr // k, -ci // k
     m = k * (kr * kr + ki * ki)
-    g_v = _times_powers(*g_v, repeat((dp * dh * kr, dp * dh * ki)))
-    h_v = _times_powers(*h_v, repeat((dp * dp * dg * kr, dp * dp * dg * ki)))
+    g_v = _times_powers(*g_v, repeat((dh * kr, dh * ki)))
+    h_v = _times_powers(*h_v, repeat((dg * kr, dg * ki)))
     (wr, wi, wden), ar, ai, _ = _recursion(dg * dh * m, g_v, h_v)
     sr, si = powers[2]
     omega = from_gaussian_ints(wr * e * e, wi * e * e, wden * sr, wden * si)
     if omega:
         return omega, False
     w = _times_powers(ar, ai, powers[::-1])
-    residual = _cleared_residual(
-        (pr, pi), (gr, gi), (hr, hi), w, (dg * dh, dp * dh, dp * dp * dg)
-    )
+    residual = _cleared_residual((pr, pi), (gr, gi), (hr, hi), w, (dg * dh, dh, dg))
     return omega, not any(residual[0]) and not any(residual[1])
 
 

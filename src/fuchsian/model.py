@@ -32,23 +32,6 @@ class InvalidInstance(ValueError):
     """Structurally invalid instance or malformed instance JSON."""
 
 
-class Infinity:
-    """Singleton marker for the point at infinity."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITY"
-
-
-INFINITY = Infinity()
-
-
 class ExponentPair:
     """Unordered pair of exponents; {a, b} compares equal to {b, a}."""
 

@@ -11,21 +11,25 @@ psi and continues it to the Hermite frame's Omega~; _deflate divides by
 Z - X, its remainder the value at X.
 
 The kernels run on plain ints: the inputs are written over a common
-denominator once (the point at = A/e too), the inner loops multiply and add
-Gaussian integers, and each output coefficient becomes a canonical
-GaussianRational at most once.  Synthetic division by Z - A of the
-coefficients scaled by powers of e (_taylor_ints) yields the Taylor
-coefficients in the scaled coordinate u = e (z - at) with no denominator at
-all; the verifier reads these raw values, and _taylor_values divides them out
-for the builder and for Polynomial.shift.  A quotient by a window that leads
-with 1 is a Gaussian-integer recursion (_unit_quotient).  The test suite
-checks every kernel against a plain Fraction reference and reads its
-independent Laurent expansions off that reference, not off these kernels.
+denominator once, the inner loops multiply and add Gaussian integers, and
+each output coefficient becomes a canonical GaussianRational at most once.
+Taylor heads follow one rule.  A polynomial is written once in the frame
+Z = E z of the points it is read at, x = X/E (_in_frame: E^deg F(Z/E) over
+its reduced denominator); its head at x is then plain repeated synthetic
+division by Z - X (_taylor_head_ints), the remainders being the Taylor
+coefficients in u = Z - X = E (z - x), with no power of E inside the kernel.
+The verifier and the builder read these raw values in the instance's point
+frame; Polynomial.shift frames at its point's own denominator and divides
+the powers of E out.  A quotient by a window that leads with 1 is a
+Gaussian-integer recursion (_unit_quotient).  The test suite checks every
+kernel against a plain Fraction reference and reads its independent Laurent
+expansions off that reference, not off these kernels.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, repeat
+from math import gcd
 from operator import mul
 
 from .scalars import ONE, ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
@@ -68,11 +72,16 @@ class Polynomial:
         return self.coeffs + (ZERO,) * (length - len(self.coeffs))
 
     def shift(self, a) -> Polynomial:
-        """Taylor shift: the polynomial q with q(x) = p(x + a)."""
+        """Taylor shift: the polynomial q with q(x) = p(x + a).
+
+        With a = A/e and p framed at e by _in_frame, over den, q_k is the
+        frame's Taylor coefficient of order k at A over den e^(deg-k)."""
+        e, (ar,), (ai,) = to_gaussian_ints([GaussianRational.coerce(a)])
+        den, re, im = _in_frame(*to_gaussian_ints(self.coeffs), e)
+        deg = len(re) - 1
+        head = _taylor_head_ints(re, im, ar, ai, deg + 1)
         return Polynomial(
-            _taylor_values(
-                *to_gaussian_ints(self.coeffs), GaussianRational.coerce(a), len(self.coeffs)
-            )
+            from_gaussian_ints(x, y, den * e ** (deg - k)) for k, (x, y) in enumerate(zip(*head))
         )
 
     def __eq__(self, other):
@@ -131,53 +140,40 @@ def _deflate(pr: list, pi: list, a: int, b: int) -> tuple:
     return qr, qi, pr[0] + a * x - b * y, pi[0] + a * y + b * x
 
 
-def _taylor_values(den: int, re: list, im: list, at: GaussianRational, terms: int) -> list:
-    """Taylor coefficients of orders 0 .. terms-1 at `at` of the polynomial
-    (re + im*i) / den, given as ascending int lists: f(at), f'(at),
-    f''(at)/2, ..."""
-    e, (a,), (b,) = to_gaussian_ints([at])
+def _in_frame(den: int, re: list, im: list, e: int) -> tuple:
+    """(den', re', im'): E^deg F(Z/E) for F = (re + im*i) / den given as
+    ascending int lists, deg = len(re) - 1, in lowest terms: coefficient k is
+    multiplied by e^(deg-k), then the integer content is divided out."""
     deg = len(re) - 1
     powers = _powers(e, deg + 1)
-    return [
-        from_gaussian_ints(x, y, den * powers[deg - k]) if k <= deg else ZERO
-        for k, (x, y) in enumerate(zip(*_taylor_head_ints(re, im, a, b, powers, terms)))
-    ]
+    re = [c * powers[deg - k] for k, c in enumerate(re)]
+    im = [c * powers[deg - k] for k, c in enumerate(im)]
+    content = gcd(den, *re, *im)
+    return den // content, [x // content for x in re], [x // content for x in im]
 
 
-def _taylor_ints(re: list, im: list, a: int, b: int, powers: list):
-    """Yield the Taylor coefficients of order 0, 1, ... of a Gaussian-integer
-    polynomial in the scaled coordinate u = e (z - x), as (re, im) pairs.
+def _taylor_head_ints(re: list, im: list, a: int, b: int, terms: int) -> tuple:
+    """Taylor coefficients of orders 0 .. terms-1 at X = a + b*i of the
+    Gaussian-integer polynomial re + im*i (ascending int lists), as (re, im)
+    int lists; orders past the degree are 0.
 
-    F = re + im*i in ascending degree, deg = len(re) - 1, x = (a + b*i) / e
-    and powers[k] = e^k for k <= deg.  The k-th value is the coefficient of
-    u^k in e^deg F(x + u/e): with c_i scaled by e^(deg-i), synthetic
-    division by Z - (a + b*i) stays on Gaussian integers and its k-th
-    remainder is exactly that coefficient, so no denominator arises.
+    Order k is the remainder of the (k+1)-th synthetic division by Z - X,
+    run in place on a copy: pass k leaves orders 0 .. k final.
     """
-    deg = len(re) - 1
-    wr = [c * powers[deg - i] for i, c in enumerate(re)]
-    wi = [c * powers[deg - i] for i, c in enumerate(im)]
+    wr, wi = re[:], im[:]
+    deg = len(wr) - 1
     if not b and not any(wi):
-        for k in range(deg + 1):
+        for k in range(min(terms, deg)):
             for i in range(deg - 1, k - 1, -1):
                 wr[i] += a * wr[i + 1]
-            yield wr[k], 0
-        return
-    for k in range(deg + 1):
-        for i in range(deg - 1, k - 1, -1):
-            x, y = wr[i + 1], wi[i + 1]
-            wr[i] += a * x - b * y
-            wi[i] += a * y + b * x
-        yield wr[k], wi[k]
-
-
-def _taylor_head_ints(re: list, im: list, a: int, b: int, powers: list, terms: int) -> tuple:
-    """Orders 0 .. terms-1 of _taylor_ints as (re, im) int lists; orders
-    past the degree are 0."""
-    hr, hi = [0] * terms, [0] * terms
-    for k, (x, y) in zip(range(terms), _taylor_ints(re, im, a, b, powers)):
-        hr[k], hi[k] = x, y
-    return hr, hi
+    else:
+        for k in range(min(terms, deg)):
+            for i in range(deg - 1, k - 1, -1):
+                x, y = wr[i + 1], wi[i + 1]
+                wr[i] += a * x - b * y
+                wi[i] += a * y + b * x
+    pad = [0] * (terms - deg - 1)
+    return wr[:terms] + pad, wi[:terms] + pad
 
 
 def _unit_quotient(vr: list, vi: list, ur: list, ui: list) -> tuple:

@@ -24,6 +24,7 @@ from fuchsian.frobenius import DEFAULT_DEPTH, _mul_add, apparent_obstructions, v
 from fuchsian.linalg import Matrix, det, eliminate, rank
 from fuchsian.model import FuchsianEquation, FuchsianInstance, psi
 from fuchsian.polynomials import Polynomial, _deflate, _monic_ints, _unit_quotient
+from fuchsian.sampling import random_instance
 from fuchsian.scalars import ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
 
 
@@ -381,3 +382,32 @@ def test_verify_matches_fraction_reference_at_gaussian_positions(inst):
     for tampered in _with_tampering(eq):
         assert verify(tampered) == ref.verify(tampered)
     assert verify(eq).overall
+
+
+_fractions_9 = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+_gaussians_9 = st.builds(GaussianRational, _fractions_9, _fractions_9)
+_coefficients_9 = st.one_of(_gaussians_9, st.builds(GaussianRational, _fractions_9))
+
+
+@st.composite
+def _arbitrary_equations(draw):
+    """An equation the builder never produces: g of degree below d (zero,
+    lower or full degree) and h of degree at most 2d - 2, with random
+    coefficients over denominators 1..9, on a square, under or over instance
+    shifted by a Gaussian c with mixed denominators."""
+    n = draw(st.integers(2, 5))
+    num = draw(st.integers(0, n + 1))
+    inst = random_instance(n, num, seed=draw(st.integers(0, 10**6))).shifted(draw(_gaussians_9))
+    d = n + num
+    g = Polynomial(draw(st.lists(_coefficients_9, max_size=d)))
+    h = Polynomial(draw(st.lists(_coefficients_9, max_size=2 * d - 1)))
+    return FuchsianEquation(g, h, inst)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_arbitrary_equations())
+def test_verify_matches_fraction_reference_on_arbitrary_equations(eq):
+    # every field of the report where g and h are not what the builder
+    # writes, so a slip in framing g or h (a lower degree, a zero polynomial,
+    # a denominator) shows even when the equation fails its checks anyway
+    assert verify(eq) == ref.verify(eq)

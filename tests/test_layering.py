@@ -11,6 +11,8 @@
 - `Polynomial` is a coefficient container: the attributes and methods its
   class defines are exactly `POLYNOMIAL_NAMES`, so no arithmetic operator
   comes back to it unnoticed.  The tests' polynomial arithmetic is in `fraction_reference`.
+- The package has no `assert` statement, so no correctness check disappears
+  under `python -O`.
 """
 
 import ast
@@ -22,7 +24,7 @@ import fuchsian
 PACKAGE = Path(fuchsian.__file__).parent
 PUBLIC_NAMES = [
     "CaseReport", "ExponentPair", "FuchsViolation", "FuchsianEquation", "FuchsianInstance",
-    "GaussianRational", "INFINITY", "InvalidInstance", "Matrix", "MomentaCheck", "Polynomial",
+    "GaussianRational", "InvalidInstance", "Matrix", "MomentaCheck", "Polynomial",
     "QuadraticConstraint", "SolveOutcome", "VerificationFailed", "VerificationReport",
     "Violation", "build_h_system", "check_momenta", "classify", "construct", "det",
     "eliminate", "equation_from_json_obj", "equation_to_json_obj", "exact_quadratic_roots",
@@ -102,3 +104,10 @@ def test_polynomial_is_a_coefficient_container():
     names = sorted(name for name, value in defined if not name.startswith("__") or callable(value))
     assert names == POLYNOMIAL_NAMES
     assert not hasattr(fuchsian.polynomials, "Z")
+
+
+def test_package_has_no_assert_statement():
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, (path.name, lines)

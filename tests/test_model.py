@@ -8,6 +8,7 @@ import pytest
 
 from fuchsian.model import (
     ExponentPair,
+    FuchsianEquation,
     FuchsianInstance,
     InvalidInstance,
     equation_from_json_obj,
@@ -123,6 +124,11 @@ def test_instance_json_malformed():
         )
     with pytest.raises(InvalidInstance):
         instance_from_json_obj([1, 2, 3])
+    obj = instance_to_json_obj(EXAMPLE_A)
+    for exponents in ("0", [["0", "0"]] * 3):
+        obj["finite_points"][0]["exponents"] = exponents
+        with pytest.raises(InvalidInstance, match="exponent pair must be a 2-element list"):
+            instance_from_json_obj(obj)
 
 
 def test_equation_json_round_trip_and_padding():
@@ -156,6 +162,11 @@ def test_equation_degree_bounds_enforced():
         equation_from_json_obj(
             {"G": [["0", "0"]] * 3 + [["1", "0"]], "H": [["1", "0"]]}, EXAMPLE_A
         )
+    # d = 2: g of degree 2 or h of degree 3, past the JSON length cap's reach
+    with pytest.raises(ValueError, match="g has degree 2, bound is 1"):
+        FuchsianEquation(Polynomial((0, 0, 1)), Polynomial((1,)), EXAMPLE_A)
+    with pytest.raises(ValueError, match="h has degree 3, bound is 2"):
+        FuchsianEquation(Polynomial((1,)), Polynomial((0, 0, 0, 1)), EXAMPLE_A)
 
 
 def test_equation_length_is_checked_before_parsing(monkeypatch):
