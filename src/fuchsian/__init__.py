@@ -15,7 +15,6 @@ from .builder import (
     VerificationFailed,
     build_h_system,
     construct,
-    h_matrix,
     solve_g,
     solve_h,
 )
@@ -32,24 +31,21 @@ from .dimension import (
     solve_under,
 )
 from .frobenius import VerificationReport, verify
-from .linalg import Matrix, SolveOutcome, det, eliminate, rank
+from .linalg import Matrix, SolveOutcome, eliminate
 from .model import (
     ExponentPair,
     FuchsianEquation,
     FuchsianInstance,
     InvalidInstance,
-    Violation,
     equation_from_json_obj,
     equation_to_json_obj,
     fuchs_defect,
     instance_from_json_obj,
     instance_to_json_obj,
-    psi,
-    validate,
 )
 from .polynomials import Polynomial
 from .sampling import random_instance
-from .scalars import GaussianRational, format_rational, parse_rational, rational_sqrt
+from .scalars import GaussianRational
 
 __version__ = "0.1.0"
 
@@ -68,32 +64,23 @@ __all__ = [
     "SolveOutcome",
     "VerificationFailed",
     "VerificationReport",
-    "Violation",
     "build_h_system",
     "check_momenta",
     "classify",
     "construct",
-    "det",
     "eliminate",
     "equation_from_json_obj",
     "equation_to_json_obj",
     "exact_quadratic_roots",
     "float_obstructions",
-    "format_rational",
     "fuchs_defect",
-    "h_matrix",
     "instance_from_json_obj",
     "instance_to_json_obj",
-    "parse_rational",
-    "psi",
     "quadratic_constraints",
     "random_instance",
-    "rank",
-    "rational_sqrt",
     "solve_g",
     "solve_h",
     "solve_quadratic_float",
     "solve_under",
-    "validate",
     "verify",
 ]

@@ -51,8 +51,8 @@ def main(argv=None) -> int:
     except VerificationFailed as exc:
         _diag(f"verification failed: {exc}")
         return 3
-    except (OSError, json.JSONDecodeError) as exc:
-        _diag(f"cannot read input: {exc}")
+    except OSError as exc:  # _load_json raises input errors as ValueError
+        _diag(f"cannot write output: {exc}")
         return 1
     except ValueError as exc:
         _diag(str(exc))
@@ -106,11 +106,13 @@ def _dispatch(args) -> int:
 
 
 def _load_json(path):
-    with open(path, encoding="utf-8") as handle:
-        try:
+    """The parsed file; one that cannot be opened or parsed, or that nests
+    deeper than the parser's stack (RecursionError), raises ValueError."""
+    try:
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle)
-        except RecursionError as exc:  # nesting deeper than the parser's stack
-            raise ValueError(f"cannot read input: {exc}") from None
+    except (OSError, RecursionError, json.JSONDecodeError) as exc:
+        raise ValueError(f"cannot read input: {exc}") from None
 
 
 def _cmd_construct(args, instance) -> int:

@@ -42,7 +42,7 @@ from .builder import (
     solve_g,
     solve_h,
 )
-from .frobenius import apparent_obstructions, verify
+from .frobenius import verify
 from .model import FuchsianEquation, FuchsianInstance, require_valid
 from .scalars import ZERO, GaussianRational
 
@@ -233,10 +233,11 @@ def float_obstructions(instance: FuchsianInstance, momenta) -> list:
     Momenta are taken at their exact binary values and everything after that
     is exact; only the results are rounded to complex.  h is h_residuals'
     interpolant, unique for N >= n - 2, taken without the residuals, and
-    omega_j is exactly 0 where h''(q_j) is interpolated, C_j(p) / delta_j
-    elsewhere (C_j the constraint of q_j, delta_j = -2 psi'(q_j)^2 its p_j^2
-    coefficient).  Raises ValueError for an underdetermined instance, for
-    momenta not finite and where h does not leave a point apparent-shaped.
+    omega_j is the obstruction verify reports at q_j: exactly 0 where h''(q_j)
+    is interpolated, C_j(p) / delta_j elsewhere (C_j the constraint of q_j,
+    delta_j = -2 psi'(q_j)^2 its p_j^2 coefficient).  Raises ValueError for
+    an underdetermined instance, for momenta not finite and where h does not
+    leave a point apparent-shaped, so that verify reports no obstruction.
     """
     if classify(instance).case == "under":
         raise ValueError("instance is under; float_obstructions needs N >= n - 2")
@@ -250,4 +251,12 @@ def float_obstructions(instance: FuchsianInstance, momenta) -> list:
     )
     g = solve_g(exact)
     eq = FuchsianEquation(g, _interpolant(exact, g, ())[0], exact)
-    return [omega.to_complex() for omega in apparent_obstructions(eq)]
+    omegas = []
+    for r in verify(eq).apparent:
+        if r.obstruction is None:
+            raise ValueError(
+                f"not apparent-shaped at {r.point}: residue {r.residue}, "
+                f"order -2 coefficient {r.indicial.product}"
+            )
+        omegas.append(r.obstruction.to_complex())
+    return omegas

@@ -49,9 +49,6 @@ term (the coefficient of a_s in order s-2 is s*(s-2) exactly when the
 residue is -1 and h has no double pole), so it would re-check the recursion
 code while a wrong series division went unseen; the cleared form involves no
 division.
-
-apparent_obstructions runs the same kernels on the shortest heads that reach
-the resonance, for callers that need omega alone.
 """
 
 from __future__ import annotations
@@ -296,29 +293,6 @@ def verify(eq: FuchsianEquation) -> VerificationReport:
         infinity=infinity_report,
         overall=overall,
     )
-
-
-def apparent_obstructions(eq: FuchsianEquation) -> list:
-    """The logarithm obstruction omega at each apparent point of eq, in
-    instance order.
-
-    Each point reads the shortest heads that reach the resonance at s = 2:
-    psi to order 2, g to order 1 and h to order 2.  Raises ValueError at a
-    point that is not apparent-shaped, where g/psi has a residue other than
-    -1 or h/psi^2 a double pole.
-    """
-    n = eq.instance.n
-    e, xr, xi, polys, scales = _frame(eq)
-    omegas = []
-    for q, a, b in zip(eq.instance.apparent_positions, xr[n:], xi[n:]):
-        heads = _heads(polys, a, b, (3, 2, 3))
-        residue, product = _pole_terms(scales, heads)
-        if residue != GaussianRational(-1) or product:
-            raise ValueError(
-                f"not apparent-shaped at {q}: residue {residue}, order -2 coefficient {product}"
-            )
-        omegas.append(_log_free_check(scales, e, heads)[0])
-    return omegas
 
 
 def _frame(eq: FuchsianEquation) -> tuple:

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 
-from .polynomials import Polynomial, _monic_ints, _powers
-from .scalars import GaussianRational, from_gaussian_ints, to_gaussian_ints
+from .polynomials import Polynomial, _monic_ints
+from .scalars import GaussianRational, to_gaussian_ints
 
 
 MAX_POINTS = 128  # cap on n + N in instance JSON; gen's 121 pool positions stay under it
@@ -232,13 +232,6 @@ def _psi_ints(instance: FuchsianInstance) -> tuple:
         e, xr, xi = to_gaussian_ints(instance.finite_positions + instance.apparent_positions)
         instance._psi = e, xr, xi, _monic_ints([1], [0], xr, xi, repeat(1))
     return instance._psi
-
-
-def psi(instance: FuchsianInstance) -> Polynomial:
-    """The monic polynomial vanishing at every finite prescribed or apparent
-    point; degree d = n + N.  Its z^k coefficient is Psi~_k / E^(d-k)."""
-    e, _, _, (pr, pi) = _psi_ints(instance)
-    return Polynomial(map(from_gaussian_ints, pr, pi, reversed(_powers(e, len(pr)))))
 
 
 class FuchsianEquation:

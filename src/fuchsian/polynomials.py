@@ -6,9 +6,9 @@ of coefficients in ascending degree with trailing zeros trimmed; the zero
 polynomial is the empty tuple and its degree is the distinguished value
 -inf (never the -1 convention).
 
-_monic_ints multiplies by prod (Z - X)^m: it builds Psi~ = prod (Z - X) for
-psi and continues it to the Hermite frame's Omega~; _deflate divides by
-Z - X, its remainder the value at X.
+_monic_ints multiplies by prod (Z - X)^m: it builds the point frame's
+Psi~ = prod (Z - X) and continues it to the Hermite frame's Omega~; _deflate
+divides by Z - X, its remainder the value at X.
 
 The kernels run on plain ints: the inputs are written over a common
 denominator once, the inner loops multiply and add Gaussian integers, and

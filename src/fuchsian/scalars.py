@@ -56,17 +56,6 @@ def parse_rational(text) -> Fraction:
     raise ValueError(f"not a rational: {quoted}")
 
 
-def rational_sqrt(value: Fraction) -> Fraction | None:
-    """Exact nonnegative square root of a rational, or None if irrational."""
-    if value < 0:
-        return None
-    num, den = value.numerator, value.denominator
-    rnum, rden = isqrt(num), isqrt(den)
-    if rnum * rnum == num and rden * rden == den:
-        return Fraction(rnum, rden)
-    return None
-
-
 class GaussianRational:
     """An exact complex scalar re + im*i with rational re, im.
 

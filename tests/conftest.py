@@ -1,5 +1,6 @@
-"""Seeded instances shared by the builder and verifier suites, and adapters
-that run verify's private integer kernels on fraction_reference's windows."""
+"""Seeded instances shared by the builder and verifier suites, adapters
+that run verify's private integer kernels on fraction_reference's windows,
+and psi read off the instance's point frame."""
 
 import random
 from fractions import Fraction
@@ -9,7 +10,8 @@ import pytest
 import fraction_reference as ref
 from fuchsian.dimension import quadratic_constraints
 from fuchsian.frobenius import DEFAULT_DEPTH, _cleared_residual, _recursion
-from fuchsian.model import FuchsianInstance
+from fuchsian.model import FuchsianInstance, _psi_ints
+from fuchsian.polynomials import Polynomial
 from fuchsian.sampling import random_instance
 from fuchsian.scalars import ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
 
@@ -96,6 +98,16 @@ def random_apparent_locals():
         ref.Local(g_series=window(-1, [GaussianRational(-1)]), h_series=window(-1))
         for _ in range(200)
     ]
+
+
+def frame_psi(instance):
+    """psi as a Polynomial read off the point frame model._psi_ints: its z^k
+    coefficient is Psi~_k / E^(d-k), d = n + N."""
+    e, _, _, (pr, pi) = _psi_ints(instance)
+    d = len(pr) - 1
+    return Polynomial(
+        from_gaussian_ints(x, y, e ** (d - k)) for k, (x, y) in enumerate(zip(pr, pi))
+    )
 
 
 def recursion(local, depth=DEFAULT_DEPTH):

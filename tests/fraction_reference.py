@@ -30,16 +30,16 @@ the tests compare it with this one.
 
 `FractionGaussian` is the scalar the package used before GaussianRational
 became one canonical int triple: two `Fraction`s, each kept in lowest terms
-by `fractions`.  With `fraction_to_gaussian_ints` and
-`fraction_from_gaussian_ints` it is the differential oracle of the scalar
-tests.  `dot` is the plain sum of products that h-system residuals are
-checked against.
+by `fractions`, with square roots through `rational_sqrt`.  With
+`fraction_to_gaussian_ints` and `fraction_from_gaussian_ints` it is the
+differential oracle of the scalar tests.  `dot` is the plain sum of
+products that h-system residuals are checked against.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from fuchsian.frobenius import (
     ApparentPointReport,
@@ -57,8 +57,18 @@ from fuchsian.scalars import (
     GaussianRational,
     format_rational,
     parse_rational,
-    rational_sqrt,
 )
+
+
+def rational_sqrt(value: Fraction) -> Fraction | None:
+    """Exact nonnegative square root of a rational, or None if irrational."""
+    if value < 0:
+        return None
+    num, den = value.numerator, value.denominator
+    rnum, rden = isqrt(num), isqrt(den)
+    if rnum * rnum == num and rden * rden == den:
+        return Fraction(rnum, rden)
+    return None
 
 
 class FractionGaussian:

@@ -349,7 +349,7 @@ def test_solve_g_matches_vandermonde_oracle(regime_instances):
 
 
 def test_one_point_frame_per_instance(monkeypatch):
-    # Psi~ = prod (Z - X) is built once per instance and read by psi, solve_g,
+    # Psi~ = prod (Z - X) is built once per instance and read by verify, solve_g,
     # the h right-hand sides and the Hermite frame, which continues it to
     # Omega~ with (Z - Q)^(m - 1): n = 6, N = 4 multiplies 10 + 8 factors.
     original = fuchsian.polynomials._monic_ints

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import fuchsian.cli
 from fuchsian import sampling
 from fuchsian.cli import main
 from fuchsian.dimension import quadratic_constraints
@@ -20,7 +21,7 @@ from fuchsian.model import (
     instance_to_json_obj,
 )
 from fuchsian.sampling import random_instance
-from fuchsian.scalars import GaussianRational
+from fuchsian.scalars import ONE, ZERO, GaussianRational
 
 
 EXAMPLE_A = FuchsianInstance([(0, (0, -3)), (1, (0, 1))], (1, 2))
@@ -140,6 +141,22 @@ def test_det_check(tmp_path, capsys):
     assert main(["det-check", "--n", "1"]) == 1
 
 
+def test_det_check_exits_3_on_a_zero_or_varying_ratio(monkeypatch, capsys):
+    # a zero determinant keeps the ratio constant (0) and fails nonzero; a
+    # determinant that changes from trial to trial fails ratio_constant
+    monkeypatch.setattr(fuchsian.cli, "det", lambda matrix: ZERO)
+    assert main(["det-check", "--n", "3", "--trials", "2"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["nonzero"], payload["ratio_constant"]) == (False, True)
+    values = iter(GaussianRational(k) for k in range(1, 10))
+    monkeypatch.setattr(fuchsian.cli, "det", lambda matrix: next(values))
+    monkeypatch.setattr(fuchsian.cli, "_node_product", lambda instance: ONE)
+    assert main(["det-check", "--n", "3", "--trials", "2"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["nonzero"], payload["ratio_constant"]) == (True, False)
+    assert [r["ratio"] for r in payload["results"]] == [["1", "0"], ["2", "0"]]
+
+
 def test_det_check_rejects_fewer_than_one_trial(capsys):
     for trials in ("0", "-3"):
         assert main(["det-check", "--n", "3", "--trials", trials]) == 1
@@ -170,6 +187,8 @@ def test_gen_rejects_more_points_than_the_pool(capsys):
     assert len(random_instance(61, 60).finite_points) == 61
     with pytest.raises(ValueError, match="n \\+ N <= 121"):
         random_instance(60, 62)
+    with pytest.raises(ValueError, match="need N >= 0, got -1"):
+        random_instance(3, -1)
     assert main(["gen", "--n", "62"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -200,6 +219,21 @@ def test_malformed_inputs(tmp_path):
     _write_instance(src, EXAMPLE_A)
     assert main(["verify", "-i", str(src)]) == 1  # --equation required
     assert main(["bogus-subcommand"]) == 1
+
+
+def test_unwritable_output_is_a_write_error(tmp_path, capsys):
+    # -o naming a directory fails at the output, and says so; an unreadable
+    # input is still reported as such
+    src = tmp_path / "a.json"
+    _write_instance(src, EXAMPLE_A)
+    for argv in (["gen", "--n", "3"], ["construct", "-i", str(src)]):
+        assert main(argv + ["-o", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fuchsian: cannot write output: [Errno")
+        assert captured.err.count("\n") == 1
+    assert main(["construct", "-i", str(tmp_path / "missing.json")]) == 1
+    assert capsys.readouterr().err.startswith("fuchsian: cannot read input: [Errno")
 
 
 def test_deeply_nested_json_is_unreadable_input(tmp_path, capsys):

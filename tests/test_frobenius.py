@@ -6,12 +6,11 @@ import random
 from fractions import Fraction
 
 import fraction_reference as ref
-import pytest
 from conftest import cleared_residual, recursion, reference_local
 
 import fuchsian.frobenius
 from fuchsian.builder import construct, solve_g, solve_h
-from fuchsian.frobenius import apparent_obstructions, report_to_json_obj, verify
+from fuchsian.frobenius import report_to_json_obj, verify
 from fuchsian.model import ExponentPair, FuchsianEquation, FuchsianInstance
 from fuchsian.polynomials import Polynomial
 from fuchsian.sampling import random_instance
@@ -82,15 +81,13 @@ def test_obstruction_shape_errors():
     # at q = 3 psi'(3) = 6: g + 18 moves the residue of g/psi from -1 to 2,
     # and h + 1 gives h/psi^2 a double pole
     eq = construct(EXAMPLE_C)
-    assert apparent_obstructions(eq) == [ZERO]
+    assert verify(eq).apparent[0].obstruction == ZERO
     bad_residue = FuchsianEquation(ref.poly_add(eq.g, Polynomial((18,))), eq.h, EXAMPLE_C)
     assert verify(bad_residue).apparent[0].residue == gr(2)
-    with pytest.raises(ValueError):
-        apparent_obstructions(bad_residue)
+    assert verify(bad_residue).apparent[0].obstruction is None
     bad_pole = FuchsianEquation(eq.g, ref.poly_add(eq.h, Polynomial((1,))), EXAMPLE_C)
     assert not verify(bad_pole).apparent[0].double_pole_absent
-    with pytest.raises(ValueError):
-        apparent_obstructions(bad_pole)
+    assert verify(bad_pole).apparent[0].obstruction is None
 
 
 def test_obstruction_closed_form_random(random_apparent_locals):

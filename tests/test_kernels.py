@@ -12,17 +12,16 @@ import dataclasses
 import random
 from fractions import Fraction
 
-import pytest
-from conftest import cleared_residual, recursion, reference_local
+from conftest import cleared_residual, frame_psi, recursion, reference_local
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_reference as ref
 from elimination_reference import build_g_system
 from fuchsian.builder import build_h_system, construct, solve_g, solve_h
-from fuchsian.frobenius import DEFAULT_DEPTH, _mul_add, apparent_obstructions, verify
+from fuchsian.frobenius import DEFAULT_DEPTH, _mul_add, verify
 from fuchsian.linalg import Matrix, det, eliminate, rank
-from fuchsian.model import FuchsianEquation, FuchsianInstance, psi
+from fuchsian.model import FuchsianEquation, FuchsianInstance
 from fuchsian.polynomials import Polynomial, _deflate, _monic_ints, _unit_quotient
 from fuchsian.sampling import random_instance
 from fuchsian.scalars import ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
@@ -236,7 +235,8 @@ def test_psi_matches_fraction_reference(points, apparent):
     inst = FuchsianInstance(
         [(t, (0, 0)) for t in points[:n]], (0, 0), [(q, 0) for q in points[n:]]
     )
-    assert psi(inst) == ref.psi(inst)
+    # the point frame's Psi~_k / E^(d-k) against the product of linear factors
+    assert frame_psi(inst) == ref.psi(inst)
 
 
 def _apparent_locals(regime_instances, terms):
@@ -254,7 +254,7 @@ def test_frobenius_recursion_matches_fraction_reference(
 ):
     # omega and every a_s, on arbitrary apparent-shaped data (the locals of
     # the closed-form test) and at constructed apparent points, both with the
-    # window verify uses and with the 3-term one that float_obstructions uses
+    # window verify uses and with the shortest, 3-term one that reaches s = 2
     cases = [(("random", k), local) for k, local in enumerate(random_apparent_locals)]
     cases += list(_apparent_locals(regime_instances, 10))
     cases += list(_apparent_locals(regime_instances, 3))
@@ -265,29 +265,6 @@ def test_frobenius_recursion_matches_fraction_reference(
         assert got == ref.obstruction(local, DEFAULT_DEPTH), label
         omegas.append(got[0])
     assert any(omegas) and not all(omegas)
-
-
-def test_apparent_obstructions_match_fraction_reference(regime_instances):
-    # omega at every apparent point from the shortest heads, against the
-    # reference recursion on 3-term windows, on untampered and tampered
-    # equations; an equation that is not apparent-shaped somewhere raises
-    omegas, raised = [], 0
-    for case, inst, free in regime_instances(5151, 45):
-        g = solve_g(inst)
-        for eq in _with_tampering(FuchsianEquation(g, solve_h(inst, g, free), inst)):
-            locals_ = [reference_local(eq, q, 3) for q in inst.apparent_positions]
-            if all(
-                local.g_series.coefficient(-1) == -1 and not local.h_series.coefficient(-2)
-                for local in locals_
-            ):
-                got = apparent_obstructions(eq)
-                assert got == [ref.obstruction(local, DEFAULT_DEPTH)[0] for local in locals_]
-                omegas += got
-            else:
-                with pytest.raises(ValueError):
-                    apparent_obstructions(eq)
-                raised += 1
-    assert any(omegas) and not all(omegas) and raised
 
 
 def test_cleared_residual_vanishes_with_series_residual(regime_instances):

@@ -2,6 +2,9 @@
 
 - The verifier stays independent of construction: besides the standard
   library, `frobenius` imports only `model`, `polynomials` and `scalars`.
+- The local analysis at the points is one loop: the public functions
+  `frobenius` defines are exactly `verify` and `report_to_json_obj`, and
+  `dimension` imports only `verify` from it.
 - Elimination is an oracle: only `builder` (for `Matrix`), `cli` (for
   det-check's `det`) and `__init__` import `linalg`.
 - No package module imports a module of the test suite, and every import
@@ -26,12 +29,11 @@ PUBLIC_NAMES = [
     "CaseReport", "ExponentPair", "FuchsViolation", "FuchsianEquation", "FuchsianInstance",
     "GaussianRational", "InvalidInstance", "Matrix", "MomentaCheck", "Polynomial",
     "QuadraticConstraint", "SolveOutcome", "VerificationFailed", "VerificationReport",
-    "Violation", "build_h_system", "check_momenta", "classify", "construct", "det",
-    "eliminate", "equation_from_json_obj", "equation_to_json_obj", "exact_quadratic_roots",
-    "float_obstructions", "format_rational", "fuchs_defect", "h_matrix",
-    "instance_from_json_obj", "instance_to_json_obj", "parse_rational", "psi",
-    "quadratic_constraints", "random_instance", "rank", "rational_sqrt", "solve_g", "solve_h",
-    "solve_quadratic_float", "solve_under", "validate", "verify",
+    "build_h_system", "check_momenta", "classify", "construct", "eliminate",
+    "equation_from_json_obj", "equation_to_json_obj", "exact_quadratic_roots",
+    "float_obstructions", "fuchs_defect", "instance_from_json_obj", "instance_to_json_obj",
+    "quadratic_constraints", "random_instance", "solve_g", "solve_h", "solve_quadratic_float",
+    "solve_under", "verify",
 ]
 POLYNOMIAL_NAMES = [
     "__eq__", "__hash__", "__init__", "__repr__", "__str__",
@@ -66,6 +68,20 @@ def test_frobenius_imports_only_model_polynomials_scalars():
         top, _, rest = name.partition(".")
         if top == "fuchsian":
             assert rest in {"model", "polynomials", "scalars"}, name
+
+
+def test_verify_is_the_one_local_analysis():
+    tree = ast.parse((PACKAGE / "frobenius.py").read_text(encoding="utf-8"))
+    public = [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    assert public == ["verify", "report_to_json_obj"]
+    dimension = _package_imports()["dimension"]
+    assert [names for module, names in dimension if module == "fuchsian.frobenius"] == [
+        ("verify",)
+    ]
 
 
 def test_only_builder_cli_and_init_import_linalg():

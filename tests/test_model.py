@@ -1,10 +1,11 @@
-"""Instance validation, the admissibility defect, psi, and the JSON schemas."""
+"""Instance validation, the admissibility defect, the point frame, and the JSON schemas."""
 
 import random
 from fractions import Fraction
 
 import fraction_reference as ref
 import pytest
+from conftest import frame_psi
 
 from fuchsian.model import (
     ExponentPair,
@@ -16,7 +17,7 @@ from fuchsian.model import (
     fuchs_defect,
     instance_from_json_obj,
     instance_to_json_obj,
-    psi,
+    _psi_ints,
     validate,
 )
 from fuchsian.builder import construct
@@ -81,11 +82,13 @@ def test_fuchs_defect_translation_invariant():
 
 
 def test_psi_examples():
-    assert psi(EXAMPLE_A) == Polynomial((0, -1, 1))
+    # the frame's Psi~_k / E^(d-k) is psi's z^k coefficient
+    assert frame_psi(EXAMPLE_A) == Polynomial((0, -1, 1))
     with_q = FuchsianInstance([(0, (0, 1)), (1, (0, 1))], (-1, -1), [(2, 0)])
-    assert psi(with_q) == Polynomial((0, 2, -3, 1))
+    assert frame_psi(with_q) == Polynomial((0, 2, -3, 1))
     inst = random_instance(4, seed=3)
-    assert psi(inst).degree == inst.n + inst.num_apparent
+    assert frame_psi(inst).degree == inst.n + inst.num_apparent
+    assert frame_psi(inst) == ref.psi(inst)
 
 
 def test_residue_sum_identity():
@@ -95,7 +98,7 @@ def test_residue_sum_identity():
     rng = random.Random(29)
     for _ in range(25):
         inst = random_instance(rng.randint(2, 5), seed=rng.randint(0, 10_000))
-        p = psi(inst)
+        p = ref.psi(inst)
         d = inst.n + inst.num_apparent
         f = Polynomial(
             [gr(rng.randint(-6, 6), rng.randint(-3, 3)) for _ in range(d)]
@@ -220,5 +223,5 @@ def test_validate_runs_once_per_instance(monkeypatch):
     bad = FuchsianInstance([(0, (0, 1)), (0, (0, 1))], (0, 0))
     for _ in range(2):
         with pytest.raises(InvalidInstance):
-            psi(bad)
+            _psi_ints(bad)
     assert len(calls) == 2

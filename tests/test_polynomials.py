@@ -8,11 +8,12 @@ from math import factorial
 
 import fraction_reference as ref
 import pytest
+from conftest import frame_psi
 from fraction_reference import Window, laurent_expand
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fuchsian.model import FuchsianInstance, psi
+from fuchsian.model import FuchsianInstance
 from fuchsian.polynomials import Polynomial
 from fuchsian.scalars import ZERO, GaussianRational
 
@@ -29,6 +30,12 @@ def test_degree_markers():
     assert Polynomial((5,)).degree == 0
     assert Polynomial((0, 0, 1, 0, 0)).degree == 2  # trailing zeros trimmed
     assert Polynomial((0, 0, 1, 0, 0)).coeffs == (ZERO, ZERO, gr(1))
+    assert Polynomial((1, 2)).coefficient(5) == ZERO
+    assert Polynomial((1, 2)).padded(3) == (gr(1), gr(2), ZERO)
+    with pytest.raises(ValueError, match=">= 0"):
+        Polynomial((1, 2)).coefficient(-1)
+    with pytest.raises(ValueError, match="degree 1 exceeds padded length 1"):
+        Polynomial((1, 2)).padded(1)
 
 
 def _random_poly(rng, max_degree=8):
@@ -56,7 +63,7 @@ def test_from_roots_vanishes_at_roots():
         roots = sorted(roots, key=str)
         n = rng.randint(2, len(roots))
         finite, apparent = [(t, (0, 0)) for t in roots[:n]], [(q, 0) for q in roots[n:]]
-        p = psi(FuchsianInstance(finite, (0, 0), apparent))
+        p = frame_psi(FuchsianInstance(finite, (0, 0), apparent))
         assert p.degree == len(roots) and p.coefficient(len(roots)) == gr(1)
         for r in roots:
             assert ref.poly_eval(p, r) == ZERO
