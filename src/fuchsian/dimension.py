@@ -30,7 +30,6 @@ complex at the end; nothing exact depends on either.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .builder import (
@@ -43,12 +42,11 @@ from .builder import (
     solve_h,
 )
 from .frobenius import verify
-from .model import FuchsianEquation, FuchsianInstance, require_valid
+from .model import FuchsianEquation, FuchsianInstance, _Record, require_valid
 from .scalars import ZERO, GaussianRational
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(_Record):
     """Counting data for one instance; total_dimension is n - 2 in all cases."""
 
     n: int
@@ -108,8 +106,7 @@ def _verified(eq: FuchsianEquation) -> FuchsianEquation:
     return eq
 
 
-@dataclass(frozen=True)
-class QuadraticConstraint:
+class QuadraticConstraint(_Record):
     """One momentum constraint: sum_k quad[k] p_k^2 + lin[k] p_k + const = 0.
 
     Momentum indices are 1-based (p_1 .. p_N); j names the apparent point
@@ -172,8 +169,7 @@ def quadratic_constraints(instance: FuchsianInstance) -> list:
     return constraints
 
 
-@dataclass(frozen=True)
-class MomentaCheck:
+class MomentaCheck(_Record):
     consistent: bool
     equation: FuchsianEquation | None
     violations: tuple  # (j, exact constraint value) pairs, nonzero values only

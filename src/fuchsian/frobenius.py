@@ -53,11 +53,10 @@ division.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from math import gcd
 
-from .model import ExponentPair, FuchsianEquation, _psi_ints, require_valid
+from .model import ExponentPair, FuchsianEquation, _psi_ints, _Record, require_valid
 from .polynomials import (
     _gaussian_powers,
     _in_frame,
@@ -72,8 +71,7 @@ from .scalars import GaussianRational, from_gaussian_ints, to_gaussian_ints
 DEFAULT_DEPTH = 8
 
 
-@dataclass(frozen=True)
-class Indicial:
+class Indicial(_Record):
     """Indicial data at a point: root sum and product, plus the explicit root
     pair whenever the discriminant is a Gaussian-rational square."""
 
@@ -171,23 +169,20 @@ def _mul_add(f, u, g, v, size: int) -> tuple:
     return out_r, out_i
 
 
-@dataclass(frozen=True)
-class FinitePointReport:
+class FinitePointReport(_Record):
     point: GaussianRational
     expected: ExponentPair
     indicial: Indicial
     match: bool
 
 
-@dataclass(frozen=True)
-class InfinityReport:
+class InfinityReport(_Record):
     expected: ExponentPair
     indicial: Indicial
     match: bool
 
 
-@dataclass(frozen=True)
-class ApparentPointReport:
+class ApparentPointReport(_Record):
     point: GaussianRational
     residue: GaussianRational
     residue_ok: bool  # residue of g/psi equals -1
@@ -202,8 +197,7 @@ class ApparentPointReport:
     residual_ok: bool
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     finite: tuple
     apparent: tuple
     infinity: InfinityReport

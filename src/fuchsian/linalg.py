@@ -14,8 +14,7 @@ forward pass serves `eliminate`, `rank` and `det`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .model import _Record
 from .scalars import ONE, ZERO, GaussianRational
 
 
@@ -72,8 +71,7 @@ class Matrix:
         return f"Matrix[{self.rows}x{self.cols}: {body}]"
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+class SolveOutcome(_Record):
     kind: str  # "unique" | "underdetermined" | "inconsistent"
     particular: tuple | None
     nullspace_basis: tuple

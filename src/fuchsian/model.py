@@ -17,7 +17,6 @@ hypergeometric equation carries its textbook exponents at infinity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 
 from .polynomials import Polynomial, _monic_ints
@@ -30,6 +29,60 @@ MAX_DIGITS = 1000  # cap on the digits of one rational coordinate in instance JS
 
 class InvalidInstance(ValueError):
     """Structurally invalid instance or malformed instance JSON."""
+
+
+class _Record:
+    """Immutable record whose fields are a subclass's own annotations, in
+    order: construction by field, equality only within one class, a hash
+    of the field values and a repr as a frozen dataclass has.  The package
+    defines its reports this way because importing `dataclasses` would add
+    about 20 ms to every CLI process (see README).  Values live in the
+    instance `__dict__`, so pickle and deepcopy restore them without
+    calling `__setattr__`."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._field_set = frozenset(cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if args:
+            if len(args) > len(fields):
+                raise TypeError(
+                    f"{type(self).__qualname__}() takes {len(fields)} fields, "
+                    f"got {len(args)} positional"
+                )
+            for name, value in zip(fields, args):
+                if name in kwargs:
+                    raise TypeError(f"{type(self).__qualname__}() got field {name!r} twice")
+                kwargs[name] = value
+        if kwargs.keys() != self._field_set:
+            missing = [name for name in fields if name not in kwargs]
+            unknown = [name for name in kwargs if name not in self._field_set]
+            raise TypeError(
+                f"{type(self).__qualname__}() missing fields {missing}, unknown fields {unknown}"
+            )
+        self.__dict__.update(kwargs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(tuple(map(self.__dict__.__getitem__, self._fields)))
+
+    def __repr__(self):
+        values = self.__dict__
+        body = ", ".join(f"{name}={values[name]!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class ExponentPair:
@@ -160,8 +213,7 @@ class FuchsianInstance:
         )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     code: str  # duplicate-t | duplicate-q | q-in-P | n-too-small
     message: str
 

@@ -8,7 +8,6 @@ GaussianRational step at a time.  The cleared residual is a different
 polynomial from the series-form one, so only its vanishing is compared.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -66,8 +65,8 @@ def _matrices(seed):
 
 def _assert_same_outcome(matrix, rhs):
     got, want = eliminate(matrix, rhs), ref.eliminate(matrix, rhs)
-    for field in dataclasses.fields(want):
-        assert getattr(got, field.name) == getattr(want, field.name), field.name
+    for name in got._fields:
+        assert getattr(got, name) == getattr(want, name), name
     return got
 
 

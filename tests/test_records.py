@@ -1,0 +1,184 @@
+"""The package's reports are plain immutable records, not dataclasses.
+
+- `import fuchsian.cli` in a fresh interpreter loads none of `dataclasses`
+  and the modules it pulls in, which would cost every CLI process about
+  20 ms before any maths starts.
+- Each record kind, taken from a real output of the package, keeps what a
+  frozen dataclass gave it: equality with its deepcopy and its pickle round
+  trip, equality only within its own class, a hash that agrees with
+  equality, no assignment or deletion, construction by field, and the
+  dataclass repr byte for byte.
+"""
+
+import copy
+import json
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fuchsian
+from fuchsian import (
+    FuchsianInstance,
+    GaussianRational,
+    Matrix,
+    check_momenta,
+    classify,
+    construct,
+    eliminate,
+    quadratic_constraints,
+    verify,
+)
+from fuchsian.model import _Record, validate
+
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+SQUARE3 = FuchsianInstance([(0, (0, 1)), (1, (0, 1)), (-1, (0, 1))], (-1, -1), [(2, 3)])
+N2N1_GOOD = FuchsianInstance([(0, (0, 1)), (1, (0, 1))], (-1, -1), [(2, 1)])
+N2N1_BAD = N2N1_GOOD.with_momenta([GaussianRational(3)])
+DUPLICATES = FuchsianInstance([(0, (0, 1)), (0, (0, 1))], (-1, 0), [(0, 1)])
+MATRIX = Matrix.from_rows([[1, 2, 3], [2, 4, GaussianRational(0, 1)]])
+
+# repr(verify(construct(SQUARE3))) as the frozen dataclasses printed it
+SQUARE3_REPR = (
+    "VerificationReport(finite=("
+    "FinitePointReport(point=GaussianRational('0', '0'), expected={0, 1}, "
+    "indicial=Indicial(sum=GaussianRational('1', '0'), product=GaussianRational('0', '0'), "
+    "pair={1, 0}), match=True), "
+    "FinitePointReport(point=GaussianRational('1', '0'), expected={0, 1}, "
+    "indicial=Indicial(sum=GaussianRational('1', '0'), product=GaussianRational('0', '0'), "
+    "pair={1, 0}), match=True), "
+    "FinitePointReport(point=GaussianRational('-1', '0'), expected={0, 1}, "
+    "indicial=Indicial(sum=GaussianRational('1', '0'), product=GaussianRational('0', '0'), "
+    "pair={1, 0}), match=True)), "
+    "apparent=(ApparentPointReport(point=GaussianRational('2', '0'), "
+    "residue=GaussianRational('-1', '0'), residue_ok=True, double_pole_absent=True, "
+    "indicial=Indicial(sum=GaussianRational('2', '0'), product=GaussianRational('0', '0'), "
+    "pair={2, 0}), indicial_ok=True, momentum_expected=GaussianRational('3', '0'), "
+    "momentum_recovered=GaussianRational('3', '0'), momentum_ok=True, "
+    "obstruction=GaussianRational('0', '0'), log_free=True, residual_ok=True),), "
+    "infinity=InfinityReport(expected={-1, -1}, "
+    "indicial=Indicial(sum=GaussianRational('-2', '0'), product=GaussianRational('1', '0'), "
+    "pair={-1, -1}), match=True), overall=True)"
+)
+
+
+def test_cli_import_loads_no_dataclasses():
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import fuchsian.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": str(Path(fuchsian.__file__).parent.parent)},
+        timeout=60,
+    )
+    added = json.loads(result.stdout)
+    assert "fuchsian.cli" in added
+    assert [name for name in HEAVY_MODULES if name in added] == []
+
+
+def _records():
+    report = verify(construct(SQUARE3))
+    records = [
+        ("CaseReport", classify(SQUARE3)),
+        # a consistent check holds a FuchsianEquation, which compares by identity
+        ("MomentaCheck", check_momenta(N2N1_BAD)),
+        ("QuadraticConstraint", quadratic_constraints(N2N1_GOOD)[0]),
+        ("VerificationReport", report),
+        ("FinitePointReport", report.finite[0]),
+        ("ApparentPointReport", report.apparent[0]),
+        ("InfinityReport", report.infinity),
+        ("Indicial", report.infinity.indicial),
+        ("SolveOutcome", eliminate(MATRIX, [1, 0])),
+    ]
+    records += [(f"Violation-{v.code}", v) for v in validate(DUPLICATES)]
+    return records
+
+
+RECORDS = _records()
+
+
+def test_every_record_kind_is_covered():
+    kinds = {type(record).__name__ for _, record in RECORDS}
+    assert kinds == {
+        "CaseReport", "QuadraticConstraint", "MomentaCheck", "Indicial", "FinitePointReport",
+        "InfinityReport", "ApparentPointReport", "VerificationReport", "SolveOutcome",
+        "Violation",
+    }
+    assert dict(RECORDS)["MomentaCheck"].violations
+
+
+def _values(record):
+    return tuple(getattr(record, name) for name in record._fields)
+
+
+def _hash_or_none(record):
+    try:
+        return hash(record)
+    except TypeError:  # a field holds a dict, as in QuadraticConstraint
+        return None
+
+
+@pytest.mark.parametrize("record", [r for _, r in RECORDS], ids=[i for i, _ in RECORDS])
+def test_record_copies_are_equal(record):
+    for twin in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert twin is not record and type(twin) is type(record)
+        assert twin == record and not twin != record
+        assert repr(twin) == repr(record)
+        assert _hash_or_none(twin) == _hash_or_none(record)
+    if _hash_or_none(record) is not None:
+        assert {record: 1}[copy.deepcopy(record)] == 1
+
+
+@pytest.mark.parametrize("record", [r for _, r in RECORDS], ids=[i for i, _ in RECORDS])
+def test_record_equals_only_its_own_class(record):
+    values = _values(record)
+    other_class = type("Other", (_Record,), {"__annotations__": dict.fromkeys(record._fields)})
+    other = other_class(*values)
+    assert _values(other) == values
+    assert record != other and other != record
+    assert record != values and values != record
+    assert record == type(record)(*values)
+
+
+@pytest.mark.parametrize("record", [r for _, r in RECORDS], ids=[i for i, _ in RECORDS])
+def test_record_is_immutable(record):
+    name = record._fields[0]
+    before = repr(record)
+    with pytest.raises(AttributeError):
+        setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        setattr(record, "extra", None)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    assert repr(record) == before
+
+
+@pytest.mark.parametrize("record", [r for _, r in RECORDS], ids=[i for i, _ in RECORDS])
+def test_record_constructs_by_field(record):
+    cls, fields, values = type(record), record._fields, _values(record)
+    assert cls(**dict(zip(fields, values))) == record
+    assert cls(*values[:1], **dict(zip(fields[1:], values[1:]))) == record
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    with pytest.raises(TypeError):
+        cls(*values, **{fields[0]: values[0]})
+    with pytest.raises(TypeError):
+        cls(**dict(zip(fields, values)), unknown=None)
+
+
+def test_nested_report_repr_is_the_dataclass_repr():
+    assert repr(verify(construct(SQUARE3))) == SQUARE3_REPR
+    assert repr(validate(DUPLICATES)[0]) == (
+        "Violation(code='duplicate-t', message='finite points 0 and 1 coincide at 0')"
+    )
