@@ -56,7 +56,7 @@ from itertools import accumulate
 from operator import mul
 
 from .linalg import Matrix
-from .model import FuchsianEquation, FuchsianInstance, _psi_ints, fuchs_defect, require_valid
+from .model import FuchsianEquation, FuchsianInstance, _psi_ints, fuchs_defect
 from .polynomials import Polynomial, _deflate, _in_frame, _monic_ints, _taylor_head_ints
 from .scalars import ONE, ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
 
@@ -136,7 +136,6 @@ def h_matrix(instance: FuchsianInstance) -> Matrix:
     t_1..t_n, values at q_1..q_N, first derivatives at q_1..q_N, second
     derivatives at q_1..q_N.  Columns are powers 0 .. 2(n+N-1).
     """
-    require_valid(instance)
     width = 2 * (instance.n + instance.num_apparent) - 1
     points = instance.finite_positions + instance.apparent_positions
     values = [list(accumulate([x] * (width - 1), mul, initial=ONE)) for x in points]
@@ -280,7 +279,6 @@ def construct(instance: FuchsianInstance) -> FuchsianEquation:
     For other apparent-point counts use the dimension module (solve_under /
     check_momenta).  Raises FuchsViolation on an inadmissible exponent sum.
     """
-    require_valid(instance)
     n, num = instance.n, instance.num_apparent
     if num != n - 2:
         raise ValueError(

@@ -60,7 +60,6 @@ def main(argv=None) -> int:
 
 
 _INPUT_COMMANDS = ("construct", "verify", "analyze", "constraints")
-_COMMANDS = _INPUT_COMMANDS + ("det-check", "gen")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "with prescribed exponents and apparent singularities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {name: sub.add_parser(name) for name in _COMMANDS}
+    commands = {name: sub.add_parser(name) for name in _HANDLERS}
     for name, p in commands.items():
         if name in _INPUT_COMMANDS:
             p.add_argument("-i", "--input", help="instance JSON file")
@@ -85,24 +84,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args) -> int:
-    if args.command in _INPUT_COMMANDS:
-        if not args.input:
-            _diag(f"{args.command} requires --input")
-            return 1
-        instance = instance_from_json_obj(_load_json(args.input))
-    if args.command == "construct":
-        return _cmd_construct(args, instance)
-    if args.command == "verify":
-        return _cmd_verify(args, instance)
-    if args.command == "analyze":
-        return _cmd_analyze(args, instance)
-    if args.command == "constraints":
-        return _cmd_constraints(args, instance)
-    if args.command == "det-check":
-        return _cmd_det_check(args)
-    if args.command == "gen":
-        return _cmd_gen(args)
-    raise AssertionError(f"unhandled command {args.command}")
+    handler = _HANDLERS[args.command]
+    if args.command not in _INPUT_COMMANDS:
+        return handler(args)
+    if not args.input:
+        _diag(f"{args.command} requires --input")
+        return 1
+    return handler(args, instance_from_json_obj(_load_json(args.input)))
 
 
 def _load_json(path):
@@ -247,6 +235,17 @@ def _cmd_gen(args) -> int:
     payload = instance_to_json_obj(instance)
     _emit(args, payload, json.dumps(payload, indent=2) + "\n")
     return 0
+
+
+# Each command's handler, in --help order; input commands also take the instance.
+_HANDLERS = {
+    "construct": _cmd_construct,
+    "verify": _cmd_verify,
+    "analyze": _cmd_analyze,
+    "constraints": _cmd_constraints,
+    "det-check": _cmd_det_check,
+    "gen": _cmd_gen,
+}
 
 
 def _node_product(instance) -> GaussianRational:

@@ -42,7 +42,7 @@ from .builder import (
     solve_h,
 )
 from .frobenius import verify
-from .model import FuchsianEquation, FuchsianInstance, _Record, require_valid
+from .model import FuchsianEquation, FuchsianInstance, _Record
 from .scalars import ZERO, GaussianRational
 
 
@@ -69,7 +69,6 @@ class CaseReport(_Record):
 
 def classify(instance: FuchsianInstance) -> CaseReport:
     """Compare N with n - 2 and report the counting consequences."""
-    require_valid(instance)
     n, num = instance.n, instance.num_apparent
     case = "under" if num < n - 2 else "square" if num == n - 2 else "over"
     h_free_dim = max(n - 2 - num, 0)

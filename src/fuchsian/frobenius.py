@@ -56,7 +56,7 @@ from __future__ import annotations
 from itertools import repeat
 from math import gcd
 
-from .model import ExponentPair, FuchsianEquation, _psi_ints, _Record, require_valid
+from .model import ExponentPair, FuchsianEquation, _psi_ints, _Record
 from .polynomials import (
     _gaussian_powers,
     _in_frame,
@@ -209,7 +209,6 @@ def verify(eq: FuchsianEquation) -> VerificationReport:
 
     All comparisons are exact; failures are reported, never raised.
     """
-    require_valid(eq.instance)
     instance = eq.instance
     n, d = instance.n, instance.n + instance.num_apparent
     e, xr, xi, polys, scales = _frame(eq)

@@ -13,11 +13,16 @@ point are the standard ones, i.e. the roots of l*(l+1) - g0*l + h0 = 0 where
 g0 and h0 are the top coefficients of the two numerator polynomials.  With
 this reading the admissibility target above holds literally and the
 hypergeometric equation carries its textbook exponents at infinity.
+
+An instance is checked once, when it is built: at least two finite points,
+all points pairwise distinct, or InvalidInstance.  Instances and equations
+are read-only, so a built one stays valid and the point frame cached on it
+stays its own; they compare, hash and pickle by value.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import combinations, repeat
 
 from .polynomials import Polynomial, _monic_ints
 from .scalars import GaussianRational, to_gaussian_ints
@@ -31,14 +36,37 @@ class InvalidInstance(ValueError):
     """Structurally invalid instance or malformed instance JSON."""
 
 
-class _Record:
+class _Frozen:
+    """Read-only value object: its state is `_value()`, the constructor's
+    arguments, which equality (only within one class), the hash and pickle
+    read.  Copies and unpickling call the constructor again, so nothing is
+    restored past its checks; fields are set once, via object.__setattr__."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
+
+    def __reduce__(self):
+        return type(self), self._value()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Record(_Frozen):
     """Immutable record whose fields are a subclass's own annotations, in
-    order: construction by field, equality only within one class, a hash
-    of the field values and a repr as a frozen dataclass has.  The package
-    defines its reports this way because importing `dataclasses` would add
-    about 20 ms to every CLI process (see README).  Values live in the
-    instance `__dict__`, so pickle and deepcopy restore them without
-    calling `__setattr__`."""
+    order: construction by field and a repr as a frozen dataclass has.  The
+    package defines its reports this way because importing `dataclasses`
+    would add about 20 ms to every CLI process (see README)."""
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -65,24 +93,12 @@ class _Record:
             )
         self.__dict__.update(kwargs)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.__dict__ == other.__dict__
-
-    def __hash__(self):
-        return hash(tuple(map(self.__dict__.__getitem__, self._fields)))
+    def _value(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
 
     def __repr__(self):
-        values = self.__dict__
-        body = ", ".join(f"{name}={values[name]!r}" for name in self._fields)
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._value()))
         return f"{type(self).__qualname__}({body})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class ExponentPair:
@@ -144,23 +160,31 @@ def _as_pair(value) -> ExponentPair:
     return ExponentPair(a, b)
 
 
-class FuchsianInstance:
+class FuchsianInstance(_Frozen):
     """Prescribed data: finite points with exponents, the pair at infinity,
-    and apparent points with momenta."""
+    and apparent points with momenta.  Built only valid (see _check_points)
+    and read-only, so that the point frame cached on it stays its own."""
 
-    __slots__ = ("finite_points", "infinity_exponents", "apparent_points", "_psi", "_violations")
+    __slots__ = ("finite_points", "infinity_exponents", "apparent_points", "_psi")
 
     def __init__(self, finite_points, infinity_exponents, apparent_points=()):
-        self.finite_points = tuple(
+        finite_points = tuple(
             (GaussianRational.coerce(t), _as_pair(pair)) for t, pair in finite_points
         )
-        self.infinity_exponents = _as_pair(infinity_exponents)
-        self.apparent_points = tuple(
+        infinity_exponents = _as_pair(infinity_exponents)
+        apparent_points = tuple(
             (GaussianRational.coerce(q), GaussianRational.coerce(p))
             for q, p in apparent_points
         )
-        self._psi = None
-        self._violations = None
+        _check_points([t for t, _ in finite_points], [q for q, _ in apparent_points])
+        set_field = object.__setattr__
+        set_field(self, "finite_points", finite_points)
+        set_field(self, "infinity_exponents", infinity_exponents)
+        set_field(self, "apparent_points", apparent_points)
+        set_field(self, "_psi", None)
+
+    def _value(self) -> tuple:
+        return self.finite_points, self.infinity_exponents, self.apparent_points
 
     @property
     def n(self) -> int:
@@ -213,53 +237,25 @@ class FuchsianInstance:
         )
 
 
-class Violation(_Record):
-    code: str  # duplicate-t | duplicate-q | q-in-P | n-too-small
-    message: str
-
-
-def validate(instance: FuchsianInstance) -> list:
-    """Every structural violation of the instance; empty list means ok.
-
-    Each call returns a fresh list and caches the violations on the
-    (immutable) instance, where require_valid reads them: the solvers and
-    verify check an instance once between them.
-    """
-    violations = []
-    if instance.n < 2:
-        violations.append(
-            Violation("n-too-small", f"need at least 2 finite points, got {instance.n}")
-        )
-    ts = instance.finite_positions
-    for i in range(len(ts)):
-        for j in range(i + 1, len(ts)):
-            if ts[i] == ts[j]:
-                violations.append(
-                    Violation("duplicate-t", f"finite points {i} and {j} coincide at {ts[i]}")
-                )
-    qs = instance.apparent_positions
-    for i in range(len(qs)):
-        for j in range(i + 1, len(qs)):
-            if qs[i] == qs[j]:
-                violations.append(
-                    Violation("duplicate-q", f"apparent points {i} and {j} coincide at {qs[i]}")
-                )
+def _check_points(ts, qs) -> None:
+    """Raise InvalidInstance unless there are at least two finite points ts,
+    pairwise distinct, and the apparent points qs are pairwise distinct and
+    off them: the hypotheses under which the h-system has maximal rank.
+    The message lists every violation as "code: message", joined by "; "."""
+    errors = []
+    if len(ts) < 2:
+        errors.append(f"n-too-small: need at least 2 finite points, got {len(ts)}")
+    for i, j in combinations(range(len(ts)), 2):
+        if ts[i] == ts[j]:
+            errors.append(f"duplicate-t: finite points {i} and {j} coincide at {ts[i]}")
+    for i, j in combinations(range(len(qs)), 2):
+        if qs[i] == qs[j]:
+            errors.append(f"duplicate-q: apparent points {i} and {j} coincide at {qs[i]}")
     for j, q in enumerate(qs):
-        if any(q == t for t in ts):
-            violations.append(
-                Violation("q-in-P", f"apparent point {j} at {q} collides with a finite point")
-            )
-    instance._violations = tuple(violations)
-    return violations
-
-
-def require_valid(instance: FuchsianInstance) -> None:
-    violations = instance._violations
-    if violations is None:
-        violations = validate(instance)
-    if violations:
-        details = "; ".join(f"{v.code}: {v.message}" for v in violations)
-        raise InvalidInstance(details)
+        if q in ts:
+            errors.append(f"q-in-P: apparent point {j} at {q} collides with a finite point")
+    if errors:
+        raise InvalidInstance("; ".join(errors))
 
 
 def fuchs_defect(instance: FuchsianInstance) -> GaussianRational:
@@ -276,19 +272,18 @@ def fuchs_defect(instance: FuchsianInstance) -> GaussianRational:
 
 
 def _psi_ints(instance: FuchsianInstance) -> tuple:
-    """(E, xr, xi, (pr, pi)), the point frame, cached after require_valid and
+    """(E, xr, xi, (pr, pi)), the point frame, cached on the instance and
     read-only: X = E x = xr[k] + xi[k] i at each point, finite ones first, E
     the lcm of their denominators, and Psi~ = prod (Z - X) as int lists."""
     if instance._psi is None:
-        require_valid(instance)
         e, xr, xi = to_gaussian_ints(instance.finite_positions + instance.apparent_positions)
-        instance._psi = e, xr, xi, _monic_ints([1], [0], xr, xi, repeat(1))
+        object.__setattr__(instance, "_psi", (e, xr, xi, _monic_ints([1], [0], xr, xi, repeat(1))))
     return instance._psi
 
 
-class FuchsianEquation:
+class FuchsianEquation(_Frozen):
     """Coefficient data (g, h) of w'' + (g/psi) w' + (h/psi^2) w = 0 together
-    with the instance it was built for."""
+    with the instance it was built for; read-only, so the degree bounds hold."""
 
     __slots__ = ("g", "h", "instance")
 
@@ -298,9 +293,13 @@ class FuchsianEquation:
             raise ValueError(f"g has degree {g.degree}, bound is {d - 1}")
         if h.degree > 2 * (d - 1):
             raise ValueError(f"h has degree {h.degree}, bound is {2 * (d - 1)}")
-        self.g = g
-        self.h = h
-        self.instance = instance
+        set_field = object.__setattr__
+        set_field(self, "g", g)
+        set_field(self, "h", h)
+        set_field(self, "instance", instance)
+
+    def _value(self) -> tuple:
+        return self.g, self.h, self.instance
 
     def __repr__(self):
         return f"FuchsianEquation(g={self.g}, h={self.h})"

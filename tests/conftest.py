@@ -44,8 +44,9 @@ def _consistent_over(base, rng):
     (c,) = quadratic_constraints(instance(ZERO, ZERO))
     assert c.const_term == ZERO
     a, b = c.quad[n - 1], c.lin.get(n - 1, ZERO)
-    (c2,) = quadratic_constraints(instance(GaussianRational(2), ZERO))
-    gamma = c2.const_term / (2 * (s - 2))
+    x = GaussianRational(1 if s == 2 else 2)  # any x with x (s - x) != 0
+    (c2,) = quadratic_constraints(instance(x, ZERO))
+    gamma = c2.const_term / (x * (s - x))
     m = _small_gaussian(rng)
     while not a - gamma * m * m:
         m = _small_gaussian(rng)

@@ -16,7 +16,6 @@ import fraction_reference as ref
 from fuchsian.builder import VerificationFailed, build_h_system, h_matrix, h_rhs_terms, solve_g
 from fuchsian.dimension import QuadraticConstraint, classify
 from fuchsian.linalg import Matrix, eliminate
-from fuchsian.model import require_valid
 from fuchsian.polynomials import Polynomial
 from fuchsian.scalars import ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
 
@@ -29,7 +28,6 @@ def build_g_system(instance):
     side is (1 - rho1 - rho2) * psi'(t_i) at a finite point and -psi'(q_j) at
     an apparent one, which forces residue -1 of g/psi there.
     """
-    require_valid(instance)
     d = instance.n + instance.num_apparent
     points = instance.finite_positions + instance.apparent_positions
     rows = [[x**k for k in range(d)] for x in points]

@@ -281,11 +281,22 @@ def test_text_format(tmp_path, capsys):
     assert "overall: pass" in out
 
 
-def test_invalid_instance_structure(tmp_path):
-    dup = FuchsianInstance([(0, (0, 1)), (0, (0, 1))], (0, 0))
+def test_invalid_instance_structure(tmp_path, capsys):
+    # an instance with two finite points at 0 cannot be built, so it is
+    # written by hand; every input command, verify without --equation
+    # included, refuses it while parsing
+    point = {"t": ["0", "0"], "exponents": [["0", "0"], ["1", "0"]]}
     src = tmp_path / "dup.json"
-    _write_instance(src, dup)
-    assert main(["construct", "-i", str(src)]) == 1
+    src.write_text(
+        json.dumps({"finite_points": [point, point], "infinity_exponents": [["0", "0"]] * 2}),
+        encoding="utf-8",
+    )
+    for command in ("construct", "verify", "analyze", "constraints"):
+        assert main([command, "-i", str(src)]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "fuchsian: invalid instance: duplicate-t: finite points 0 and 1 coincide at 0\n",
+        )
 
 
 def test_generated_round_trips_exit_zero(tmp_path):

@@ -1,5 +1,8 @@
-"""Instance validation, the admissibility defect, the point frame, and the JSON schemas."""
+"""The structural check when an instance is built, read-only instances and
+equations, the admissibility defect, the point frame, and the JSON schemas."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -18,9 +21,9 @@ from fuchsian.model import (
     instance_from_json_obj,
     instance_to_json_obj,
     _psi_ints,
-    validate,
 )
 from fuchsian.builder import construct
+from fuchsian.frobenius import verify
 from fuchsian.polynomials import Polynomial
 from fuchsian.sampling import random_instance
 from fuchsian.scalars import ZERO, GaussianRational
@@ -39,30 +42,44 @@ def test_exponent_pair_is_unordered():
     assert hash(ExponentPair(1, 2)) == hash(ExponentPair(2, 1))
 
 
-def test_validate_duplicate_t():
-    bad = FuchsianInstance([(0, (0, 1)), (0, (0, 1))], (0, 0))
-    codes = [v.code for v in validate(bad)]
-    assert "duplicate-t" in codes
+def _pair(value):
+    return GaussianRational.coerce(value).to_pair()
 
 
-def test_validate_q_in_p():
-    bad = FuchsianInstance([(0, (0, 1)), (1, (0, 1))], (0, 0), [(1, 0)])
-    codes = [v.code for v in validate(bad)]
-    assert "q-in-P" in codes
+P2 = [(0, (0, 1)), (1, (0, 1))]
 
 
-def test_validate_other_codes():
-    assert [v.code for v in validate(FuchsianInstance([(0, (0, 1))], (0, 0)))] == [
-        "n-too-small"
-    ]
-    dup_q = FuchsianInstance(
-        [(0, (0, 1)), (1, (0, 1))], (0, 0), [(2, 0), (2, 1)]
-    )
-    assert "duplicate-q" in [v.code for v in validate(dup_q)]
-
-
-def test_validate_example_a_ok():
-    assert validate(EXAMPLE_A) == []
+@pytest.mark.parametrize(
+    "finite, apparent, message",
+    [
+        ([(0, (0, 1))], [], "n-too-small: need at least 2 finite points, got 1"),
+        ([(0, (0, 1)), (0, (0, 1))], [], "duplicate-t: finite points 0 and 1 coincide at 0"),
+        (P2, [(2, 0), (2, 1)], "duplicate-q: apparent points 0 and 1 coincide at 2"),
+        (P2, [(1, 0)], "q-in-P: apparent point 0 at 1 collides with a finite point"),
+        (
+            [(gr(1, 1), (0, 1))],
+            [(gr(1, 1), 0)],
+            "n-too-small: need at least 2 finite points, got 1; "
+            "q-in-P: apparent point 0 at 1+1*i collides with a finite point",
+        ),
+    ],
+    ids=["n-too-small", "duplicate-t", "duplicate-q", "q-in-P", "two-violations"],
+)
+def test_invalid_instance_is_refused_when_built(finite, apparent, message):
+    # the constructor and the JSON parser raise the same text for the same points
+    with pytest.raises(InvalidInstance) as caught:
+        FuchsianInstance(finite, (0, 0), apparent)
+    assert str(caught.value) == message
+    obj = {
+        "finite_points": [
+            {"t": _pair(t), "exponents": [_pair(a) for a in pair]} for t, pair in finite
+        ],
+        "infinity_exponents": [_pair(0), _pair(0)],
+        "apparent": [{"q": _pair(q), "p": _pair(p)} for q, p in apparent],
+    }
+    with pytest.raises(InvalidInstance) as caught:
+        instance_from_json_obj(obj)
+    assert str(caught.value) == message
 
 
 def test_fuchs_defect_examples():
@@ -202,26 +219,52 @@ def test_momenta_replacement():
         inst.with_momenta([gr(1)])
 
 
-def test_validate_runs_once_per_instance(monkeypatch):
-    # construct and verify each check the instance; the violations cached on
-    # it by the first check serve all later ones
+def test_points_are_checked_once_per_instance(monkeypatch):
+    # the check runs when the instance is built, and construct and verify
+    # read the instance without checking it again
     import fuchsian.model
-    from fuchsian.frobenius import verify
 
     calls = []
-    original = fuchsian.model.validate
+    original = fuchsian.model._check_points
 
-    def counting(instance):
-        calls.append(instance)
-        return original(instance)
+    def counting(ts, qs):
+        calls.append((ts, qs))
+        return original(ts, qs)
 
-    monkeypatch.setattr(fuchsian.model, "validate", counting)
+    monkeypatch.setattr(fuchsian.model, "_check_points", counting)
     inst = random_instance(6, seed=77)
     assert verify(construct(inst)).overall
-    assert len(calls) == 1
-    assert validate(inst) == [] and validate(inst) is not validate(inst)
-    bad = FuchsianInstance([(0, (0, 1)), (0, (0, 1))], (0, 0))
-    for _ in range(2):
-        with pytest.raises(InvalidInstance):
-            _psi_ints(bad)
-    assert len(calls) == 2
+    assert calls == [(list(inst.finite_positions), list(inst.apparent_positions))]
+
+
+@pytest.mark.parametrize(
+    "field", ["finite_points", "infinity_exponents", "apparent_points", "_psi"]
+)
+def test_instance_fields_are_read_only(field):
+    inst = random_instance(4, seed=21)
+    eq = construct(inst)
+    before = instance_to_json_obj(inst), _psi_ints(inst)
+    for value in (None, getattr(inst, field)):
+        with pytest.raises(AttributeError):
+            setattr(inst, field, value)
+    with pytest.raises(AttributeError):
+        delattr(inst, field)
+    with pytest.raises(AttributeError):  # two apparent points at one place
+        inst.apparent_points = inst.apparent_points[:1] * 2
+    for name, value in (("g", eq.h), ("h", eq.g), ("instance", EXAMPLE_A)):
+        with pytest.raises(AttributeError):
+            setattr(eq, name, value)
+    assert (instance_to_json_obj(inst), _psi_ints(inst)) == before
+    assert verify(eq).overall and eq.instance is inst
+
+
+@pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))])
+def test_copied_instance_is_equal_and_still_constructs(copy_of):
+    inst = random_instance(5, seed=12).shifted(gr(1, 2))
+    _psi_ints(inst)
+    twin = copy_of(inst)
+    assert twin is not inst and twin == inst and hash(twin) == hash(inst)
+    assert twin != inst.with_momenta([gr(9)] * 3)
+    eq = construct(twin)
+    assert verify(eq).overall and eq == construct(inst)
+    assert copy_of(eq) == eq and hash(copy_of(eq)) == hash(eq)
