@@ -161,21 +161,9 @@ def h_residuals(instance: FuchsianInstance, g: Polynomial, free_values=()):
     """h, the Hermite interpolant of the first min(rows, cols) rows of the
     h-system with free_values[k] as its coefficient of z^(n+3N+k), and
     (j, rhs_r - row_r . h) = (j, y . rhs) for each later row r, h''(q_j), with
-    y from left_nullspace.  Raises VerificationFailed unless the rows leave
-    len(free_values) coefficients free.
+    y from left_nullspace on the same _hermite_frame, built once.  Raises
+    VerificationFailed unless the rows leave len(free_values) coefficients free.
     """
-    h, rhs, frame = _interpolant(instance, g, free_values)
-    offset = instance.n + 2 * instance.num_apparent
-    residuals = [
-        (r - offset, sum([a * b for a, b in zip(y, rhs) if a and b], ZERO))
-        for r, y in left_nullspace(instance, frame)
-    ]
-    return h, tuple(residuals)
-
-
-def _interpolant(instance: FuchsianInstance, g: Polynomial, free_values) -> tuple:
-    """(h, rhs, frame): h_residuals' h, with the h-system's right-hand side
-    and the _hermite_frame it was summed in."""
     n, num = instance.n, instance.num_apparent
     free = max(n - 2 - num, 0)
     if len(free_values) != free:
@@ -206,7 +194,11 @@ def _interpolant(instance: FuchsianInstance, g: Polynomial, free_values) -> tupl
     top, up = deg + free, e**free  # h_k = H_k E^k / (L E^D) = H_k E^free / (L E^(top-k))
     dens = [den * e ** (top - k) for k in range(top + 1)]
     coeffs = [from_gaussian_ints(a * up, b * up, d) for a, b, d in zip(hr, hi, dens)]
-    return Polynomial(coeffs), rhs, frame
+    residuals = [
+        (r - n - 2 * num, sum([a * b for a, b in zip(y, rhs) if a and b], ZERO))
+        for r, y in left_nullspace(instance, frame)
+    ]
+    return Polynomial(coeffs), tuple(residuals)
 
 
 def left_nullspace(instance: FuchsianInstance, frame=None):

@@ -95,12 +95,12 @@ def _dispatch(args) -> int:
 
 def _load_json(path):
     """The parsed file; one that cannot be opened, decoded as UTF-8 or
-    parsed, or that nests deeper than the parser's stack (RecursionError),
-    raises ValueError."""
+    parsed, that holds an integer longer than int() converts, or that nests
+    deeper than the parser's stack (RecursionError), raises ValueError."""
     try:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValueError(f"cannot read input: {exc}") from None
 
 

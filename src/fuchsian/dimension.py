@@ -9,10 +9,12 @@ With n prescribed finite points and N apparent ones the h-system has
                 yielding one quadratic constraint on the momenta
 
 In every regime N + (free coefficients) - (constraints) = n - 2, the
-dimension of the space of equations once positions are fixed.  Every regime
-reaches h through builder.h_residuals, the Hermite interpolant of the
-leading rows of the h-system, whose residuals on the later rows are the
-over case's constraint values at its momenta.
+dimension of the space of equations once positions are fixed.  solve_under
+and check_momenta reach h through builder.h_residuals, the Hermite
+interpolant of the leading rows of the h-system, whose residuals on the
+later rows are the over case's constraint values at its momenta.
+float_obstructions builds no h: the obstruction at q_j is its constraint's
+value over the p_j^2 coefficient, an identity the tests check against verify.
 
 The constraints are the Fredholm conditions of the h-system: its matrix has
 maximal rank, so for N > n - 2 the right-hand side is reachable exactly when
@@ -34,7 +36,6 @@ from fractions import Fraction
 
 from .builder import (
     VerificationFailed,
-    _interpolant,
     h_residuals,
     h_rhs_terms,
     left_nullspace,
@@ -226,32 +227,27 @@ def float_obstructions(instance: FuchsianInstance, momenta) -> list:
     """Logarithm obstructions at every apparent point for float momenta.
 
     Momenta are taken at their exact binary values and everything after that
-    is exact; only the results are rounded to complex.  h is h_residuals'
-    interpolant, unique for N >= n - 2, taken without the residuals, and
-    omega_j is the obstruction verify reports at q_j: exactly 0 where h''(q_j)
-    is interpolated, C_j(p) / delta_j elsewhere (C_j the constraint of q_j,
-    delta_j = -2 psi'(q_j)^2 its p_j^2 coefficient).  Raises ValueError for
-    an underdetermined instance, for momenta not finite and where h does not
-    leave a point apparent-shaped, so that verify reports no obstruction.
+    is exact; only the results are rounded to complex.  omega_j is the
+    obstruction verify reports at q_j on h_residuals' h, unique for N >= n - 2:
+    exactly 0 where h''(q_j) is interpolated, C_j(p) / delta_j elsewhere (C_j
+    the constraint of q_j, delta_j = -2 psi'(q_j)^2 its p_j^2 coefficient),
+    so it is read off quadratic_constraints and no h is built.  Raises
+    ValueError for an underdetermined instance and for momenta not finite,
+    and FuchsViolation for an inadmissible exponent sum.
     """
-    if classify(instance).case == "under":
+    case = classify(instance).case
+    if case == "under":
         raise ValueError("instance is under; float_obstructions needs N >= n - 2")
     momenta = [complex(p) for p in momenta]
     if len(momenta) != instance.num_apparent:
         raise ValueError(f"expected {instance.num_apparent} momenta, got {len(momenta)}")
     if not all(cmath.isfinite(p) for p in momenta):
         raise ValueError("momenta must be finite")
-    exact = instance.with_momenta(
-        [GaussianRational(Fraction(p.real), Fraction(p.imag)) for p in momenta]
-    )
-    g = solve_g(exact)
-    eq = FuchsianEquation(g, _interpolant(exact, g, ())[0], exact)
-    omegas = []
-    for r in verify(eq).apparent:
-        if r.obstruction is None:
-            raise ValueError(
-                f"not apparent-shaped at {r.point}: residue {r.residue}, "
-                f"order -2 coefficient {r.indicial.product}"
-            )
-        omegas.append(r.obstruction.to_complex())
+    omegas = [0j] * instance.num_apparent
+    if case == "square":
+        solve_g(instance)  # for its admissibility check alone
+        return omegas
+    exact = [GaussianRational(Fraction(p.real), Fraction(p.imag)) for p in momenta]
+    for c in quadratic_constraints(instance):
+        omegas[c.j - 1] = (c.evaluate(exact) / c.quad[c.j]).to_complex()
     return omegas

@@ -237,19 +237,24 @@ def test_unwritable_output_is_a_write_error(tmp_path, capsys):
 
 
 def test_deeply_nested_json_is_unreadable_input(tmp_path, capsys):
-    # Nesting past the parser's stack, and bytes that are not UTF-8, are
-    # reported like any unreadable file, not as a bare codec error or a
-    # RecursionError traceback.
+    # Nesting past the parser's stack, bytes that are not UTF-8, and an
+    # integer longer than int() converts are reported like any unreadable
+    # file, not as a bare codec or conversion error or a RecursionError
+    # traceback.
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
     not_utf8 = tmp_path / "utf16.json"
     not_utf8.write_bytes(b"\xff\xfe" + "[]".encode("utf-16-le"))
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text("[" + "7" * 5000 + "]", encoding="utf-8")
     src = tmp_path / "a.json"
     _write_instance(src, EXAMPLE_A)
     for argv in (
         ["analyze", "-i", str(deep)],
         ["verify", "-i", str(src), "-e", str(deep)],
         ["analyze", "-i", str(not_utf8)],
+        ["analyze", "-i", str(long_int)],
+        ["verify", "-i", str(src), "-e", str(long_int)],
     ):
         assert main(argv) == 1
         err = capsys.readouterr().err

@@ -7,7 +7,6 @@ from fractions import Fraction
 import elimination_reference as ref
 import pytest
 from conftest import _consistent_over
-from fraction_reference import poly_add
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +14,7 @@ import fuchsian.builder
 import fuchsian.dimension
 import fuchsian.linalg
 from fuchsian.builder import (
+    FuchsViolation,
     VerificationFailed,
     build_h_system,
     construct,
@@ -36,7 +36,7 @@ from fuchsian.dimension import (
 )
 from fuchsian.frobenius import verify
 from fuchsian.linalg import Matrix, eliminate, rank
-from fuchsian.model import FuchsianInstance
+from fuchsian.model import FuchsianEquation, FuchsianInstance
 from fuchsian.polynomials import Polynomial
 from fuchsian.sampling import random_instance
 from fuchsian.scalars import ONE, ZERO, GaussianRational
@@ -352,9 +352,9 @@ def test_leading_block_is_regular_and_the_rest_depends_on_it():
     # first derivative, second derivatives at q_1 .. q_(n-2)) are Hermite data
     # on distinct nodes, so they are independent, and the homogeneous
     # elimination leaves exactly the remaining second-derivative rows
-    # dependent.  builder.h_residuals interpolates that block for solve_h,
-    # check_momenta and float_obstructions; builder.left_nullspace gives one
-    # left-nullspace vector per remaining row.
+    # dependent.  builder.h_residuals interpolates that block for solve_h and
+    # check_momenta; builder.left_nullspace gives one left-nullspace vector
+    # per remaining row, and quadratic_constraints one constraint per vector.
     for inst in _layout_instances(4242, 120):
         matrix = h_matrix(inst)
         size = matrix.cols
@@ -370,17 +370,23 @@ def test_leading_block_is_regular_and_the_rest_depends_on_it():
 
 
 def test_float_obstructions_equal_scaled_constraints():
-    # omega_j is 0 where q_j's second-derivative row is in the leading block
-    # and C_j(p) / delta_j elsewhere, at the momenta's exact binary values.
+    # At the momenta's exact binary values, omega_j is the obstruction verify
+    # reports at q_j on h_residuals' h: 0 where q_j's second-derivative row is
+    # in the leading block and C_j(p) / delta_j elsewhere.
     rng = random.Random(9090)
     for inst in _layout_instances(3131, 64):
         momenta = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in inst.momenta]
         exact = inst.with_momenta([gr(Fraction(p.real), Fraction(p.imag)) for p in momenta])
-        expected = [0j] * inst.num_apparent
+        g = solve_g(exact)
+        h, _ = h_residuals(exact, g)
+        report = verify(FuchsianEquation(g, h, exact))
+        expected = [r.obstruction.to_complex() for r in report.apparent]
+        scaled = [0j] * inst.num_apparent
         if classify(exact).case == "over":
             for c in quadratic_constraints(exact):
                 delta = c.quad[c.j]
-                expected[c.j - 1] = (c.evaluate(exact.momenta) / delta).to_complex()
+                scaled[c.j - 1] = (c.evaluate(exact.momenta) / delta).to_complex()
+        assert scaled == expected
         assert float_obstructions(inst, momenta) == expected
 
 
@@ -414,6 +420,17 @@ def test_float_obstructions_rejects_what_has_no_leading_block():
             float_obstructions(N2N1, [bad])
     with pytest.raises(ValueError):
         float_obstructions(N2N1, [1.0, 2.0])
+    # an inadmissible exponent sum is solve_g's FuchsViolation, square or over
+    square = random_instance(4, 2, seed=1)
+    for inst in (square, N2N1):
+        (t, pair), *rest = inst.finite_points
+        bumped = [(t, (pair.rho1 + 1, pair.rho2)), *rest]
+        inst = FuchsianInstance(bumped, inst.infinity_exponents, inst.apparent_points)
+        with pytest.raises(FuchsViolation) as expected:
+            solve_g(inst)
+        with pytest.raises(FuchsViolation) as got:
+            float_obstructions(inst, [1.0] * inst.num_apparent)
+        assert str(got.value) == str(expected.value)
     # the constraints and their check exist in the over case only
     for inst in (UNDER3, random_instance(4, 2, seed=1)):
         for fn in (quadratic_constraints, check_momenta):
@@ -421,25 +438,10 @@ def test_float_obstructions_rejects_what_has_no_leading_block():
                 fn(inst)
 
 
-
-def test_float_obstructions_raise_where_h_has_a_double_pole(monkeypatch):
-    # h(q_1) != 0 gives h/psi^2 a double pole at q_1: a raised error, not an
-    # assert, so that it holds under python -O too
-    original = fuchsian.dimension._interpolant
-
-    def bumped(instance, g, free_values):
-        h, *rest = original(instance, g, free_values)
-        return (poly_add(h, Polynomial((1,))), *rest)
-
-    monkeypatch.setattr(fuchsian.dimension, "_interpolant", bumped)
-    for inst in (N2N1, random_instance(4, 2, seed=3)):
-        with pytest.raises(ValueError, match="not apparent-shaped"):
-            float_obstructions(inst, [1.0] * inst.num_apparent)
-
-
-def test_float_obstructions_build_no_left_nullspace(monkeypatch):
-    # the obstructions read h alone; only the over case's constraints and
-    # residuals need the left-nullspace vectors
+def test_float_obstructions_read_the_constraints_alone(monkeypatch):
+    # the obstructions are the constraints' values, so no h is built and
+    # nothing is verified: one left nullspace per over instance, none for a
+    # square one
     calls = []
     original = fuchsian.builder.left_nullspace
 
@@ -447,14 +449,24 @@ def test_float_obstructions_build_no_left_nullspace(monkeypatch):
         calls.append(args)
         return original(*args)
 
+    def forbidden(*args):
+        raise AssertionError("float_obstructions built h or verified it")
+
     for module in (fuchsian.builder, fuchsian.dimension):
         monkeypatch.setattr(module, "left_nullspace", counting)
-    for inst in (N2N1, random_instance(4, 3, seed=8), random_instance(5, 3, seed=2)):
+        monkeypatch.setattr(module, "h_residuals", forbidden)
+    monkeypatch.setattr(fuchsian.dimension, "verify", forbidden)
+    for inst, nullspaces in (
+        (N2N1, 1),
+        (random_instance(4, 3, seed=8), 1),
+        (random_instance(5, 3, seed=2), 0),
+        (random_instance(3, 4, seed=4), 1),
+    ):
         omegas = float_obstructions(inst, [1.0] * inst.num_apparent)
         assert len(omegas) == inst.num_apparent
-    assert calls == []
-    check_momenta(N2N1)  # the counter sees the calls that do happen
-    assert len(calls) == 1
+        assert len(calls) == nullspaces
+        calls.clear()
+
 
 def _same_as_elimination(inst, free=()):
     """Assert that h, the residuals, the left nullspace and the constraints of

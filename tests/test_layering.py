@@ -5,6 +5,8 @@
 - The local analysis at the points is one loop: the public functions
   `frobenius` defines are exactly `verify` and `report_to_json_obj`, and
   `dimension` imports only `verify` from it.
+- `dimension` uses `builder` through its public names only: it imports no
+  underscore name from it.
 - Elimination is an oracle: only `builder` (for `Matrix`), `cli` (for
   det-check's `det`) and `__init__` import `linalg`.
 - No package module imports a module of the test suite, and every import
@@ -82,6 +84,17 @@ def test_verify_is_the_one_local_analysis():
     assert [names for module, names in dimension if module == "fuchsian.frobenius"] == [
         ("verify",)
     ]
+
+
+def test_dimension_imports_only_public_builder_names():
+    imported = [
+        name
+        for module, names in _package_imports()["dimension"]
+        if module == "fuchsian.builder"
+        for name in names
+    ]
+    assert imported
+    assert [name for name in imported if name.startswith("_")] == []
 
 
 def test_only_builder_cli_and_init_import_linalg():
