@@ -15,7 +15,7 @@ decides logarithm-freeness.
 
 from fractions import Fraction
 
-from fuchsian import FuchsianInstance, construct, solve_g, verify
+from fuchsian import FuchsianInstance, construct, verify
 from fuchsian.builder import h_rhs_terms
 
 points = [(0, (0, 1)), (1, (0, 1)), (2, (0, 1))]
@@ -42,6 +42,6 @@ for momentum in (0, Fraction(5, 2)):
 # epsilon = psi'(q) (psi''(q) - 2 G'(q)), cross-checked against Laurent
 # expansions in the tests.
 instance = FuchsianInstance(points, infinity, [(q, 0)])
-_, _, epsilon, delta = h_rhs_terms(instance, solve_g(instance))[-1]
+_, _, epsilon, delta = h_rhs_terms(instance)[-1]
 print("local constants at q = 3:")
 print("  delta =", delta, " epsilon =", epsilon)

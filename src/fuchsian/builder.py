@@ -26,7 +26,7 @@ points, and first- plus second-derivative rows at the apparent points:
 with delta_j = -2 psi'(q_j)^2 and epsilon_j = psi'(q_j) * (psi''(q_j) -
 2 g'(q_j)), which is delta_j * (g1_j - psi''(q_j)/psi'(q_j)), g1_j the
 order-0 Laurent coefficient of g/psi at q_j, simplified so that no
-right-hand side needs a division.  h_rhs_terms is the one definition of
+right-hand side needs a division.  _rhs_terms is the one definition of
 these right-hand sides, as coefficients of each row's own momentum, all read
 off Taylor heads in the instance's point frame.
 
@@ -47,6 +47,14 @@ later row h''(q_j) has a closed-form left-nullspace vector y, and y . rhs
 is q_j's momentum constraint at the instance's momenta.  h_matrix and
 build_h_system stay for det-check and for the tests, which compare every
 closed form here with elimination and Laurent series.
+
+What the h-solve reads and free values cannot change is built once per
+instance, on first use, and kept in the instance's memo (model._per_instance):
+g (solve_g), the Hermite frame (_hermite_frame) and the right-hand side for
+that g (h_rhs_terms, _h_rhs).  So g is a function of the instance here, not
+an argument, and repeated solves on one instance object pay only for the
+interpolation sum; a fresh instance, as every CLI call builds, gains nothing.
+build_h_system alone takes g and builds everything afresh.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ from itertools import accumulate
 from operator import mul
 
 from .linalg import Matrix
-from .model import FuchsianEquation, FuchsianInstance, _psi_ints, fuchs_defect
+from .model import FuchsianEquation, FuchsianInstance, _per_instance, _psi_ints, fuchs_defect
 from .polynomials import Polynomial, _deflate, _in_frame, _monic_ints, _taylor_head_ints
 from .scalars import ONE, ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
 
@@ -73,8 +81,10 @@ class VerificationFailed(RuntimeError):
     """
 
 
+@_per_instance
 def solve_g(instance: FuchsianInstance) -> Polynomial:
-    """The unique g, by partial fractions, with the infinity condition checked.
+    """The unique g, by partial fractions, with the infinity condition checked;
+    built once per instance, so every equation built on it shares this g.
 
     Raises FuchsViolation when the instance's exponent sum is inadmissible,
     which is exactly when the top coefficient disagrees with 1 + l1 + l2.
@@ -100,8 +110,14 @@ def solve_g(instance: FuchsianInstance) -> Polynomial:
     return g
 
 
-def h_rhs_terms(instance: FuchsianInstance, g: Polynomial) -> list:
-    """Each h-system row's right-hand side as (j, const, lin, quad).
+@_per_instance
+def h_rhs_terms(instance: FuchsianInstance) -> tuple:
+    """_rhs_terms for the instance's own g, solve_g's, built once per instance."""
+    return _rhs_terms(instance, solve_g(instance))
+
+
+def _rhs_terms(instance: FuchsianInstance, g: Polynomial) -> tuple:
+    """Each h-system row's right-hand side as (j, const, lin, quad), for g.
 
     The row's value is const + lin * p_j + quad * p_j^2 with p_j the momentum
     of apparent point j (0-based); rows whose value involves no momentum have
@@ -126,7 +142,7 @@ def h_rhs_terms(instance: FuchsianInstance, g: Polynomial) -> list:
         (j, ZERO, 2 * slope * (half - dg), -2 * slope * slope)
         for j, (slope, half, dg) in enumerate(zip(slopes[n:], halves, dgs))
     ]
-    return terms
+    return tuple(terms)
 
 
 def h_matrix(instance: FuchsianInstance) -> Matrix:
@@ -148,29 +164,38 @@ def h_matrix(instance: FuchsianInstance) -> Matrix:
 
 
 def build_h_system(instance: FuchsianInstance, g: Polynomial):
-    """The h-system matrix together with its right-hand side."""
-    return h_matrix(instance), _h_rhs(instance, g)
+    """The h-system matrix together with its right-hand side for g, both
+    built afresh on every call."""
+    return h_matrix(instance), _rhs_values(instance, _rhs_terms(instance, g))
 
 
-def _h_rhs(instance: FuchsianInstance, g: Polynomial) -> tuple:
-    p, terms = instance.momenta, h_rhs_terms(instance, g)
+@_per_instance
+def _h_rhs(instance: FuchsianInstance) -> tuple:
+    """The h-system's right-hand side at the instance's own g and momenta."""
+    return _rhs_values(instance, h_rhs_terms(instance))
+
+
+def _rhs_values(instance: FuchsianInstance, terms) -> tuple:
+    p = instance.momenta
     return tuple([c if j is None else c + (lin + quad * p[j]) * p[j] for j, c, lin, quad in terms])
 
 
-def h_residuals(instance: FuchsianInstance, g: Polynomial, free_values=()):
+def h_residuals(instance: FuchsianInstance, free_values=()):
     """h, the Hermite interpolant of the first min(rows, cols) rows of the
     h-system with free_values[k] as its coefficient of z^(n+3N+k), and
     (j, rhs_r - row_r . h) = (j, y . rhs) for each later row r, h''(q_j), with
-    y from left_nullspace on the same _hermite_frame, built once.  Raises
-    VerificationFailed unless the rows leave len(free_values) coefficients free.
+    y from left_nullspace.  The right-hand side and _hermite_frame are built
+    once per instance, so a later call pays only for the interpolation sum.
+    Raises VerificationFailed unless the rows leave len(free_values)
+    coefficients free.
     """
     n, num = instance.n, instance.num_apparent
     free = max(n - 2 - num, 0)
     if len(free_values) != free:
         kind, got = "underdetermined" if free else "unique", len(free_values)
         raise VerificationFailed(f"h-system is {kind} with nullity {free} != {got} free values")
-    rhs = _h_rhs(instance, g)
-    e, (ore, oim), nodes = frame = _hermite_frame(instance)
+    rhs = _h_rhs(instance)
+    e, (ore, oim), nodes = _hermite_frame(instance)
     deg = len(ore) - 1
     # S~_k = S_k / E^k: h's top coefficients in the frame, less Omega~'s share (it is monic)
     scaled = [GaussianRational.coerce(v) / e**k for k, v in enumerate(free_values)]
@@ -196,12 +221,12 @@ def h_residuals(instance: FuchsianInstance, g: Polynomial, free_values=()):
     coeffs = [from_gaussian_ints(a * up, b * up, d) for a, b, d in zip(hr, hi, dens)]
     residuals = [
         (r - n - 2 * num, sum([a * b for a, b in zip(y, rhs) if a and b], ZERO))
-        for r, y in left_nullspace(instance, frame)
+        for r, y in left_nullspace(instance)
     ]
     return Polynomial(coeffs), tuple(residuals)
 
 
-def left_nullspace(instance: FuchsianInstance, frame=None):
+def left_nullspace(instance: FuchsianInstance):
     """Yield (r, y) for each row r of the h-matrix after its first 2(n + N) - 1:
     y . h_matrix = 0, y_r = 1 and y is 0 at the other later rows.
 
@@ -211,7 +236,7 @@ def left_nullspace(instance: FuchsianInstance, frame=None):
     C'_(x,i) = sum_l tau_(x,l) E^(D-l) v_(i-l) as in h_residuals.
     """
     n, num = instance.n, instance.num_apparent
-    e, omega, nodes = frame or _hermite_frame(instance)
+    e, omega, nodes = _hermite_frame(instance)
     scale = (-2 * e * e, -2 * e, -1)  # rhs_k is tau_0, tau_1 or 2 tau_2
     for j in range(min(num, n - 2), num):
         _, _, _, (ja, jb), w, _ = nodes[n + j]
@@ -226,11 +251,12 @@ def left_nullspace(instance: FuchsianInstance, frame=None):
         yield 1 + n + 2 * num + j, y
 
 
+@_per_instance
 def _hermite_frame(instance: FuchsianInstance):
-    """(E, omega, nodes), the interpolation on Gaussian integers: X = E x at
-    each point x, omega = (re, im) of the monic Omega~(Z) = prod (Z - X)^m,
-    and per point, finite ones first, the node (m, rows, deflations, X, w, v):
-    its Taylor data's h-system rows, Omega~ / (Z - X)^k for k = 1..m, X as
+    """(E, omega, nodes), the interpolation on Gaussian integers, built once
+    per instance: X = E x at each point x, omega = (re, im) of the monic
+    Omega~(Z) = prod (Z - X)^m, and per point, finite ones first, the node
+    (m, rows, deflations, X, w, v): its Taylor data's h-system rows, Omega~ / (Z - X)^k for k = 1..m, X as
     (re, im), W~ = Omega~ / (Z - X)^m's Taylor coefficients at X (orders
     0..2 at an apparent point, 0 at a finite one) and the first m of 1 / W~.
     Raises VerificationFailed if W~(X) = 0, which distinct points rule out.
@@ -256,10 +282,10 @@ def _hermite_frame(instance: FuchsianInstance):
     return e, (pr, pi), nodes
 
 
-def solve_h(instance: FuchsianInstance, g: Polynomial, free_values=()) -> Polynomial:
+def solve_h(instance: FuchsianInstance, free_values=()) -> Polynomial:
     """h_residuals' h, which must solve the whole h-system: a nonzero residual,
     momenta that violate the over case's constraints, raises VerificationFailed."""
-    h, residuals = h_residuals(instance, g, free_values)
+    h, residuals = h_residuals(instance, free_values)
     if any(value for _, value in residuals):
         raise VerificationFailed("h-system is inconsistent")
     return h
@@ -277,5 +303,4 @@ def construct(instance: FuchsianInstance) -> FuchsianEquation:
             f"construct requires N = n - 2 (got n={n}, N={num}); "
             "use fuchsian.dimension.solve_under or check_momenta instead"
         )
-    g = solve_g(instance)
-    return FuchsianEquation(g, solve_h(instance, g), instance)
+    return FuchsianEquation(solve_g(instance), solve_h(instance), instance)

@@ -16,6 +16,14 @@ later rows are the over case's constraint values at its momenta.
 float_obstructions builds no h: the obstruction at q_j is its constraint's
 value over the p_j^2 coefficient, an identity the tests check against verify.
 
+In the under case the equations are an affine family in the free values,
+and the builder keeps what they cannot change (g, the Hermite frame and the
+right-hand side) on the instance.  So solve_under called again on the same
+instance object with other free values, and check_momenta,
+quadratic_constraints and float_obstructions called again on it, pay only
+for the interpolation sum or the constraint sums, and for verify, which
+runs on every call.
+
 The constraints are the Fredholm conditions of the h-system: its matrix has
 maximal rank, so for N > n - 2 the right-hand side is reachable exactly when
 y . rhs = 0 for every y in the left nullspace, one closed-form vector per
@@ -96,8 +104,7 @@ def solve_under(instance: FuchsianInstance, free_values) -> FuchsianEquation:
     free_values = [GaussianRational.coerce(v) for v in free_values]
     if len(free_values) != report.h_free_dim:
         raise ValueError(f"expected {report.h_free_dim} free values, got {len(free_values)}")
-    g = solve_g(instance)
-    return _verified(FuchsianEquation(g, solve_h(instance, g, free_values), instance))
+    return _verified(FuchsianEquation(solve_g(instance), solve_h(instance, free_values), instance))
 
 
 def _verified(eq: FuchsianEquation) -> FuchsianEquation:
@@ -149,7 +156,7 @@ def quadratic_constraints(instance: FuchsianInstance) -> list:
     case = classify(instance).case
     if case != "over":
         raise ValueError(f"instance is {case}, not overdetermined")
-    terms = h_rhs_terms(instance, solve_g(instance))
+    terms = h_rhs_terms(instance)
     constraints = []
     for r, y in left_nullspace(instance):
         const, lin, quad = ZERO, {}, {}
@@ -181,12 +188,11 @@ def check_momenta(instance: FuchsianInstance) -> MomentaCheck:
     case = classify(instance).case
     if case != "over":
         raise ValueError(f"instance is {case}, not overdetermined")
-    g = solve_g(instance)
-    h, residuals = h_residuals(instance, g)
+    h, residuals = h_residuals(instance)
     violations = tuple((j, value) for j, value in residuals if value)
     if violations:
         return MomentaCheck(consistent=False, equation=None, violations=violations)
-    eq = _verified(FuchsianEquation(g, h, instance))
+    eq = _verified(FuchsianEquation(solve_g(instance), h, instance))
     return MomentaCheck(consistent=True, equation=eq, violations=())
 
 

@@ -16,12 +16,21 @@ hypergeometric equation carries its textbook exponents at infinity.
 
 An instance is checked once, when it is built: at least two finite points,
 all points pairwise distinct, or InvalidInstance.  Instances and equations
-are read-only, so a built one stays valid and the point frame cached on it
-stays its own; they compare, hash and pickle by value.
+are read-only, so a built one stays valid; they compare, hash and pickle by
+value.
+
+An instance also keeps a memo of what is computed from it alone, each value
+on first use: the point frame (_psi_ints) here, and g, the Hermite frame and
+the h-system's right-hand side in the builder.  So repeated solves on one
+instance object build these once and pay only for what their arguments
+change.  The memo lives and dies with the object: equality, hashing, pickle
+and copies read the constructor's arguments alone, a copy starts with an
+empty memo, and a computation that raises leaves nothing in it.
 """
 
 from __future__ import annotations
 
+from functools import wraps
 from itertools import combinations, repeat
 
 from .polynomials import Polynomial, _monic_ints
@@ -163,9 +172,10 @@ def _as_pair(value) -> ExponentPair:
 class FuchsianInstance(_Frozen):
     """Prescribed data: finite points with exponents, the pair at infinity,
     and apparent points with momenta.  Built only valid (see _check_points)
-    and read-only, so that the point frame cached on it stays its own."""
+    and read-only, so that what its memo keeps (see _per_instance) stays its
+    own."""
 
-    __slots__ = ("finite_points", "infinity_exponents", "apparent_points", "_psi")
+    __slots__ = ("finite_points", "infinity_exponents", "apparent_points", "_memo")
 
     def __init__(self, finite_points, infinity_exponents, apparent_points=()):
         finite_points = tuple(
@@ -181,7 +191,7 @@ class FuchsianInstance(_Frozen):
         set_field(self, "finite_points", finite_points)
         set_field(self, "infinity_exponents", infinity_exponents)
         set_field(self, "apparent_points", apparent_points)
-        set_field(self, "_psi", None)
+        set_field(self, "_memo", {})
 
     def _value(self) -> tuple:
         return self.finite_points, self.infinity_exponents, self.apparent_points
@@ -271,14 +281,30 @@ def fuchs_defect(instance: FuchsianInstance) -> GaussianRational:
     return total - GaussianRational(target)
 
 
+def _per_instance(build):
+    """build, a function of an instance alone, made to run once per instance:
+    its first value is kept in the instance's memo and every later call on
+    the same object returns that value, which its readers never change.  This
+    is the one way a value enters the memo, and a call that raises stores
+    nothing, so a failure is raised again on every call."""
+
+    @wraps(build)
+    def cached(instance: FuchsianInstance):
+        memo = instance._memo
+        if build not in memo:
+            memo[build] = build(instance)
+        return memo[build]
+
+    return cached
+
+
+@_per_instance
 def _psi_ints(instance: FuchsianInstance) -> tuple:
-    """(E, xr, xi, (pr, pi)), the point frame, cached on the instance and
-    read-only: X = E x = xr[k] + xi[k] i at each point, finite ones first, E
-    the lcm of their denominators, and Psi~ = prod (Z - X) as int lists."""
-    if instance._psi is None:
-        e, xr, xi = to_gaussian_ints(instance.finite_positions + instance.apparent_positions)
-        object.__setattr__(instance, "_psi", (e, xr, xi, _monic_ints([1], [0], xr, xi, repeat(1))))
-    return instance._psi
+    """(E, xr, xi, (pr, pi)), the point frame: X = E x = xr[k] + xi[k] i at
+    each point, finite ones first, E the lcm of their denominators, and
+    Psi~ = prod (Z - X) as int lists."""
+    e, xr, xi = to_gaussian_ints(instance.finite_positions + instance.apparent_positions)
+    return e, xr, xi, _monic_ints([1], [0], xr, xi, repeat(1))
 
 
 class FuchsianEquation(_Frozen):

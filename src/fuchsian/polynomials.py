@@ -1,10 +1,11 @@
 """Dense polynomials over the Gaussian rationals, and the Gaussian-integer
 kernels behind them.
 
-A Polynomial is a container, with a Taylor shift and no arithmetic: a tuple
-of coefficients in ascending degree with trailing zeros trimmed; the zero
-polynomial is the empty tuple and its degree is the distinguished value
--inf (never the -1 convention).
+A Polynomial is a read-only container, with a Taylor shift and no
+arithmetic: a tuple of coefficients in ascending degree with trailing zeros
+trimmed; the zero polynomial is the empty tuple and its degree is the
+distinguished value -inf (never the -1 convention).  It is read-only because
+one g is shared by every equation built on an instance (model._per_instance).
 
 _monic_ints multiplies by prod (Z - X)^m: it builds the point frame's
 Psi~ = prod (Z - X) and continues it to the Hermite frame's Omega~; _deflate
@@ -36,7 +37,8 @@ from .scalars import ONE, ZERO, GaussianRational, from_gaussian_ints, to_gaussia
 
 
 class Polynomial:
-    """Dense univariate polynomial with GaussianRational coefficients."""
+    """Dense univariate polynomial with GaussianRational coefficients; its
+    coeffs are set once, and copies and unpickling call the constructor."""
 
     __slots__ = ("coeffs",)
 
@@ -44,7 +46,16 @@ class Polynomial:
         values = [GaussianRational.coerce(c) for c in coeffs]
         while values and not values[-1]:
             values.pop()
-        self.coeffs = tuple(values)
+        object.__setattr__(self, "coeffs", tuple(values))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.coeffs,)
 
     @classmethod
     def zero(cls) -> Polynomial:

@@ -13,7 +13,7 @@ package imports this module.
 
 import fraction_reference as ref
 
-from fuchsian.builder import VerificationFailed, build_h_system, h_matrix, h_rhs_terms, solve_g
+from fuchsian.builder import VerificationFailed, build_h_system, h_matrix, h_rhs_terms
 from fuchsian.dimension import QuadraticConstraint, classify
 from fuchsian.linalg import Matrix, eliminate
 from fuchsian.polynomials import Polynomial
@@ -89,7 +89,7 @@ def quadratic_constraints(instance):
     case = classify(instance).case
     if case != "over":
         raise ValueError(f"instance is {case}, not overdetermined")
-    terms = h_rhs_terms(instance, solve_g(instance))
+    terms = h_rhs_terms(instance)
     constraints = []
     for r, y in left_nullspace(instance):
         const, lin, quad = ZERO, {}, {}

@@ -28,6 +28,7 @@ from fuchsian.builder import (
     solve_g,
     solve_h,
 )
+from fuchsian.dimension import quadratic_constraints, solve_under
 from fuchsian.frobenius import verify
 from fuchsian.linalg import Matrix, det, eliminate
 from fuchsian.model import FuchsianEquation, FuchsianInstance, fuchs_defect
@@ -91,11 +92,11 @@ def test_h_rhs_examples():
     assert rhs[4] == gr(12)  # 3 * psi'(2)^2
     assert rhs[3] == ZERO
     # g2 = z - z^2: delta = -2 psi'(2)^2, epsilon = psi'(2) (psi''(2) - 2 g2'(2))
-    assert h_rhs_terms(N2N1, g2)[3:] == [
+    assert h_rhs_terms(N2N1)[3:] == (
         (None, ZERO, ZERO, ZERO),
         (0, ZERO, gr(4), ZERO),
         (0, ZERO, gr(24), gr(-8)),  # 2 * (6 + 6), -2 * 2^2
-    ]
+    )
     assert rhs[5] == gr(-8 * 9 + 24 * 3)  # delta p^2 + epsilon p at p = 3
 
 
@@ -120,7 +121,7 @@ def test_local_constants_example():
     g1 = ref.laurent_expand(g, p, gr(2), 3).coefficient(0)
     assert (mu, kappa, g1) == (gr(Fraction(1, 4)), gr(Fraction(-3, 4)), ZERO)
     delta = -2 / mu
-    assert h_rhs_terms(N2N1, g)[-1] == (0, ZERO, delta * (g1 + kappa / mu), delta)
+    assert h_rhs_terms(N2N1)[-1] == (0, ZERO, delta * (g1 + kappa / mu), delta)
     assert delta == gr(-8)
 
 
@@ -128,7 +129,7 @@ def test_delta_never_zero():
     rng = random.Random(41)
     for _ in range(15):
         inst = random_instance(rng.randint(3, 6), seed=rng.randint(0, 9999))
-        terms = h_rhs_terms(inst, solve_g(inst))
+        terms = h_rhs_terms(inst)
         second = terms[len(terms) - inst.num_apparent :]
         assert [j for j, *_ in second] == list(range(inst.num_apparent))
         assert all(delta for *_, delta in second)
@@ -205,7 +206,7 @@ def test_oracle_agreement():
                 assert series.coefficient(-1) * ref.poly_eval(dpsi, t) == g_rhs[i]
                 h_series = ref.laurent_expand(eq.h, square, t, 3)
                 assert h_series.coefficient(-2) == pair.product
-            terms = h_rhs_terms(inst, g)
+            terms = h_rhs_terms(inst)
             second = terms[len(terms) - inst.num_apparent :]
             for j, (q, momentum) in enumerate(inst.apparent_points):
                 # mu = 1/psi'(q)^2, kappa = -psi''(q)/psi'(q)^3 from the
@@ -308,7 +309,7 @@ def test_solve_h_all_regimes(regime_instances):
     for k, (case, inst, free) in enumerate(regime_instances(2026, 108)):
         n, num = inst.n, inst.num_apparent
         g = solve_g(inst)
-        h = solve_h(inst, g, free)
+        h = solve_h(inst, free)
         matrix, rhs = build_h_system(inst, g)
         coeffs = h.padded(matrix.cols)
         for r in range(matrix.rows):
@@ -352,30 +353,54 @@ def test_one_point_frame_per_instance(monkeypatch):
     # Psi~ = prod (Z - X) is built once per instance and read by verify, solve_g,
     # the h right-hand sides and the Hermite frame, which continues it to
     # Omega~ with (Z - Q)^(m - 1): n = 6, N = 4 multiplies 10 + 8 factors.
-    original = fuchsian.polynomials._monic_ints
-    factors = []
+    # g and the Hermite frame are kept on the instance too, so a second
+    # construct, solve_under or quadratic_constraints call on the same object
+    # multiplies and deflates nothing: only the interpolation sum and verify
+    # run again.
+    original, deflate = fuchsian.polynomials._monic_ints, fuchsian.polynomials._deflate
+    factors, deflations = [], []
 
     def counting(*args):  # mults may be endless; the points bound the factors
         factors.append(sum(m for _, m in zip(args[-2], args[-1])))
         return original(*args)
 
+    def counting_deflate(*args):
+        deflations.append(args)
+        return deflate(*args)
+
     for module in (fuchsian.polynomials, fuchsian.model, fuchsian.builder):
         if hasattr(module, "_monic_ints"):
             monkeypatch.setattr(module, "_monic_ints", counting)
+        if hasattr(module, "_deflate"):
+            monkeypatch.setattr(module, "_deflate", counting_deflate)
     inst = random_instance(6, seed=3)
-    assert verify(construct(inst)).overall
+    eq = construct(inst)
+    assert verify(eq).overall
     assert (len(factors), sum(factors)) == (2, 18)
+    assert len(deflations) == 10 + 6 * 2 + 4 * 6  # g, then m + 1 or m + 3 per node, m = 1 or 3
     factors.clear()
+    deflations.clear()
     solve_g(inst)
-    assert factors == []
+    assert construct(inst) == eq
+    assert (factors, deflations) == ([], [])
+    under, over = random_instance(7, 2, seed=5), random_instance(4, 3, seed=8)
+    for first, again in (
+        (lambda: solve_under(under, [1, 2, 3]), lambda: solve_under(under, [gr(1, 2), 0, -3])),
+        (lambda: quadratic_constraints(over), lambda: quadratic_constraints(over)),
+    ):
+        first()
+        assert factors and deflations
+        factors.clear()
+        deflations.clear()
+        again()
+        assert (factors, deflations) == ([], [])
 
 
 def test_solve_h_rejects_wrong_nullity():
-    g = solve_g(EXAMPLE_C)
     with pytest.raises(VerificationFailed, match="nullity"):
-        solve_h(EXAMPLE_C, g, [ZERO])
+        solve_h(EXAMPLE_C, [ZERO])
     with pytest.raises(VerificationFailed, match="inconsistent"):
-        solve_h(N2N1, solve_g(N2N1))
+        solve_h(N2N1)
 
 
 def test_residuals_equal_plain_dot_products(regime_instances):
@@ -392,7 +417,7 @@ def test_residuals_equal_plain_dot_products(regime_instances):
     violated = 0
     for inst in cases:
         g = solve_g(inst)
-        h, residuals = h_residuals(inst, g)
+        h, residuals = h_residuals(inst)
         matrix, rhs = build_h_system(inst, g)
         coeffs, num = h.padded(matrix.cols), inst.num_apparent
         first = num + 1 - (matrix.rows - matrix.cols)

@@ -1,5 +1,6 @@
 """General apparent-point counts: classification, free parameters, constraints."""
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -82,8 +83,7 @@ def test_solve_under_free_values():
     assert eq0.h.coefficient(3) == ZERO
     assert eq1.h.coefficient(3) == gr(1)
     # solve_h takes ints and Fractions as free values, as GaussianRational does
-    g = solve_g(UNDER3)
-    assert solve_h(UNDER3, g, [1]) == solve_h(UNDER3, g, [Fraction(2, 2)]) == eq1.h
+    assert solve_h(UNDER3, [1]) == solve_h(UNDER3, [Fraction(2, 2)]) == eq1.h
     with pytest.raises(ValueError):
         solve_under(UNDER3, [0, 0])
     with pytest.raises(ValueError):
@@ -105,8 +105,7 @@ def test_quadratic_constraint_n2n1():
     assert len(constraints) == 1
     c = constraints[0]
     assert c.j == 1
-    g = solve_g(N2N1)
-    assert c.quad[1] == h_rhs_terms(N2N1, g)[-1][3] == gr(-8)  # delta_1
+    assert c.quad[1] == h_rhs_terms(N2N1)[-1][3] == gr(-8)  # delta_1
     assert c.single_variable()
     # evaluating at the instance momentum p=3: -8*9 + 12*3 - 4 = -40
     assert c.evaluate([gr(3)]) == gr(-40)
@@ -155,7 +154,8 @@ def test_each_call_eliminates_once_per_system(monkeypatch):
     # g and h are closed forms, and the over case reads its constraints off
     # the closed-form left nullspace: no solver eliminates, check_momenta
     # builds no h-matrix, and it assembles the right-hand sides once for
-    # both its violations and its witness.
+    # both its violations and its witness.  Every call gets a fresh copy of
+    # its instance, whose memo is empty, so the counted work really runs.
     originals = {
         "eliminate": eliminate,
         "h_matrix": h_matrix,
@@ -182,13 +182,13 @@ def test_each_call_eliminates_once_per_system(monkeypatch):
         return len(calls[name])
 
     assert count(construct, random_instance(4, 2, seed=3)) == 0
-    assert count(solve_under, UNDER3, [1]) == 0
-    assert count(quadratic_constraints, N2N1) == 0
-    assert count(float_obstructions, N2N1, [1.0]) == 0
+    assert count(solve_under, copy.copy(UNDER3), [1]) == 0
+    assert count(quadratic_constraints, copy.copy(N2N1)) == 0
+    assert count(float_obstructions, copy.copy(N2N1), [1.0]) == 0
     for inst in (N2N1, N2N1.with_momenta([gr(1)])):  # violating, consistent
-        assert count(check_momenta, inst) == 0
-        assert count(check_momenta, inst, name="h_matrix") == 0
-        assert count(check_momenta, inst, name="h_rhs_terms") == 1
+        assert count(check_momenta, copy.copy(inst)) == 0
+        assert count(check_momenta, copy.copy(inst), name="h_matrix") == 0
+        assert count(check_momenta, copy.copy(inst), name="h_rhs_terms") == 1
     assert check_momenta(N2N1.with_momenta([gr(1)])).consistent
 
 
@@ -284,10 +284,10 @@ def test_constraints_equivalent_to_full_system_consistency(regime_instances):
         assert result.consistent == consistent, k
         if consistent:
             assert result.equation.h == Polynomial(full.particular), k
-            assert solve_h(inst, g) == result.equation.h, k
+            assert solve_h(inst) == result.equation.h, k
         else:
             with pytest.raises(VerificationFailed, match="inconsistent"):
-                solve_h(inst, g)
+                solve_h(inst)
     assert seen[True] >= 40 and seen[False] >= 60, seen
 
 
@@ -378,7 +378,7 @@ def test_float_obstructions_equal_scaled_constraints():
         momenta = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in inst.momenta]
         exact = inst.with_momenta([gr(Fraction(p.real), Fraction(p.imag)) for p in momenta])
         g = solve_g(exact)
-        h, _ = h_residuals(exact, g)
+        h, _ = h_residuals(exact)
         report = verify(FuchsianEquation(g, h, exact))
         expected = [r.obstruction.to_complex() for r in report.apparent]
         scaled = [0j] * inst.num_apparent
@@ -441,7 +441,7 @@ def test_float_obstructions_rejects_what_has_no_leading_block():
 def test_float_obstructions_read_the_constraints_alone(monkeypatch):
     # the obstructions are the constraints' values, so no h is built and
     # nothing is verified: one left nullspace per over instance, none for a
-    # square one
+    # square one; N2N1 is copied so that its memo is empty
     calls = []
     original = fuchsian.builder.left_nullspace
 
@@ -457,7 +457,7 @@ def test_float_obstructions_read_the_constraints_alone(monkeypatch):
         monkeypatch.setattr(module, "h_residuals", forbidden)
     monkeypatch.setattr(fuchsian.dimension, "verify", forbidden)
     for inst, nullspaces in (
-        (N2N1, 1),
+        (copy.copy(N2N1), 1),
         (random_instance(4, 3, seed=8), 1),
         (random_instance(5, 3, seed=2), 0),
         (random_instance(3, 4, seed=4), 1),
@@ -473,7 +473,7 @@ def _same_as_elimination(inst, free=()):
     the closed forms equal those of the elimination oracle; True when inst is
     consistent."""
     g = solve_g(inst)
-    h, residuals = h_residuals(inst, g, free)
+    h, residuals = h_residuals(inst, free)
     assert (h, residuals) == ref.h_residuals(inst, g, free)
     if inst.num_apparent > inst.n - 2:
         assert [(r, tuple(y)) for r, y in left_nullspace(inst)] == ref.left_nullspace(inst)

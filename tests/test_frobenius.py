@@ -242,7 +242,7 @@ def test_report_bytes_are_pinned(regime_instances):
     reports = []
     for case, inst, free in regime_instances(4711, 30):
         g = solve_g(inst)
-        eq = FuchsianEquation(g, solve_h(inst, g, free), inst)
+        eq = FuchsianEquation(g, solve_h(inst, free), inst)
         q_prod = ref.poly_from_roots(inst.apparent_positions)
         for tampered in (
             eq,

@@ -243,7 +243,7 @@ def _apparent_locals(regime_instances, terms):
     square/under/over equations."""
     for case, inst, free in regime_instances(5150, 60):
         g = solve_g(inst)
-        eq = FuchsianEquation(g, solve_h(inst, g, free), inst)
+        eq = FuchsianEquation(g, solve_h(inst, free), inst)
         for q in inst.apparent_positions:
             yield (case, q), reference_local(eq, q, terms)
 
@@ -276,7 +276,7 @@ def test_cleared_residual_vanishes_with_series_residual(regime_instances):
         if not inst.num_apparent:
             continue
         g = solve_g(inst)
-        eq = FuchsianEquation(g, solve_h(inst, g, free), inst)
+        eq = FuchsianEquation(g, solve_h(inst, free), inst)
         q_prod = ref.poly_from_roots(inst.apparent_positions)
         variants = [
             eq,
@@ -323,7 +323,7 @@ def test_verify_matches_fraction_reference(regime_instances):
     outcomes = []
     for case, inst, free in regime_instances(2718, 45):
         g = solve_g(inst)
-        for eq in _with_tampering(FuchsianEquation(g, solve_h(inst, g, free), inst)):
+        for eq in _with_tampering(FuchsianEquation(g, solve_h(inst, free), inst)):
             report = verify(eq)
             assert report == ref.verify(eq), (case, eq)
             outcomes.append(report.overall)

@@ -38,8 +38,8 @@ PUBLIC_NAMES = [
     "solve_under", "verify",
 ]
 POLYNOMIAL_NAMES = [
-    "__eq__", "__hash__", "__init__", "__repr__", "__str__",
-    "coefficient", "coeffs", "degree", "is_zero", "padded", "shift", "zero",
+    "__delattr__", "__eq__", "__hash__", "__init__", "__reduce__", "__repr__", "__setattr__",
+    "__str__", "coefficient", "coeffs", "degree", "is_zero", "padded", "shift", "zero",
 ]
 TEST_MODULES = {path.stem for path in Path(__file__).parent.glob("*.py")}
 

@@ -238,7 +238,7 @@ def test_points_are_checked_once_per_instance(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "field", ["finite_points", "infinity_exponents", "apparent_points", "_psi"]
+    "field", ["finite_points", "infinity_exponents", "apparent_points", "_memo"]
 )
 def test_instance_fields_are_read_only(field):
     inst = random_instance(4, seed=21)

@@ -2,6 +2,8 @@
 expansions of the Fraction reference that the closed-form tests read their
 local constants off."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import factorial
@@ -36,6 +38,23 @@ def test_degree_markers():
         Polynomial((1, 2)).coefficient(-1)
     with pytest.raises(ValueError, match="degree 1 exceeds padded length 1"):
         Polynomial((1, 2)).padded(1)
+
+
+def test_polynomial_is_read_only_and_copies_through_its_constructor():
+    # g is shared by every equation built on an instance, so no one may
+    # change it; copies and pickles rebuild through the constructor
+    p = Polynomial((1, gr(2, -1), Fraction(1, 3)))
+    for name in ("coeffs", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, ())
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    assert p.coeffs == (gr(1), gr(2, -1), gr(Fraction(1, 3)))
+    assert p.__reduce__() == (Polynomial, (p.coeffs,))
+    for q in (p, Polynomial.zero()):
+        for twin in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+            assert type(twin) is Polynomial and twin == q and hash(twin) == hash(q)
+            assert twin.coeffs == q.coeffs and repr(twin) == repr(q)
 
 
 def _random_poly(rng, max_degree=8):
