@@ -51,8 +51,8 @@ from .builder import (
     solve_h,
 )
 from .frobenius import verify
-from .model import FuchsianEquation, FuchsianInstance, _Record
-from .scalars import ZERO, GaussianRational
+from .model import FuchsianEquation, FuchsianInstance
+from .scalars import ZERO, GaussianRational, _Record
 
 
 class CaseReport(_Record):

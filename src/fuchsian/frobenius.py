@@ -56,7 +56,7 @@ from __future__ import annotations
 from itertools import repeat
 from math import gcd
 
-from .model import ExponentPair, FuchsianEquation, _psi_ints, _Record
+from .model import ExponentPair, FuchsianEquation, _psi_ints
 from .polynomials import (
     _gaussian_powers,
     _in_frame,
@@ -64,7 +64,7 @@ from .polynomials import (
     _times_powers,
     _unit_quotient,
 )
-from .scalars import GaussianRational, from_gaussian_ints, to_gaussian_ints
+from .scalars import GaussianRational, _Record, from_gaussian_ints, to_gaussian_ints
 
 #: Series depth of the recursion verify() runs; the resonance sits at s = 2,
 #: so the depth beyond it is pure safety margin.

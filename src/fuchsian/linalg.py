@@ -14,12 +14,12 @@ forward pass serves `eliminate`, `rank` and `det`.
 
 from __future__ import annotations
 
-from .model import _Record
-from .scalars import ONE, ZERO, GaussianRational
+from .scalars import ONE, ZERO, GaussianRational, _Frozen, _Record
 
 
-class Matrix:
-    """Immutable dense matrix, row-major entries."""
+class Matrix(_Frozen):
+    """Read-only dense matrix, row-major entries; a _Frozen value, so copies
+    and unpickling run the shape checks again."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -32,9 +32,13 @@ class Matrix:
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, "
                 f"got {len(values)}"
             )
-        self.rows = rows
-        self.cols = cols
-        self.entries = values
+        set_field = object.__setattr__
+        set_field(self, "rows", rows)
+        set_field(self, "cols", cols)
+        set_field(self, "entries", values)
+
+    def _value(self) -> tuple:
+        return self.rows, self.cols, self.entries
 
     @classmethod
     def from_rows(cls, row_lists) -> Matrix:
@@ -51,18 +55,6 @@ class Matrix:
 
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self):
         body = "; ".join(

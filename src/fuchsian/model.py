@@ -17,7 +17,9 @@ hypergeometric equation carries its textbook exponents at infinity.
 An instance is checked once, when it is built: at least two finite points,
 all points pairwise distinct, or InvalidInstance.  Instances and equations
 are read-only, so a built one stays valid; they compare, hash and pickle by
-value.
+value.  That rule is written once, as scalars._Frozen, and every value
+reachable from an instance follows it (its exponent pairs, an equation's
+polynomials) but GaussianRational, whose slots only its constructors write.
 
 An instance also keeps a memo of what is computed from it alone, each value
 on first use: the point frame (_psi_ints) here, and g, the Hermite frame and
@@ -34,7 +36,7 @@ from functools import wraps
 from itertools import combinations, repeat
 
 from .polynomials import Polynomial, _monic_ints
-from .scalars import GaussianRational, to_gaussian_ints
+from .scalars import GaussianRational, _Frozen, to_gaussian_ints
 
 
 MAX_POINTS = 128  # cap on n + N in instance JSON; gen's 121 pool positions stay under it
@@ -45,79 +47,19 @@ class InvalidInstance(ValueError):
     """Structurally invalid instance or malformed instance JSON."""
 
 
-class _Frozen:
-    """Read-only value object: its state is `_value()`, the constructor's
-    arguments, which equality (only within one class), the hash and pickle
-    read.  Copies and unpickling call the constructor again, so nothing is
-    restored past its checks; fields are set once, via object.__setattr__."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._value() == other._value()
-
-    def __hash__(self):
-        return hash(self._value())
-
-    def __reduce__(self):
-        return type(self), self._value()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class _Record(_Frozen):
-    """Immutable record whose fields are a subclass's own annotations, in
-    order: construction by field and a repr as a frozen dataclass has.  The
-    package defines its reports this way because importing `dataclasses`
-    would add about 20 ms to every CLI process (see README)."""
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._field_set = frozenset(cls._fields)
-
-    def __init__(self, *args, **kwargs):
-        fields = self._fields
-        if args:
-            if len(args) > len(fields):
-                raise TypeError(
-                    f"{type(self).__qualname__}() takes {len(fields)} fields, "
-                    f"got {len(args)} positional"
-                )
-            for name, value in zip(fields, args):
-                if name in kwargs:
-                    raise TypeError(f"{type(self).__qualname__}() got field {name!r} twice")
-                kwargs[name] = value
-        if kwargs.keys() != self._field_set:
-            missing = [name for name in fields if name not in kwargs]
-            unknown = [name for name in kwargs if name not in self._field_set]
-            raise TypeError(
-                f"{type(self).__qualname__}() missing fields {missing}, unknown fields {unknown}"
-            )
-        self.__dict__.update(kwargs)
-
-    def _value(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._fields))
-
-    def __repr__(self):
-        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._value()))
-        return f"{type(self).__qualname__}({body})"
-
-
-class ExponentPair:
-    """Unordered pair of exponents; {a, b} compares equal to {b, a}."""
+class ExponentPair(_Frozen):
+    """Unordered pair of exponents; {a, b} compares equal to {b, a}.  A
+    read-only _Frozen value, so an instance's exponents cannot change under
+    its memo; only equality and the hash are its own, being unordered."""
 
     __slots__ = ("rho1", "rho2")
 
     def __init__(self, rho1, rho2):
-        self.rho1 = GaussianRational.coerce(rho1)
-        self.rho2 = GaussianRational.coerce(rho2)
+        object.__setattr__(self, "rho1", GaussianRational.coerce(rho1))
+        object.__setattr__(self, "rho2", GaussianRational.coerce(rho2))
+
+    def _value(self) -> tuple:
+        return self.rho1, self.rho2
 
     @property
     def sum(self) -> GaussianRational:

@@ -4,8 +4,9 @@ kernels behind them.
 A Polynomial is a read-only container, with a Taylor shift and no
 arithmetic: a tuple of coefficients in ascending degree with trailing zeros
 trimmed; the zero polynomial is the empty tuple and its degree is the
-distinguished value -inf (never the -1 convention).  It is read-only because
-one g is shared by every equation built on an instance (model._per_instance).
+distinguished value -inf (never the -1 convention).  It is read-only, by
+the package's one rule (scalars._Frozen), because one g is shared by every
+equation built on an instance (model._per_instance).
 
 _monic_ints multiplies by prod (Z - X)^m: it builds the point frame's
 Psi~ = prod (Z - X) and continues it to the Hermite frame's Omega~; _deflate
@@ -33,12 +34,12 @@ from itertools import accumulate, repeat
 from math import gcd
 from operator import mul
 
-from .scalars import ONE, ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
+from .scalars import ONE, ZERO, GaussianRational, _Frozen, from_gaussian_ints, to_gaussian_ints
 
 
-class Polynomial:
-    """Dense univariate polynomial with GaussianRational coefficients; its
-    coeffs are set once, and copies and unpickling call the constructor."""
+class Polynomial(_Frozen):
+    """Dense univariate polynomial with GaussianRational coefficients; a
+    read-only _Frozen value whose coeffs are set once."""
 
     __slots__ = ("coeffs",)
 
@@ -48,14 +49,8 @@ class Polynomial:
             values.pop()
         object.__setattr__(self, "coeffs", tuple(values))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), (self.coeffs,)
+    def _value(self) -> tuple:
+        return (self.coeffs,)
 
     @classmethod
     def zero(cls) -> Polynomial:
@@ -94,14 +89,6 @@ class Polynomial:
         return Polynomial(
             from_gaussian_ints(x, y, den * e ** (deg - k)) for k, (x, y) in enumerate(zip(*head))
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __str__(self):
         if self.is_zero:

@@ -17,6 +17,9 @@ arithmetic on plain ints: ``to_gaussian_ints`` writes a vector over one
 common denominator, and ``from_gaussian_ints`` turns each result back into a
 canonical value, so gcds are paid once per output rather than once per
 operation.
+
+The package's one read-only rule, _Frozen (and _Record on it), lives here
+too: this is the lowest module, so every value type can import it.
 """
 
 from __future__ import annotations
@@ -291,3 +294,71 @@ def from_gaussian_ints(re: int, im: int, den: int, den_im: int = 0) -> GaussianR
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
+
+
+class _Frozen:
+    """Read-only value object: its state is `_value()`, the constructor's
+    arguments, which equality (only within one class), the hash and pickle
+    read.  Copies and unpickling call the constructor again, so nothing is
+    restored past its checks; fields are set once, via object.__setattr__.
+    Polynomial, ExponentPair, Matrix, the instance, the equation and the
+    reports derive from it; with GaussianRational, whose slots only its
+    constructors write, every value reachable from an instance is read-only."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
+
+    def __reduce__(self):
+        return type(self), self._value()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Record(_Frozen):
+    """Immutable record whose fields are a subclass's own annotations, in
+    order: construction by field and a repr as a frozen dataclass has.  The
+    package defines its reports this way because importing `dataclasses`
+    would add about 20 ms to every CLI process (see README)."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._field_set = frozenset(cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if args:
+            if len(args) > len(fields):
+                raise TypeError(
+                    f"{type(self).__qualname__}() takes {len(fields)} fields, "
+                    f"got {len(args)} positional"
+                )
+            for name, value in zip(fields, args):
+                if name in kwargs:
+                    raise TypeError(f"{type(self).__qualname__}() got field {name!r} twice")
+                kwargs[name] = value
+        if kwargs.keys() != self._field_set:
+            missing = [name for name in fields if name not in kwargs]
+            unknown = [name for name in kwargs if name not in self._field_set]
+            raise TypeError(
+                f"{type(self).__qualname__}() missing fields {missing}, unknown fields {unknown}"
+            )
+        self.__dict__.update(kwargs)
+
+    def _value(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._value()))
+        return f"{type(self).__qualname__}({body})"

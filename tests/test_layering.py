@@ -18,9 +18,14 @@
   comes back to it unnoticed.  The tests' polynomial arithmetic is in `fraction_reference`.
 - The package has no `assert` statement, so no correctness check disappears
   under `python -O`.
+- The read-only rule is written once: `scalars._Frozen` is the one class
+  that defines `__setattr__`, `__delattr__` and `__reduce__`, and every
+  class the package defines derives from it, but `GaussianRational` and
+  the exceptions.
 """
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -38,9 +43,10 @@ PUBLIC_NAMES = [
     "solve_under", "verify",
 ]
 POLYNOMIAL_NAMES = [
-    "__delattr__", "__eq__", "__hash__", "__init__", "__reduce__", "__repr__", "__setattr__",
-    "__str__", "coefficient", "coeffs", "degree", "is_zero", "padded", "shift", "zero",
+    "__init__", "__repr__", "__str__", "_value", "coefficient", "coeffs", "degree", "is_zero",
+    "padded", "shift", "zero",
 ]
+FROZEN_RULE = ("__setattr__", "__delattr__", "__reduce__")
 TEST_MODULES = {path.stem for path in Path(__file__).parent.glob("*.py")}
 
 
@@ -140,3 +146,18 @@ def test_package_has_no_assert_statement():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, (path.name, lines)
+
+
+def test_one_class_holds_the_read_only_rule():
+    defining, others = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"fuchsian.{path.stem}".removesuffix(".__init__"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name in FROZEN_RULE:
+                        defining.setdefault(item.name, set()).add(f"{path.stem}.{node.name}")
+                if not issubclass(getattr(module, node.name), fuchsian.scalars._Frozen):
+                    others.add(node.name)
+    assert defining == dict.fromkeys(FROZEN_RULE, {"scalars._Frozen"})
+    assert others == {"FuchsViolation", "GaussianRational", "InvalidInstance", "VerificationFailed"}

@@ -22,7 +22,7 @@ from fuchsian.model import (
     instance_to_json_obj,
     _psi_ints,
 )
-from fuchsian.builder import construct
+from fuchsian.builder import construct, h_matrix
 from fuchsian.frobenius import verify
 from fuchsian.polynomials import Polynomial
 from fuchsian.sampling import random_instance
@@ -238,17 +238,27 @@ def test_points_are_checked_once_per_instance(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "field", ["finite_points", "infinity_exponents", "apparent_points", "_memo"]
+    "field",
+    [
+        "finite_points", "infinity_exponents", "apparent_points", "_memo",
+        "pair.rho1", "pair.rho2", "h_matrix.rows", "h_matrix.cols", "h_matrix.entries",
+    ],
 )
 def test_instance_fields_are_read_only(field):
+    # the memo keeps g for the instance's exponents, so a pair changed in
+    # place would leave construct returning the old g
     inst = random_instance(4, seed=21)
     eq = construct(inst)
     before = instance_to_json_obj(inst), _psi_ints(inst)
-    for value in (None, getattr(inst, field)):
+    owner, _, name = field.rpartition(".")
+    owner = {"": inst, "pair": inst.finite_points[0][1], "h_matrix": h_matrix(inst)}[owner]
+    for value in (None, getattr(owner, name)):
         with pytest.raises(AttributeError):
-            setattr(inst, field, value)
+            setattr(owner, name, value)
+        assert construct(inst) == construct(copy.copy(inst))
     with pytest.raises(AttributeError):
-        delattr(inst, field)
+        delattr(owner, name)
+    assert construct(inst) == construct(copy.copy(inst))
     with pytest.raises(AttributeError):  # two apparent points at one place
         inst.apparent_points = inst.apparent_points[:1] * 2
     for name, value in (("g", eq.h), ("h", eq.g), ("instance", EXAMPLE_A)):

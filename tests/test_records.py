@@ -1,4 +1,5 @@
-"""The package's reports are plain immutable records, not dataclasses.
+"""The package's reports are plain immutable records, not dataclasses, and
+every value type follows the same read-only rule (`scalars._Frozen`).
 
 - `import fuchsian.cli` in a fresh interpreter loads none of `dataclasses`
   and the modules it pulls in, which would cost every CLI process about
@@ -8,6 +9,9 @@
   trip, equality only within its own class, a hash that agrees with
   equality, no assignment or deletion, construction by field, and the
   dataclass repr byte for byte.
+- A `Polynomial`, an `ExponentPair` and a `Matrix` from real outputs pass
+  the same checks but construction by field: copies and pickles go
+  through the constructor, so unpickling a `Matrix` runs its shape checks.
 """
 
 import copy
@@ -21,6 +25,7 @@ import pytest
 
 import fuchsian
 from fuchsian import (
+    ExponentPair,
     FuchsianInstance,
     GaussianRational,
     Matrix,
@@ -31,7 +36,8 @@ from fuchsian import (
     quadratic_constraints,
     verify,
 )
-from fuchsian.model import _Record
+from fuchsian.builder import h_matrix
+from fuchsian.scalars import _Frozen, _Record
 
 HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
@@ -102,6 +108,13 @@ def _records():
 
 
 RECORDS = _records()
+_SQUARE3_REPORT = dict(RECORDS)["VerificationReport"]
+# the read-only values that are not records, from real outputs
+VALUES = RECORDS + [
+    ("Polynomial", construct(SQUARE3).h),
+    ("ExponentPair", _SQUARE3_REPORT.finite[0].indicial.pair),
+    ("Matrix", h_matrix(SQUARE3)),
+]
 
 
 def test_every_record_kind_is_covered():
@@ -119,6 +132,10 @@ def _values(record):
     return tuple(getattr(record, name) for name in record._fields)
 
 
+def _field_names(value):
+    return value._fields if isinstance(value, _Record) else type(value).__slots__
+
+
 def _hash_or_none(record):
     try:
         return hash(record)
@@ -126,7 +143,7 @@ def _hash_or_none(record):
         return None
 
 
-@pytest.mark.parametrize("record", [r for _, r in RECORDS], ids=[i for i, _ in RECORDS])
+@pytest.mark.parametrize("record", [r for _, r in VALUES], ids=[i for i, _ in VALUES])
 def test_record_copies_are_equal(record):
     for twin in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert twin is not record and type(twin) is type(record)
@@ -135,30 +152,51 @@ def test_record_copies_are_equal(record):
         assert _hash_or_none(twin) == _hash_or_none(record)
     if _hash_or_none(record) is not None:
         assert {record: 1}[copy.deepcopy(record)] == 1
+    assert record.__reduce__() == (type(record), record._value())
 
 
-@pytest.mark.parametrize("record", [r for _, r in RECORDS], ids=[i for i, _ in RECORDS])
+@pytest.mark.parametrize("record", [r for _, r in VALUES], ids=[i for i, _ in VALUES])
 def test_record_equals_only_its_own_class(record):
-    values = _values(record)
-    other_class = type("Other", (_Record,), {"__annotations__": dict.fromkeys(record._fields)})
-    other = other_class(*values)
-    assert _values(other) == values
+    values = record._value()
+    if isinstance(record, _Record):
+        fields = dict.fromkeys(record._fields)
+        other = type("Other", (_Record,), {"__annotations__": fields})(*values)
+    else:
+        other = type("Other", (_Frozen,), {"_value": lambda self: values})()
+    assert other._value() == values
     assert record != other and other != record
     assert record != values and values != record
     assert record == type(record)(*values)
 
 
-@pytest.mark.parametrize("record", [r for _, r in RECORDS], ids=[i for i, _ in RECORDS])
+@pytest.mark.parametrize("record", [r for _, r in VALUES], ids=[i for i, _ in VALUES])
 def test_record_is_immutable(record):
-    name = record._fields[0]
-    before = repr(record)
-    with pytest.raises(AttributeError):
-        setattr(record, name, None)
+    before = repr(record), record._value()
+    for name in _field_names(record):
+        for value in (None, getattr(record, name)):
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
     with pytest.raises(AttributeError):
         setattr(record, "extra", None)
-    with pytest.raises(AttributeError):
-        delattr(record, name)
-    assert repr(record) == before
+    assert (repr(record), record._value()) == before
+
+
+def test_exponent_pair_is_unordered_in_equality_and_hash():
+    pair = _SQUARE3_REPORT.finite[0].indicial.pair
+    swapped = ExponentPair(pair.rho2, pair.rho1)
+    assert pair.rho1 != pair.rho2 and swapped.rho1 == pair.rho2
+    assert swapped == pair and hash(swapped) == hash(pair)
+    assert {pair: 1}[swapped] == 1
+
+
+def test_unpickling_a_matrix_runs_its_shape_checks():
+    data = pickle.dumps(MATRIX)
+    tampered = data.replace(b"K\x02K\x03", b"K\x02K\x04")  # the call Matrix(2, 3, ...)
+    assert tampered != data
+    with pytest.raises(ValueError, match="expected 8 entries for a 2x4 matrix"):
+        pickle.loads(tampered)
 
 
 @pytest.mark.parametrize("record", [r for _, r in RECORDS], ids=[i for i, _ in RECORDS])
