@@ -40,21 +40,24 @@ is given and 2 elsewhere, h = S Omega + R, deg R < D = deg Omega, and
 C_(x,i) the i-th Taylor coefficient of h / (Omega / (z - x)^m) at x (Stoer
 and Bulirsch, section 2.1.5).  S is l1 * l2, or for N < n - 2 of degree
 n - 2 - N with lower coefficients set by free_k, h's coefficient of z^(D+k).
-h_residuals sums this on Gaussian integers: with Z = E z, Omega~(Z) =
+solve_h sums this on Gaussian integers: with Z = E z, Omega~(Z) =
 E^D Omega(z) = Psi~ prod (Z - Q_j)^(m_j - 1) and each deflation
-Omega~ / (Z - X)^k have Gaussian-integer coefficients.  For N > n - 2 each
-later row h''(q_j) has a closed-form left-nullspace vector y, and y . rhs
-is q_j's momentum constraint at the instance's momenta.  h_matrix and
+Omega~ / (Z - X)^k have Gaussian-integer coefficients.  For N > n - 2
+each later row h''(q_j) has a closed-form left-nullspace vector y, and the
+h-system has a solution exactly when every y . rhs, quadratic in the
+momenta, vanishes: fredholm_terms is the one statement of the over case,
+and fredholm_values its value at given momenta.  h_matrix and
 build_h_system stay for det-check and for the tests, which compare every
 closed form here with elimination and Laurent series.
 
 What the h-solve reads and free values cannot change is built once per
 instance, on first use, and kept in the instance's memo (model._per_instance):
-g (solve_g), the Hermite frame (_hermite_frame) and the right-hand side for
-that g (h_rhs_terms, _h_rhs).  So g is a function of the instance here, not
-an argument, and repeated solves on one instance object pay only for the
-interpolation sum; a fresh instance, as every CLI call builds, gains nothing.
-build_h_system alone takes g and builds everything afresh.
+g (solve_g), the Hermite frame (_hermite_frame), the right-hand side for
+that g (h_rhs_terms, _h_rhs) and the Fredholm constraints (fredholm_terms).
+So g is a function of the instance here, not an argument, and repeated
+calls on one instance object pay only for the interpolation sum or the
+constraints' values; a fresh instance, as every CLI call builds, gains
+nothing.  build_h_system alone takes g and builds everything afresh.
 """
 
 from __future__ import annotations
@@ -180,75 +183,52 @@ def _rhs_values(instance: FuchsianInstance, terms) -> tuple:
     return tuple([c if j is None else c + (lin + quad * p[j]) * p[j] for j, c, lin, quad in terms])
 
 
-def h_residuals(instance: FuchsianInstance, free_values=()):
-    """h, the Hermite interpolant of the first min(rows, cols) rows of the
-    h-system with free_values[k] as its coefficient of z^(n+3N+k), and
-    (j, rhs_r - row_r . h) = (j, y . rhs) for each later row r, h''(q_j), with
-    y from left_nullspace.  The right-hand side and _hermite_frame are built
-    once per instance, so a later call pays only for the interpolation sum.
-    Raises VerificationFailed unless the rows leave len(free_values)
-    coefficients free.
+@_per_instance
+def fredholm_terms(instance: FuchsianInstance) -> tuple:
+    """(j, const, lin, quad) for each row r of the h-matrix after its first
+    2(n + N) - 1, h''(q_j) with j 1-based: y . rhs = const + sum_k (lin_k +
+    quad_k p_k) p_k at momenta p, for the y with y . h_matrix = 0, y_r = 1
+    and y = 0 at the other later rows.  Row r has m_j = 2, and -y_k weighs
+    rhs_k in the interpolant's h''(q_j) / 2 = E^(2-D) [w_0 (S + sum_(x !=
+    q_j) sum_i C'_(x,i) / (X_j - X)^(m-i)) + C'_(q_j,1) w_1 + C'_(q_j,0)
+    w_2], w from q_j's node and C'_(x,i) = sum_l tau_(x,l) E^(D-l) v_(i-l)
+    as in solve_h.
     """
     n, num = instance.n, instance.num_apparent
-    free = max(n - 2 - num, 0)
-    if len(free_values) != free:
-        kind, got = "underdetermined" if free else "unique", len(free_values)
-        raise VerificationFailed(f"h-system is {kind} with nullity {free} != {got} free values")
-    rhs = _h_rhs(instance)
-    e, (ore, oim), nodes = _hermite_frame(instance)
-    deg = len(ore) - 1
-    # S~_k = S_k / E^k: h's top coefficients in the frame, less Omega~'s share (it is monic)
-    scaled = [GaussianRational.coerce(v) / e**k for k, v in enumerate(free_values)]
-    scaled.append(rhs[0] / e**free)
-    for k in range(free - 1, -1, -1):
-        for j in range(k + 1, free + 1):
-            scaled[k] -= scaled[j] * from_gaussian_ints(ore[deg + k - j], oim[deg + k - j], 1)
-    terms = [(k, (ore, oim)) for k in range(free + 1)]
-    weights = (e**deg, e ** (deg - 1), Fraction(e ** (deg - 2), 2))  # tau_l E^(D-l), tau_2 = h''/2
-    for m, rows, deflations, _, _, v in nodes:  # C'_i = sum_l tau_l E^(D-l) v_(i-l)
-        tau = [rhs[r] * weights[l] for l, r in enumerate(rows)]
-        scaled += [sum([tau[l] * v[i - l] for l in range(i + 1) if tau[l]], ZERO) for i in range(m)]
-        terms += [(0, deflations[m - i - 1]) for i in range(m)]
-    den, cr, ci = to_gaussian_ints(scaled)
-    hr, hi = [0] * (deg + free + 1), [0] * (deg + free + 1)
-    for (shift, (pr, pi)), a, b in zip(terms, cr, ci):
-        if a or b:
-            for k, (x, y) in enumerate(zip(pr, pi), shift):
-                hr[k] += a * x - b * y
-                hi[k] += a * y + b * x
-    top, up = deg + free, e**free  # h_k = H_k E^k / (L E^D) = H_k E^free / (L E^(top-k))
-    dens = [den * e ** (top - k) for k in range(top + 1)]
-    coeffs = [from_gaussian_ints(a * up, b * up, d) for a, b, d in zip(hr, hi, dens)]
-    residuals = [
-        (r - n - 2 * num, sum([a * b for a, b in zip(y, rhs) if a and b], ZERO))
-        for r, y in left_nullspace(instance)
-    ]
-    return Polynomial(coeffs), tuple(residuals)
-
-
-def left_nullspace(instance: FuchsianInstance):
-    """Yield (r, y) for each row r of the h-matrix after its first 2(n + N) - 1:
-    y . h_matrix = 0, y_r = 1 and y is 0 at the other later rows.
-
-    Row r is h''(q_j), m_j = 2, and -y_k weighs rhs_k in the interpolant's
-    h''(q_j) / 2 = E^(2-D) [w_0 (S + sum_(x != q_j) sum_i C'_(x,i) / (X_j -
-    X)^(m-i)) + C'_(q_j,1) w_1 + C'_(q_j,0) w_2], w from q_j's node and
-    C'_(x,i) = sum_l tau_(x,l) E^(D-l) v_(i-l) as in h_residuals.
-    """
-    n, num = instance.n, instance.num_apparent
+    terms = h_rhs_terms(instance)
     e, omega, nodes = _hermite_frame(instance)
     scale = (-2 * e * e, -2 * e, -1)  # rhs_k is tau_0, tau_1 or 2 tau_2
+    constraints = []
     for j in range(min(num, n - 2), num):
         _, _, _, (ja, jb), w, _ = nodes[n + j]
-        y = [w[0] * Fraction(-2, e ** (len(omega[0]) - 3))] + [ZERO] * (n + 3 * num)
+        y = [(0, w[0] * Fraction(-2, e ** (len(omega[0]) - 3))), (1 + n + 2 * num + j, ONE)]
         for k, (m, rows, _, (a, b), _, v) in enumerate(nodes):
             own = k == n + j
             inv = ONE if own else from_gaussian_ints(1, 0, ja - a, jb - b)
             beta = [w[2], w[1]] if own else [w[0] * inv ** (m - i) for i in range(m)]
-            for l, row in enumerate(rows):
-                y[row] = scale[l] * sum([beta[i] * v[i - l] for i in range(l, m)], ZERO)
-        y[1 + n + 2 * num + j] = ONE
-        yield 1 + n + 2 * num + j, y
+            y += [
+                (row, scale[l] * sum([beta[i] * v[i - l] for i in range(l, m)], ZERO))
+                for l, row in enumerate(rows)
+            ]
+        const, lin, quad = ZERO, [ZERO] * num, [ZERO] * num
+        for row, y_r in y:
+            k, c, lin_r, quad_r = terms[row]
+            if k is None:
+                const += y_r * c
+            else:
+                lin[k] += y_r * lin_r
+                quad[k] += y_r * quad_r
+        constraints.append((j + 1, const, tuple(lin), tuple(quad)))
+    return tuple(constraints)
+
+
+def fredholm_values(instance: FuchsianInstance, momenta) -> tuple:
+    """(j, value) of each fredholm_terms constraint at the momenta, all zero
+    exactly when the h-system has a solution."""
+    return tuple(
+        (j, sum([(a + b * p) * p for a, b, p in zip(lin, quad, momenta) if a or b], const))
+        for j, const, lin, quad in fredholm_terms(instance)
+    )
 
 
 @_per_instance
@@ -283,12 +263,44 @@ def _hermite_frame(instance: FuchsianInstance):
 
 
 def solve_h(instance: FuchsianInstance, free_values=()) -> Polynomial:
-    """h_residuals' h, which must solve the whole h-system: a nonzero residual,
-    momenta that violate the over case's constraints, raises VerificationFailed."""
-    h, residuals = h_residuals(instance, free_values)
-    if any(value for _, value in residuals):
+    """h, the Hermite interpolant of the first min(rows, cols) rows of the
+    h-system with free_values[k] as its coefficient of z^(n+3N+k).  Raises
+    VerificationFailed unless the rows leave len(free_values) coefficients
+    free, and unless the momenta meet fredholm_terms, so h solves every row.
+    """
+    n, num = instance.n, instance.num_apparent
+    free = max(n - 2 - num, 0)
+    if len(free_values) != free:
+        kind, got = "underdetermined" if free else "unique", len(free_values)
+        raise VerificationFailed(f"h-system is {kind} with nullity {free} != {got} free values")
+    if any(value for _, value in fredholm_values(instance, instance.momenta)):
         raise VerificationFailed("h-system is inconsistent")
-    return h
+    rhs = _h_rhs(instance)
+    e, (ore, oim), nodes = _hermite_frame(instance)
+    deg = len(ore) - 1
+    # S~_k = S_k / E^k: h's top coefficients in the frame, less Omega~'s share (it is monic)
+    scaled = [GaussianRational.coerce(v) / e**k for k, v in enumerate(free_values)]
+    scaled.append(rhs[0] / e**free)
+    for k in range(free - 1, -1, -1):
+        for j in range(k + 1, free + 1):
+            scaled[k] -= scaled[j] * from_gaussian_ints(ore[deg + k - j], oim[deg + k - j], 1)
+    terms = [(k, (ore, oim)) for k in range(free + 1)]
+    weights = (e**deg, e ** (deg - 1), Fraction(e ** (deg - 2), 2))  # tau_l E^(D-l), tau_2 = h''/2
+    for m, rows, deflations, _, _, v in nodes:  # C'_i = sum_l tau_l E^(D-l) v_(i-l)
+        tau = [rhs[r] * weights[l] for l, r in enumerate(rows)]
+        scaled += [sum([tau[l] * v[i - l] for l in range(i + 1) if tau[l]], ZERO) for i in range(m)]
+        terms += [(0, deflations[m - i - 1]) for i in range(m)]
+    den, cr, ci = to_gaussian_ints(scaled)
+    hr, hi = [0] * (deg + free + 1), [0] * (deg + free + 1)
+    for (shift, (pr, pi)), a, b in zip(terms, cr, ci):
+        if a or b:
+            for k, (x, y) in enumerate(zip(pr, pi), shift):
+                hr[k] += a * x - b * y
+                hi[k] += a * y + b * x
+    top, up = deg + free, e**free  # h_k = H_k E^k / (L E^D) = H_k E^free / (L E^(top-k))
+    dens = [den * e ** (top - k) for k in range(top + 1)]
+    coeffs = [from_gaussian_ints(a * up, b * up, d) for a, b, d in zip(hr, hi, dens)]
+    return Polynomial(coeffs)
 
 
 def construct(instance: FuchsianInstance) -> FuchsianEquation:

@@ -10,26 +10,26 @@ With n prescribed finite points and N apparent ones the h-system has
 
 In every regime N + (free coefficients) - (constraints) = n - 2, the
 dimension of the space of equations once positions are fixed.  solve_under
-and check_momenta reach h through builder.h_residuals, the Hermite
-interpolant of the leading rows of the h-system, whose residuals on the
-later rows are the over case's constraint values at its momenta.
-float_obstructions builds no h: the obstruction at q_j is its constraint's
-value over the p_j^2 coefficient, an identity the tests check against verify.
+and check_momenta reach h through builder.solve_h, the Hermite interpolant
+of the leading rows of the h-system.  check_momenta and float_obstructions
+read the over case's constraints at the momenta first, from
+builder.fredholm_values, and build no h where one fails: the obstruction at
+q_j is its constraint's value over the p_j^2 coefficient, an identity the
+tests check against verify.
 
-In the under case the equations are an affine family in the free values,
-and the builder keeps what they cannot change (g, the Hermite frame and the
-right-hand side) on the instance.  So solve_under called again on the same
-instance object with other free values, and check_momenta,
-quadratic_constraints and float_obstructions called again on it, pay only
-for the interpolation sum or the constraint sums, and for verify, which
-runs on every call.
+The builder keeps what free values cannot change (g, the Hermite frame,
+the right-hand side and the constraints) on the instance.  So solve_under
+called again on the same instance object with other free values, and
+check_momenta, quadratic_constraints and float_obstructions called again on
+it, pay only for the interpolation sum or the constraints' values, and for
+verify, which runs on every call.
 
 The constraints are the Fredholm conditions of the h-system: its matrix has
 maximal rank, so for N > n - 2 the right-hand side is reachable exactly when
-y . rhs = 0 for every y in the left nullspace, one closed-form vector per
-dependent row h''(q_j) (builder.left_nullspace).  That row's right-hand side
-is quadratic in p_j, so each y gives one quadratic equation in the momenta,
-sum_k y_k * (const, lin, quad)_k over builder.h_rhs_terms, that carries p_j^2.
+it is orthogonal to the left nullspace, one closed-form vector per dependent
+row h''(q_j), whose right-hand side is quadratic in p_j.  So each vector
+gives one quadratic equation in the momenta that carries p_j^2, and
+builder.fredholm_terms states them once per instance, without any h.
 
 Floats appear only at the edges.  solve_quadratic_float finds the roots of
 a scalar constraint numerically.  float_obstructions takes float momenta at
@@ -42,17 +42,10 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 
-from .builder import (
-    VerificationFailed,
-    h_residuals,
-    h_rhs_terms,
-    left_nullspace,
-    solve_g,
-    solve_h,
-)
+from .builder import VerificationFailed, fredholm_terms, fredholm_values, solve_g, solve_h
 from .frobenius import verify
 from .model import FuchsianEquation, FuchsianInstance
-from .scalars import ZERO, GaussianRational, _Record
+from .scalars import GaussianRational, _Record
 
 
 class CaseReport(_Record):
@@ -151,29 +144,20 @@ class QuadraticConstraint(_Record):
 
 def quadratic_constraints(instance: FuchsianInstance) -> list:
     """The N - n + 2 momentum constraints of the overdetermined case, exact
-    for every momentum choice: sum_k y_k * h_rhs_terms[k] = 0 for each
-    vector y of builder.left_nullspace, collected per momentum."""
+    for every momentum choice: builder.fredholm_terms as records, with
+    1-based keys and zero entries dropped, in fresh dicts on every call."""
     case = classify(instance).case
     if case != "over":
         raise ValueError(f"instance is {case}, not overdetermined")
-    terms = h_rhs_terms(instance)
-    constraints = []
-    for r, y in left_nullspace(instance):
-        const, lin, quad = ZERO, {}, {}
-        for (k, c, lin_k, quad_k), y_k in zip(terms, y):
-            const = const + y_k * c if y_k else const
-            if y_k and k is not None:
-                lin[k + 1] = lin.get(k + 1, ZERO) + y_k * lin_k
-                quad[k + 1] = quad.get(k + 1, ZERO) + y_k * quad_k
-        constraints.append(
-            QuadraticConstraint(
-                j=terms[r][0] + 1,
-                quad={k: v for k, v in sorted(quad.items()) if v},
-                lin={k: v for k, v in sorted(lin.items()) if v},
-                const_term=const,
-            )
+    return [
+        QuadraticConstraint(
+            j=j,
+            quad={k: v for k, v in enumerate(quad, 1) if v},
+            lin={k: v for k, v in enumerate(lin, 1) if v},
+            const_term=const,
         )
-    return constraints
+        for j, const, lin, quad in fredholm_terms(instance)
+    ]
 
 
 class MomentaCheck(_Record):
@@ -183,16 +167,16 @@ class MomentaCheck(_Record):
 
 
 def check_momenta(instance: FuchsianInstance) -> MomentaCheck:
-    """Evaluate the constraints at the instance's momenta, exactly: the nonzero
-    residuals of one builder.h_residuals call, whose h is otherwise the witness."""
+    """Evaluate the constraints at the instance's momenta, exactly, with
+    builder.fredholm_values; only when every value is zero is h built, as
+    the witness."""
     case = classify(instance).case
     if case != "over":
         raise ValueError(f"instance is {case}, not overdetermined")
-    h, residuals = h_residuals(instance)
-    violations = tuple((j, value) for j, value in residuals if value)
+    violations = tuple((j, v) for j, v in fredholm_values(instance, instance.momenta) if v)
     if violations:
         return MomentaCheck(consistent=False, equation=None, violations=violations)
-    eq = _verified(FuchsianEquation(solve_g(instance), h, instance))
+    eq = _verified(FuchsianEquation(solve_g(instance), solve_h(instance), instance))
     return MomentaCheck(consistent=True, equation=eq, violations=())
 
 
@@ -234,12 +218,12 @@ def float_obstructions(instance: FuchsianInstance, momenta) -> list:
 
     Momenta are taken at their exact binary values and everything after that
     is exact; only the results are rounded to complex.  omega_j is the
-    obstruction verify reports at q_j on h_residuals' h, unique for N >= n - 2:
-    exactly 0 where h''(q_j) is interpolated, C_j(p) / delta_j elsewhere (C_j
-    the constraint of q_j, delta_j = -2 psi'(q_j)^2 its p_j^2 coefficient),
-    so it is read off quadratic_constraints and no h is built.  Raises
-    ValueError for an underdetermined instance and for momenta not finite,
-    and FuchsViolation for an inadmissible exponent sum.
+    obstruction verify reports at q_j on the Hermite interpolant of the
+    h-system's leading rows, unique for N >= n - 2: exactly 0 where h''(q_j)
+    is interpolated, C_j(p) / delta_j elsewhere (C_j the constraint of q_j,
+    delta_j = -2 psi'(q_j)^2 its p_j^2 coefficient), so it is read off the
+    Fredholm constraints and no h is built.  Raises ValueError for an underdetermined instance and for
+    momenta not finite, and FuchsViolation for an inadmissible exponent sum.
     """
     case = classify(instance).case
     if case == "under":
@@ -254,6 +238,7 @@ def float_obstructions(instance: FuchsianInstance, momenta) -> list:
         solve_g(instance)  # for its admissibility check alone
         return omegas
     exact = [GaussianRational(Fraction(p.real), Fraction(p.imag)) for p in momenta]
-    for c in quadratic_constraints(instance):
-        omegas[c.j - 1] = (c.evaluate(exact) / c.quad[c.j]).to_complex()
+    terms = fredholm_terms(instance)
+    for (j, value), (_, _, _, quad) in zip(fredholm_values(instance, exact), terms):
+        omegas[j - 1] = (value / quad[j - 1]).to_complex()
     return omegas

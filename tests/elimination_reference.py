@@ -1,12 +1,15 @@
 """The elimination algorithms that the closed forms of g and h replaced.
 
 `h_residuals` eliminates the first min(rows, cols) rows of the h-system and
-reads the over-case residuals off the rows after them; `left_nullspace`
+reads the over-case residuals off the rows after them: the oracle of
+`builder.solve_h` and `builder.fredholm_values`.  `left_nullspace`
 eliminates the transposed h-matrix for one left-nullspace vector per
-dependent row, from which `quadratic_constraints` reads the constraints.
+dependent row, from which `quadratic_constraints` reads the constraints:
+the oracle of `builder.fredholm_terms` and `dimension.quadratic_constraints`.
 They are the package's code as it was before h became a Hermite
-interpolant in partial-fraction form, and `build_g_system` is the square
-Vandermonde system whose elimination the partial-fraction g replaced.  The
+interpolant in partial-fraction form and the constraints a closed form,
+and `build_g_system` is the square Vandermonde system whose elimination
+the partial-fraction g replaced.  The
 differential tests compare the closed forms with them; nothing in the
 package imports this module.
 """

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import fuchsian.cli
+import fuchsian.dimension
+import fuchsian.frobenius
 from fuchsian import sampling
 from fuchsian.cli import main
 from fuchsian.dimension import quadratic_constraints
@@ -139,6 +141,20 @@ def test_det_check(tmp_path, capsys):
     assert payload["nonzero"] is True
     assert len(payload["results"]) == 3
     assert main(["det-check", "--n", "1"]) == 1
+
+
+def test_construct_exits_3_when_its_equation_fails_verification(tmp_path, monkeypatch, capsys):
+    # solve_under verifies what it builds; a failed verdict is VerificationFailed
+    src = tmp_path / "under.json"
+    _write_instance(src, UNDER3)
+    failed = fuchsian.frobenius.VerificationReport(
+        finite=(), apparent=(), infinity=None, overall=False
+    )
+    monkeypatch.setattr(fuchsian.dimension, "verify", lambda eq: failed)
+    assert main(["construct", "-i", str(src)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("fuchsian: verification failed:")
+    assert captured.out == ""
 
 
 def test_det_check_exits_3_on_a_zero_or_varying_ratio(monkeypatch, capsys):

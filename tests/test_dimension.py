@@ -19,10 +19,10 @@ from fuchsian.builder import (
     VerificationFailed,
     build_h_system,
     construct,
+    fredholm_terms,
+    fredholm_values,
     h_matrix,
-    h_residuals,
     h_rhs_terms,
-    left_nullspace,
     solve_g,
     solve_h,
 )
@@ -120,6 +120,23 @@ def test_constraints_momentum_independent():
     ]
 
 
+def test_constraint_records_do_not_share_the_memo():
+    # the records are written afresh from the kept terms on every call, so
+    # editing one leaves the next call, and the terms, as they were
+    inst = copy.copy(N2N1)
+    first = quadratic_constraints(inst)
+    want = [c.to_json_obj() for c in first]
+    terms = fredholm_terms(inst)
+    first[0].quad[1] = gr(5)
+    first[0].lin.clear()
+    first[0].quad[2] = gr(1)
+    assert [c.to_json_obj() for c in quadratic_constraints(inst)] == want
+    assert fredholm_terms(inst) is terms
+    check_momenta(inst)
+    float_obstructions(inst, [1.0])
+    assert fredholm_terms(inst) is terms
+
+
 def test_constraint_counts_random():
     rng = random.Random(8191)
     for n in (2, 3, 4):
@@ -153,13 +170,15 @@ def test_check_momenta_paths():
 def test_each_call_eliminates_once_per_system(monkeypatch):
     # g and h are closed forms, and the over case reads its constraints off
     # the closed-form left nullspace: no solver eliminates, check_momenta
-    # builds no h-matrix, and it assembles the right-hand sides once for
-    # both its violations and its witness.  Every call gets a fresh copy of
-    # its instance, whose memo is empty, so the counted work really runs.
+    # builds no h-matrix, it builds the right-hand-side terms once for both
+    # its violations and its witness, and it builds h only as the witness
+    # of consistent momenta.  Every call gets a fresh copy of its instance,
+    # whose memo is empty, so the counted work really runs.
     originals = {
         "eliminate": eliminate,
         "h_matrix": h_matrix,
-        "h_rhs_terms": fuchsian.builder.h_rhs_terms,
+        "_rhs_terms": fuchsian.builder._rhs_terms,
+        "solve_h": solve_h,
     }
     calls = {name: [] for name in originals}
 
@@ -185,10 +204,11 @@ def test_each_call_eliminates_once_per_system(monkeypatch):
     assert count(solve_under, copy.copy(UNDER3), [1]) == 0
     assert count(quadratic_constraints, copy.copy(N2N1)) == 0
     assert count(float_obstructions, copy.copy(N2N1), [1.0]) == 0
-    for inst in (N2N1, N2N1.with_momenta([gr(1)])):  # violating, consistent
+    for inst, witnesses in ((N2N1, 0), (N2N1.with_momenta([gr(1)]), 1)):  # violating, consistent
         assert count(check_momenta, copy.copy(inst)) == 0
         assert count(check_momenta, copy.copy(inst), name="h_matrix") == 0
-        assert count(check_momenta, copy.copy(inst), name="h_rhs_terms") == 1
+        assert count(check_momenta, copy.copy(inst), name="_rhs_terms") == 1
+        assert count(check_momenta, copy.copy(inst), name="solve_h") == witnesses
     assert check_momenta(N2N1.with_momenta([gr(1)])).consistent
 
 
@@ -211,6 +231,7 @@ def test_solve_quadratic_float_examples():
     roots = solve_quadratic_float(1, 0, 1)
     assert sorted((r.real, r.imag) for r in roots) == [(0.0, -1.0), (0.0, 1.0)]
     assert set(solve_quadratic_float(2, -2, 0)) == {0j, 1 + 0j}
+    assert solve_quadratic_float(3, 0, 0) == (0j, 0j)  # no 0 / 0 for the second root
     with pytest.raises(ZeroDivisionError):
         solve_quadratic_float(0, 1, 1)
 
@@ -352,9 +373,9 @@ def test_leading_block_is_regular_and_the_rest_depends_on_it():
     # first derivative, second derivatives at q_1 .. q_(n-2)) are Hermite data
     # on distinct nodes, so they are independent, and the homogeneous
     # elimination leaves exactly the remaining second-derivative rows
-    # dependent.  builder.h_residuals interpolates that block for solve_h and
-    # check_momenta; builder.left_nullspace gives one left-nullspace vector
-    # per remaining row, and quadratic_constraints one constraint per vector.
+    # dependent.  builder.solve_h interpolates that block; builder.fredholm_terms
+    # sums one left-nullspace vector per remaining row against the right-hand
+    # side, and quadratic_constraints gives one constraint per vector.
     for inst in _layout_instances(4242, 120):
         matrix = h_matrix(inst)
         size = matrix.cols
@@ -371,14 +392,18 @@ def test_leading_block_is_regular_and_the_rest_depends_on_it():
 
 def test_float_obstructions_equal_scaled_constraints():
     # At the momenta's exact binary values, omega_j is the obstruction verify
-    # reports at q_j on h_residuals' h: 0 where q_j's second-derivative row is
-    # in the leading block and C_j(p) / delta_j elsewhere.
+    # reports at q_j on the leading block's interpolant (solve_h's where the
+    # momenta are consistent, the elimination oracle's elsewhere): 0 where
+    # q_j's second-derivative row is in the leading block and C_j(p) /
+    # delta_j elsewhere.
     rng = random.Random(9090)
     for inst in _layout_instances(3131, 64):
         momenta = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in inst.momenta]
         exact = inst.with_momenta([gr(Fraction(p.real), Fraction(p.imag)) for p in momenta])
         g = solve_g(exact)
-        h, _ = h_residuals(exact)
+        h, residuals = ref.h_residuals(exact, g)
+        if not any(value for _, value in residuals):
+            h = solve_h(exact)
         report = verify(FuchsianEquation(g, h, exact))
         expected = [r.obstruction.to_complex() for r in report.apparent]
         scaled = [0j] * inst.num_apparent
@@ -440,23 +465,29 @@ def test_float_obstructions_rejects_what_has_no_leading_block():
 
 def test_float_obstructions_read_the_constraints_alone(monkeypatch):
     # the obstructions are the constraints' values, so no h is built and
-    # nothing is verified: one left nullspace per over instance, none for a
-    # square one; N2N1 is copied so that its memo is empty
-    calls = []
-    original = fuchsian.builder.left_nullspace
+    # nothing is verified: the right-hand-side terms are built once and the
+    # constraints read once per over instance, neither for a square one;
+    # N2N1 is copied so that its memo is empty
+    calls = {"fredholm_terms": [], "_rhs_terms": []}
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name].append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
 
     def forbidden(*args):
         raise AssertionError("float_obstructions built h or verified it")
 
-    for module in (fuchsian.builder, fuchsian.dimension):
-        monkeypatch.setattr(module, "left_nullspace", counting)
-        monkeypatch.setattr(module, "h_residuals", forbidden)
-    monkeypatch.setattr(fuchsian.dimension, "verify", forbidden)
-    for inst, nullspaces in (
+    counting(fuchsian.dimension, "fredholm_terms")
+    counting(fuchsian.builder, "_rhs_terms")
+    for name in ("solve_h", "verify"):
+        monkeypatch.setattr(fuchsian.dimension, name, forbidden)
+    monkeypatch.setattr(fuchsian.builder, "solve_h", forbidden)
+    for inst, reads in (
         (copy.copy(N2N1), 1),
         (random_instance(4, 3, seed=8), 1),
         (random_instance(5, 3, seed=2), 0),
@@ -464,22 +495,27 @@ def test_float_obstructions_read_the_constraints_alone(monkeypatch):
     ):
         omegas = float_obstructions(inst, [1.0] * inst.num_apparent)
         assert len(omegas) == inst.num_apparent
-        assert len(calls) == nullspaces
-        calls.clear()
+        assert [len(log) for log in calls.values()] == [reads, reads]
+        for log in calls.values():
+            log.clear()
 
 
 def _same_as_elimination(inst, free=()):
-    """Assert that h, the residuals, the left nullspace and the constraints of
-    the closed forms equal those of the elimination oracle; True when inst is
-    consistent."""
-    g = solve_g(inst)
-    h, residuals = h_residuals(inst, free)
-    assert (h, residuals) == ref.h_residuals(inst, g, free)
+    """Assert that the constraints' values at the momenta, h where they all
+    vanish, and the constraints equal those of the elimination oracle; True
+    when inst is consistent."""
+    h, residuals = ref.h_residuals(inst, solve_g(inst), free)
+    assert fredholm_values(inst, inst.momenta) == residuals
+    consistent = not any(value for _, value in residuals)
+    if consistent:
+        assert solve_h(inst, free) == h
+    else:
+        with pytest.raises(VerificationFailed, match="h-system is inconsistent"):
+            solve_h(inst, free)
     if inst.num_apparent > inst.n - 2:
-        assert [(r, tuple(y)) for r, y in left_nullspace(inst)] == ref.left_nullspace(inst)
         got = [c.to_json_obj() for c in quadratic_constraints(inst)]
         assert got == [c.to_json_obj() for c in ref.quadratic_constraints(inst)]
-    return not any(value for _, value in residuals)
+    return consistent
 
 
 def test_closed_form_matches_elimination_oracle(regime_instances):

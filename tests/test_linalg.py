@@ -45,6 +45,10 @@ def test_dimension_mismatch():
     m = Matrix.from_rows([[1, 1], [2, 2]])
     with pytest.raises(ValueError):
         eliminate(m, (1, 2, 3))
+    with pytest.raises(ValueError, match="dimensions must be positive"):
+        Matrix(0, 1, [])
+    with pytest.raises(ValueError, match="at least one row"):
+        Matrix.from_rows([])
 
 
 def test_det_examples():

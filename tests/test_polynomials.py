@@ -29,6 +29,7 @@ PSI_01 = Polynomial((0, -1, 1))  # z^2 - z
 
 def test_degree_markers():
     assert Polynomial.zero().degree == float("-inf")
+    assert str(Polynomial.zero()) == "0"
     assert Polynomial((5,)).degree == 0
     assert Polynomial((0, 0, 1, 0, 0)).degree == 2  # trailing zeros trimmed
     assert Polynomial((0, 0, 1, 0, 0)).coeffs == (ZERO, ZERO, gr(1))
