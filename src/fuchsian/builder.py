@@ -50,14 +50,14 @@ and fredholm_values its value at given momenta.  h_matrix and
 build_h_system stay for det-check and for the tests, which compare every
 closed form here with elimination and Laurent series.
 
-What the h-solve reads and free values cannot change is built once per
-instance, on first use, and kept in the instance's memo (model._per_instance):
-g (solve_g), the Hermite frame (_hermite_frame), the right-hand side for
-that g (h_rhs_terms, _h_rhs) and the Fredholm constraints (fredholm_terms).
-So g is a function of the instance here, not an argument, and repeated
-calls on one instance object pay only for the interpolation sum or the
-constraints' values; a fresh instance, as every CLI call builds, gains
-nothing.  build_h_system alone takes g and builds everything afresh.
+What the h-solve reads and neither free values nor momenta change is built
+once per point set, on first use, and kept in the memo an instance shares
+with its with_momenta siblings (model._per_instance): g (solve_g), the
+Hermite frame (_hermite_frame), the right-hand-side terms (h_rhs_terms) and
+the Fredholm constraints (fredholm_terms).  So g is a function of the
+instance, not an argument; calls on one object or on its siblings pay only
+for the momenta and the interpolation sum, and a fresh instance, as every
+CLI call builds, gains nothing.  build_h_system alone takes g.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class VerificationFailed(RuntimeError):
 @_per_instance
 def solve_g(instance: FuchsianInstance) -> Polynomial:
     """The unique g, by partial fractions, with the infinity condition checked;
-    built once per instance, so every equation built on it shares this g.
+    built once per point set, so every equation built on it shares this g.
 
     Raises FuchsViolation when the instance's exponent sum is inadmissible,
     which is exactly when the top coefficient disagrees with 1 + l1 + l2.
@@ -115,7 +115,7 @@ def solve_g(instance: FuchsianInstance) -> Polynomial:
 
 @_per_instance
 def h_rhs_terms(instance: FuchsianInstance) -> tuple:
-    """_rhs_terms for the instance's own g, solve_g's, built once per instance."""
+    """_rhs_terms for the instance's own g, solve_g's, built once per point set."""
     return _rhs_terms(instance, solve_g(instance))
 
 
@@ -170,12 +170,6 @@ def build_h_system(instance: FuchsianInstance, g: Polynomial):
     """The h-system matrix together with its right-hand side for g, both
     built afresh on every call."""
     return h_matrix(instance), _rhs_values(instance, _rhs_terms(instance, g))
-
-
-@_per_instance
-def _h_rhs(instance: FuchsianInstance) -> tuple:
-    """The h-system's right-hand side at the instance's own g and momenta."""
-    return _rhs_values(instance, h_rhs_terms(instance))
 
 
 def _rhs_values(instance: FuchsianInstance, terms) -> tuple:
@@ -234,7 +228,7 @@ def fredholm_values(instance: FuchsianInstance, momenta) -> tuple:
 @_per_instance
 def _hermite_frame(instance: FuchsianInstance):
     """(E, omega, nodes), the interpolation on Gaussian integers, built once
-    per instance: X = E x at each point x, omega = (re, im) of the monic
+    per point set: X = E x at each point x, omega = (re, im) of the monic
     Omega~(Z) = prod (Z - X)^m, and per point, finite ones first, the node
     (m, rows, deflations, X, w, v): its Taylor data's h-system rows, Omega~ / (Z - X)^k for k = 1..m, X as
     (re, im), W~ = Omega~ / (Z - X)^m's Taylor coefficients at X (orders
@@ -275,7 +269,7 @@ def solve_h(instance: FuchsianInstance, free_values=()) -> Polynomial:
         raise VerificationFailed(f"h-system is {kind} with nullity {free} != {got} free values")
     if any(value for _, value in fredholm_values(instance, instance.momenta)):
         raise VerificationFailed("h-system is inconsistent")
-    rhs = _h_rhs(instance)
+    rhs = _rhs_values(instance, h_rhs_terms(instance))
     e, (ore, oim), nodes = _hermite_frame(instance)
     deg = len(ore) - 1
     # S~_k = S_k / E^k: h's top coefficients in the frame, less Omega~'s share (it is monic)

@@ -17,19 +17,19 @@ builder.fredholm_values, and build no h where one fails: the obstruction at
 q_j is its constraint's value over the p_j^2 coefficient, an identity the
 tests check against verify.
 
-The builder keeps what free values cannot change (g, the Hermite frame,
-the right-hand side and the constraints) on the instance.  So solve_under
-called again on the same instance object with other free values, and
-check_momenta, quadratic_constraints and float_obstructions called again on
-it, pay only for the interpolation sum or the constraints' values, and for
-verify, which runs on every call.
+The builder keeps what neither free values nor momenta change (g, the
+Hermite frame, the right-hand-side terms and the constraints) once per point
+set.  So solve_under called again on one instance object with other free
+values, and check_momenta, quadratic_constraints and float_obstructions
+called again on it or on its with_momenta siblings, pay only for the
+interpolation sum or the constraints' values, and for verify, on every call.
 
 The constraints are the Fredholm conditions of the h-system: its matrix has
 maximal rank, so for N > n - 2 the right-hand side is reachable exactly when
 it is orthogonal to the left nullspace, one closed-form vector per dependent
 row h''(q_j), whose right-hand side is quadratic in p_j.  So each vector
 gives one quadratic equation in the momenta that carries p_j^2, and
-builder.fredholm_terms states them once per instance, without any h.
+builder.fredholm_terms states them once per point set, without any h.
 
 Floats appear only at the edges.  solve_quadratic_float finds the roots of
 a scalar constraint numerically.  float_obstructions takes float momenta at

@@ -21,13 +21,14 @@ value.  That rule is written once, as scalars._Frozen, and every value
 reachable from an instance follows it (its exponent pairs, an equation's
 polynomials) but GaussianRational, whose slots only its constructors write.
 
-An instance also keeps a memo of what is computed from it alone, each value
-on first use: the point frame (_psi_ints) here, and g, the Hermite frame and
-the h-system's right-hand side in the builder.  So repeated solves on one
-instance object build these once and pay only for what their arguments
-change.  The memo lives and dies with the object: equality, hashing, pickle
-and copies read the constructor's arguments alone, a copy starts with an
-empty memo, and a computation that raises leaves nothing in it.
+An instance also keeps a memo of what is computed from its points and
+exponents alone, each value on first use: the point frame (_psi_ints) here,
+and g, the Hermite frame, the right-hand-side terms and the Fredholm
+constraints in the builder.  No memoized build reads the momenta, so
+with_momenta hands the memo to the sibling it returns and a momentum scan
+builds these once.  Equality, hashing, pickle and copies read the
+constructor's arguments alone: a copy, a pickle, shifted and a fresh
+instance start with an empty memo.  A computation that raises stores nothing.
 """
 
 from __future__ import annotations
@@ -114,8 +115,8 @@ def _as_pair(value) -> ExponentPair:
 class FuchsianInstance(_Frozen):
     """Prescribed data: finite points with exponents, the pair at infinity,
     and apparent points with momenta.  Built only valid (see _check_points)
-    and read-only, so that what its memo keeps (see _per_instance) stays its
-    own."""
+    and read-only, so that what its memo keeps (see _per_instance) stays
+    true of it."""
 
     __slots__ = ("finite_points", "infinity_exponents", "apparent_points", "_memo")
 
@@ -159,17 +160,19 @@ class FuchsianInstance(_Frozen):
         return tuple(p for _, p in self.apparent_points)
 
     def with_momenta(self, momenta) -> FuchsianInstance:
-        """Same points and exponents, different momenta."""
+        """Same points and exponents, other momenta, and the same memo."""
         momenta = tuple(GaussianRational.coerce(p) for p in momenta)
         if len(momenta) != self.num_apparent:
             raise ValueError(
                 f"expected {self.num_apparent} momenta, got {len(momenta)}"
             )
-        return FuchsianInstance(
+        sibling = FuchsianInstance(
             self.finite_points,
             self.infinity_exponents,
             tuple(zip(self.apparent_positions, momenta)),
         )
+        object.__setattr__(sibling, "_memo", self._memo)
+        return sibling
 
     def shifted(self, c) -> FuchsianInstance:
         """Translate every point by c, keeping exponents and momenta."""
@@ -224,11 +227,12 @@ def fuchs_defect(instance: FuchsianInstance) -> GaussianRational:
 
 
 def _per_instance(build):
-    """build, a function of an instance alone, made to run once per instance:
-    its first value is kept in the instance's memo and every later call on
-    the same object returns that value, which its readers never change.  This
-    is the one way a value enters the memo, and a call that raises stores
-    nothing, so a failure is raised again on every call."""
+    """build, a function of an instance's points and exponents, made to run
+    once per point set: its first value is kept in the memo that with_momenta
+    siblings share, and later calls on any of them return it, unchanged by
+    its readers.  So build must not read the momenta.  This is the one way a
+    value enters the memo, and a call that raises stores nothing, so a
+    failure is raised again on every call."""
 
     @wraps(build)
     def cached(instance: FuchsianInstance):

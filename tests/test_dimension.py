@@ -112,7 +112,7 @@ def test_quadratic_constraint_n2n1():
 
 
 def test_constraints_momentum_independent():
-    other = N2N1.with_momenta([gr(7, 2)])
+    other = copy.copy(N2N1.with_momenta([gr(7, 2)]))  # its own memo: b is built afresh
     a = quadratic_constraints(N2N1)
     b = quadratic_constraints(other)
     assert [(c.j, c.quad, c.lin, c.const_term) for c in a] == [
