@@ -119,16 +119,6 @@ class QuadraticConstraint(_Record):
     lin: dict
     const_term: GaussianRational
 
-    def evaluate(self, momenta) -> GaussianRational:
-        """Exact value at a momentum vector (0-based sequence)."""
-        momenta = [GaussianRational.coerce(p) for p in momenta]
-        acc = self.const_term
-        for k, coeff in self.quad.items():
-            acc = acc + coeff * momenta[k - 1] * momenta[k - 1]
-        for k, coeff in self.lin.items():
-            acc = acc + coeff * momenta[k - 1]
-        return acc
-
     def single_variable(self) -> bool:
         """True when only p_j appears, so the constraint is a scalar quadratic."""
         return set(self.quad) | set(self.lin) <= {self.j}

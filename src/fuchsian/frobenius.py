@@ -38,32 +38,28 @@ right side takes there is the logarithm obstruction.  Its closed form
 (g_0 + h_{-1}) * h_{-1} + h_0 is asserted against the recursion in the test
 suite, which makes the equivalence an executable statement rather than a
 remark.  The recursion runs fraction-free on Gaussian integers, since its
-divisors s*(s-2) are known in advance.  verify feeds it g~ and h~ in
-v = u / Psi_1, where psi's unit part Psi / u leads with 1, so that dividing
-by it stays on Gaussian integers.
+divisors are known in advance.  verify runs it on the equation with its
+denominators cleared, divided by u: with U = Psi / u,
 
-The truncated series is then substituted into the equation with its
-denominators cleared, dg dh Psi^2 w'' + dh Psi G w' + dg H w, built from
-the raw heads only.  Its series form would restate the recursion term for
-term (the coefficient of a_s in order s-2 is s*(s-2) exactly when the
-residue is -1 and h has no double pole), so it would re-check the recursion
-code while a wrong series division went unseen; the cleared form involves no
-division.
+    dg dh Psi^2 w'' + dh Psi G w' + dg H w = u (A u w'' + B w' + C w),
+
+A = dg dh U^2, B = dh U G and C = dg H / u, products of the raw heads.
+verify multiplies all three by conj(Psi_1)^2, so that A_0 = dg dh
+|Psi_1|^4 is a positive integer.  The coefficient of a_s in order s-1 is
+then A_0 s (s-2), and no series is divided.
+
+The truncated series is then substituted into the cleared equation on the
+left, read off the raw heads.  The recursion reads the window products A, B
+and C and the residual reads the raw heads, so a wrong product shows up in
+the residual.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
 from math import gcd
 
 from .model import ExponentPair, FuchsianEquation, _psi_ints
-from .polynomials import (
-    _gaussian_powers,
-    _in_frame,
-    _taylor_head_ints,
-    _times_powers,
-    _unit_quotient,
-)
+from .polynomials import _in_frame, _taylor_head_ints
 from .scalars import GaussianRational, _Record, from_gaussian_ints, to_gaussian_ints
 
 #: Series depth of the recursion verify() runs; the resonance sits at s = 2,
@@ -92,40 +88,43 @@ def _indicial(root_sum: GaussianRational, root_product: GaussianRational) -> Ind
     return Indicial(sum=root_sum, product=root_product, pair=pair)
 
 
-def _recursion(den: int, g: tuple, h: tuple) -> tuple:
-    """The power-series recursion at an apparent point, fraction-free on
-    Gaussian integers: g and h are (re, im) int lists over den > 0, index
-    o + 1 holding order o, and the a_k share one denominator e, with a_0 = 1.
-    It stops at the resonance s = 2 when omega there is nonzero, and otherwise
-    sets a_2 = 0 and runs on to s = top, the windows' length.
+def _recursion(a: tuple, b: tuple, c: tuple) -> tuple:
+    """The power-series recursion of A u w'' + B w' + C w = 0 at an apparent
+    point, fraction-free on Gaussian integers: a, b and c are the windows of
+    A, B and C from order 0 ((re, im) int lists, a no shorter than b), with
+    A_0 a positive integer and B_0 = -A_0, so that the coefficient of a_s in
+    order s-1 is A_0 s (s-2).  The a_k share one denominator e, with a_0 = 1.
+    It stops at the resonance s = 2 when omega there is nonzero, and
+    otherwise sets a_2 = 0 and runs on to s = top, the length of b.
 
     Returns ((re, im, den) of omega, ar, ai, e) with a_k = (ar[k] + ai[k]*i)
-    / e.  Step s != 2 scales every a_k by the known divisor den*s*(s-2),
+    / e and omega = acc / (A_0 e) at s = 2, the resonance value of the
+    equation divided by A_0.  Step s != 2 scales every a_k by the known divisor A_0 s (s-2),
     appends -acc and divides out the integer content.
     """
-    (g_re, g_im), (h_re, h_im) = g, h
-    top = len(g_re)
+    (a_re, a_im), (b_re, b_im), (c_re, c_im) = a, b, c
+    lead, top = a_re[0], len(b_re)
     ar, ai, e = [1], [0], 1
     omega = None
     for s in range(1, top + 1):
-        # acc * den * e = sum_k (k g_(s-1-k) + h_(s-2-k)) * a_k
+        # acc / e = sum_k (k (k-1) A_(s-k) + k B_(s-k) + C_(s-1-k)) * a_k
         acc_r, acc_i = 0, 0
         for k in range(s):
-            cr, ci = h_re[s - 1 - k], h_im[s - 1 - k]
+            cr, ci = c_re[s - 1 - k], c_im[s - 1 - k]
             if k:
-                cr += k * g_re[s - k]
-                ci += k * g_im[s - k]
+                cr += k * (b_re[s - k] + (k - 1) * a_re[s - k])
+                ci += k * (b_im[s - k] + (k - 1) * a_im[s - k])
             acc_r += cr * ar[k] - ci * ai[k]
             acc_i += cr * ai[k] + ci * ar[k]
         if s == 2:
-            omega = (acc_r, acc_i, den * e)
+            omega = (acc_r, acc_i, lead * e)
             if acc_r or acc_i:
                 break
             ar.append(0)
             ai.append(0)
             continue
-        # a_s = -acc / (s (s-2)): bring every a_k over e * den * |s (s-2)|
-        scale = den * s * (s - 2)
+        # a_s = -acc / (A_0 s (s-2)): bring every a_k over e * A_0 * |s (s-2)|
+        scale = lead * s * (s - 2)
         if scale < 0:
             scale, acc_r, acc_i = -scale, -acc_r, -acc_i
         ar = [x * scale for x in ar] + [-acc_r]
@@ -339,37 +338,31 @@ def _log_free_check(scales: tuple, e: int, heads: tuple) -> tuple:
     """(omega, residual_ok) at a root of psi where g/psi has residue -1 and
     h/psi^2 no double pole (H_0 = 0).
 
-    In v = u / c, c = Psi_1, psi's unit part U~ = Psi(c v) / (c^2 v) leads
-    with 1, and g_v = G^ / (dg c v U~), h_v = H'^ / (dh c v U~^2) with
-    G^_i = G_i c^i and H'^_i = H_(i+1) c^i: the quotients by U~ are
-    Gaussian-integer series.  The recursion runs on them over a real
-    denominator, and omega in z - x is E^2 / c^2 times its value in v.  Its
-    a_k are the coefficients in v; a_k c^(K-k) are those in u times c^K, and
-    the cleared residual dg dh Psi^2 w'' + dh Psi G w' + dg H w reads them
-    with the raw heads only.
+    The recursion runs on A u w'' + B w' + C w with U = Psi / u, c = U_0 =
+    Psi_1 and A = dg dh U^2, B = dh U G, C = dg H / u, all times conj(c)^2:
+    window products of the raw heads, which no series divides.  Its a_k are
+    the coefficients in u, omega in z - x is E^2 times its value in u, and
+    the cleared residual dg dh Psi^2 w'' + dh Psi G w' + dg H w reads the
+    a_k with the raw heads, so a wrong window product shows up there.
     """
     dg, dh = scales
-    (pr, pi), (gr, gi), (hr, hi) = heads
-    depth = len(gr)
+    (pr, pi), g, (hr, hi) = heads
+    depth = len(g[0])
     cr, ci = pr[1], pi[1]
-    powers = _gaussian_powers(cr, ci, depth + 1)
-    ur, ui = _times_powers(pr[2:], pi[2:], powers)
-    unit = ([1] + ur, [0] + ui)
-    g_v = _unit_quotient(*_times_powers(gr, gi, powers), *unit)
-    h_v = _unit_quotient(*_unit_quotient(*_times_powers(hr[1:], hi[1:], powers), *unit), *unit)
-    # 1/c = (kr + ki i) / m: with c = k c' and c' primitive, conj(c') / (k |c'|^2)
-    k = gcd(cr, ci)
-    kr, ki = cr // k, -ci // k
-    m = k * (kr * kr + ki * ki)
-    g_v = _times_powers(*g_v, repeat((dh * kr, dh * ki)))
-    h_v = _times_powers(*h_v, repeat((dg * kr, dg * ki)))
-    (wr, wi, wden), ar, ai, _ = _recursion(dg * dh * m, g_v, h_v)
-    sr, si = powers[2]
-    omega = from_gaussian_ints(wr * e * e, wi * e * e, wden * sr, wden * si)
+    unit, none = (pr[1:], pi[1:]), ([], [])
+
+    def scaled(x, window):  # x conj(c)^2 times the window
+        return _mul_add(([x * (cr * cr - ci * ci)], [-2 * x * cr * ci]), window, none, none, depth)
+
+    (wr, wi, wden), ar, ai, _ = _recursion(
+        scaled(dg * dh, _mul_add(unit, unit, none, none, depth)),
+        scaled(dh, _mul_add(unit, g, none, none, depth)),
+        scaled(dg, (hr[1:], hi[1:])),
+    )
+    omega = from_gaussian_ints(wr * e * e, wi * e * e, wden)
     if omega:
         return omega, False
-    w = _times_powers(ar, ai, powers[::-1])
-    residual = _cleared_residual((pr, pi), (gr, gi), (hr, hi), w, (dg * dh, dh, dg))
+    residual = _cleared_residual((pr, pi), g, (hr, hi), (ar, ai), (dg * dh, dh, dg))
     return omega, not any(residual[0]) and not any(residual[1])
 
 

@@ -22,10 +22,9 @@ division by Z - X (_taylor_head_ints), the remainders being the Taylor
 coefficients in u = Z - X = E (z - x), with no power of E inside the kernel.
 The verifier and the builder read these raw values in the instance's point
 frame; Polynomial.shift frames at its point's own denominator and divides
-the powers of E out.  A quotient by a window that leads with 1 is a
-Gaussian-integer recursion (_unit_quotient).  The test suite checks every
-kernel against a plain Fraction reference and reads its independent Laurent
-expansions off that reference, not off these kernels.
+the powers of E out.  No kernel divides one series by another.  The test
+suite checks every kernel against a plain Fraction reference and reads its
+independent Laurent expansions off that reference, not off these kernels.
 """
 
 from __future__ import annotations
@@ -174,40 +173,6 @@ def _taylor_head_ints(re: list, im: list, a: int, b: int, terms: int) -> tuple:
     return wr[:terms] + pad, wi[:terms] + pad
 
 
-def _unit_quotient(vr: list, vi: list, ur: list, ui: list) -> tuple:
-    """Truncated quotient v / u of Gaussian-integer windows with u_0 = 1, as
-    long as the shorter one: o_i = v_i - sum_(j=1..i) u_j o_(i-j), exact on
-    Gaussian integers.  Returns (re, im) int lists."""
-    length = min(len(vr), len(ur))
-    out_r, out_i = [], []
-    for i in range(length):
-        acc_r, acc_i = vr[i], vi[i]
-        for j in range(1, i + 1):
-            x, y = out_r[i - j], out_i[i - j]
-            acc_r -= ur[j] * x - ui[j] * y
-            acc_i -= ur[j] * y + ui[j] * x
-        out_r.append(acc_r)
-        out_i.append(acc_i)
-    return out_r, out_i
-
-
 def _powers(e: int, count: int) -> list:
     """[1, e, e^2, ..., e^(count-1)]."""
     return list(accumulate(repeat(e, count - 1), mul, initial=1))
-
-
-def _gaussian_powers(cr: int, ci: int, count: int) -> list:
-    """[(1, 0), c, c^2, ..., c^(count-1)] for c = cr + ci*i, as (re, im) pairs."""
-    powers = [(1, 0)]
-    for _ in range(count - 1):
-        pr, pi = powers[-1]
-        powers.append((pr * cr - pi * ci, pr * ci + pi * cr))
-    return powers
-
-
-def _times_powers(re: list, im: list, powers: list) -> tuple:
-    """(re[k] + im[k]*i) * powers[k] for each k, as (re, im) int lists."""
-    return (
-        [x * pr - y * pi for x, y, (pr, pi) in zip(re, im, powers)],
-        [x * pi + y * pr for x, y, (pr, pi) in zip(re, im, powers)],
-    )

@@ -122,7 +122,9 @@ def recursion(local, depth=DEFAULT_DEPTH):
         [g.coefficient(o) for o in range(-1, top - 1)]
         + [h.coefficient(o) for o in range(-1, top - 1)]
     )
-    omega, ar, ai, e = _recursion(den, (re[:top], im[:top]), (re[top:], im[top:]))
+    # the constant leading window den: A u w'' + B w' + C w is den u times the equation
+    lead = ([den] + [0] * (top - 1), [0] * top)
+    omega, ar, ai, e = _recursion(lead, (re[:top], im[:top]), (re[top:], im[top:]))
     return from_gaussian_ints(*omega), tuple(from_gaussian_ints(x, y, e) for x, y in zip(ar, ai))
 
 

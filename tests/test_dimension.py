@@ -107,8 +107,9 @@ def test_quadratic_constraint_n2n1():
     assert c.j == 1
     assert c.quad[1] == h_rhs_terms(N2N1)[-1][3] == gr(-8)  # delta_1
     assert c.single_variable()
-    # evaluating at the instance momentum p=3: -8*9 + 12*3 - 4 = -40
-    assert c.evaluate([gr(3)]) == gr(-40)
+    assert (c.lin, c.const_term) == ({1: gr(12)}, gr(-4))
+    # the value at the instance momentum p=3: -8*9 + 12*3 - 4 = -40
+    assert fredholm_values(N2N1, [gr(3)]) == ((1, gr(-40)),)
 
 
 def test_constraints_momentum_independent():
@@ -219,7 +220,8 @@ def test_zero_exponent_over_instance_admits_zero_momentum():
     report = classify(inst)
     assert report.case == "over"
     (constraint,) = quadratic_constraints(inst)
-    assert constraint.evaluate([ZERO]) == ZERO
+    assert constraint.const_term == ZERO
+    assert fredholm_values(inst, [ZERO]) == ((1, ZERO),)
     result = check_momenta(inst)
     assert result.consistent
     assert result.equation.h.is_zero
@@ -299,7 +301,8 @@ def test_constraints_equivalent_to_full_system_consistency(regime_instances):
         full = eliminate(*build_h_system(inst, g))
         consistent = full.kind != "inconsistent"
         seen[consistent] += 1
-        values = [(c.j, c.evaluate(inst.momenta)) for c in quadratic_constraints(inst)]
+        values = fredholm_values(inst, inst.momenta)
+        assert [j for j, _ in values] == [c.j for c in quadratic_constraints(inst)], k
         result = check_momenta(inst)
         assert result.violations == tuple((j, v) for j, v in values if v), k
         assert result.consistent == consistent, k
@@ -408,9 +411,10 @@ def test_float_obstructions_equal_scaled_constraints():
         expected = [r.obstruction.to_complex() for r in report.apparent]
         scaled = [0j] * inst.num_apparent
         if classify(exact).case == "over":
+            values = dict(fredholm_values(exact, exact.momenta))
             for c in quadratic_constraints(exact):
                 delta = c.quad[c.j]
-                scaled[c.j - 1] = (c.evaluate(exact.momenta) / delta).to_complex()
+                scaled[c.j - 1] = (values[c.j] / delta).to_complex()
         assert scaled == expected
         assert float_obstructions(inst, momenta) == expected
 

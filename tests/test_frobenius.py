@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from functools import partial
 
 import fraction_reference as ref
 from conftest import cleared_residual, recursion, reference_local
@@ -199,34 +200,37 @@ def test_report_json_stable_shape():
     ]
 
 
-def test_cleared_residual_catches_a_wrong_series_division(monkeypatch):
-    # A division that is wrong from index 4 on (order 3 of g/psi and
-    # h/psi^2 at an apparent point, in verify's scaled coordinate) leaves
-    # residue, double pole, momentum and omega alone, and the recursion reads
-    # the wrong series consistently; only the residual, which never divides
-    # series, can see it.
-    divide = fuchsian.frobenius._unit_quotient
+def test_cleared_residual_catches_a_wrong_window_product(monkeypatch):
+    # A recursion window that is wrong at index 4 (order 4 of A = dg dh U^2,
+    # B = dh U G or C = dg H / u at an apparent point) leaves residue, double
+    # pole, momentum and omega alone, and the recursion reads the wrong window
+    # consistently; only the residual, which reads the raw heads, can see it.
+    run = fuchsian.frobenius._recursion
 
-    def wrong(*windows):
-        out_r, out_i = divide(*windows)
-        if len(out_r) > 4:
-            out_r[4] += 1
-        return out_r, out_i
+    def wrong(index, *windows):
+        windows = list(windows)
+        re, im = windows[index]
+        windows[index] = (re[:4] + [re[4] + 1] + re[5:], im)
+        return run(*windows)
 
-    monkeypatch.setattr(fuchsian.frobenius, "_unit_quotient", wrong)
     rng = random.Random(8128)
-    checked = 0
+    equations = []
     for n in (4, 5, 6):
         inst = random_instance(n, seed=rng.randint(0, 10**6))
         if n == 5:
             inst = inst.shifted(gr(1, -2))
-        report = verify(construct(inst))
-        assert all(r.match for r in report.finite) and report.infinity.match
-        for r in report.apparent:
-            assert r.residue_ok and r.double_pole_absent and r.momentum_ok and r.log_free
-            assert not r.residual_ok, (n, r.point)
-            checked += 1
-    assert checked == 2 + 3 + 4
+        equations.append(construct(inst))
+    for index in range(3):
+        monkeypatch.setattr(fuchsian.frobenius, "_recursion", partial(wrong, index))
+        checked = 0
+        for eq in equations:
+            report = verify(eq)
+            assert all(r.match for r in report.finite) and report.infinity.match
+            for r in report.apparent:
+                assert r.residue_ok and r.double_pole_absent and r.momentum_ok and r.log_free
+                assert not r.residual_ok, (index, r.point)
+                checked += 1
+        assert checked == 2 + 3 + 4
 
 
 #: sha256 of the reports below: their bytes must not move when verify's

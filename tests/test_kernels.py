@@ -1,8 +1,8 @@
 """Elimination and the integer kernels against the Fraction algorithms.
 
 Elimination, rank, determinant, the monic product prod (Z - X)^m and its
-deflation, psi, Taylor shifts, series products and quotients and the
-Frobenius recursion are each uniquely determined, so the package must
+deflation, psi, Taylor shifts, series products and the Frobenius
+recursion are each uniquely determined, so the package must
 return exactly what `fraction_reference` computes one canonical
 GaussianRational step at a time.  The cleared residual is a different
 polynomial from the series-form one, so only its vanishing is compared.
@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 import fraction_reference as ref
 from elimination_reference import build_g_system
 from fuchsian.builder import build_h_system, construct, solve_g, solve_h
-from fuchsian.frobenius import DEFAULT_DEPTH, _mul_add, verify
+from fuchsian.frobenius import DEFAULT_DEPTH, _mul_add, _recursion, verify
 from fuchsian.linalg import Matrix, det, eliminate, rank
 from fuchsian.model import FuchsianEquation, FuchsianInstance
-from fuchsian.polynomials import Polynomial, _deflate, _monic_ints, _unit_quotient
+from fuchsian.polynomials import Polynomial, _deflate, _monic_ints
 from fuchsian.sampling import random_instance
 from fuchsian.scalars import ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
 
@@ -159,7 +159,7 @@ def _values(re, im) -> list:
 @given(a=_int_windows, b=_int_windows, c=_int_windows, d=_int_windows,
        size=st.integers(0, 9))
 @example(a=[(1, 0)], b=[(0, 1)] * 5, c=[], d=[(2, -1)], size=5)
-def test_series_product_and_quotient_match_convolution(a, b, c, d, size):
+def test_series_product_matches_convolution(a, b, c, d, size):
     # _mul_add, the cleared residual's products: orders 0 .. size-1 of
     # a*b + c*d, entries past a window's end counting as zero
     def padded(window):
@@ -169,10 +169,6 @@ def test_series_product_and_quotient_match_convolution(a, b, c, d, size):
     product = [x + y for x, y in zip(product, ref.series_product(padded(c), padded(d)))]
     got = _mul_add(_parts(a), _parts(b), _parts(c), _parts(d), size)
     assert _values(*got) == product
-    # _unit_quotient, verify's division by a window that leads with 1
-    unit = [(1, 0)] + b
-    got = _unit_quotient(*_parts(a), *_parts(unit))
-    assert _values(*got) == ref.series_quotient(_values(*_parts(a)), _values(*_parts(unit)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -262,6 +258,38 @@ def test_frobenius_recursion_matches_fraction_reference(
     for label, local in cases:
         got = recursion(local)
         assert got == ref.obstruction(local, DEFAULT_DEPTH), label
+        omegas.append(got[0])
+    assert any(omegas) and not all(omegas)
+
+
+def test_frobenius_recursion_reads_the_leading_window(random_apparent_locals):
+    # The equation times a unit window U^2 has the same series solution and
+    # omega.  A = U^2, B = U^2 (u g) and C = U^2 (u h), scaled by conj(U_0)^2,
+    # run the k (k-1) A term, which conftest.recursion's constant leading
+    # window never reaches.  Every other local is made log-free by its
+    # closed form h_0 = -(g_0 + h_(-1)) h_(-1), so that the recursion runs
+    # past s = 2, where that term starts.
+    rng = random.Random(2718)
+    omegas = []
+    for k, local in enumerate(random_apparent_locals):
+        if k % 2:
+            g, (h_pole, _, *h_rest) = local.g_series, local.h_series.coeffs
+            h_0 = -(g.coefficient(0) + h_pole) * h_pole
+            local = local._replace(h_series=ref.Window(ZERO, -1, (h_pole, h_0, *h_rest)))
+        top = ref.recursion_top(local, DEFAULT_DEPTH)
+        unit = [GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(top)]
+        unit[0] = unit[0] or GaussianRational(1, -2)
+        lead = unit[0].conjugate()
+        square = [lead * lead * x for x in ref.series_product(unit, unit)]
+        b, c = (
+            ref.series_product(square, [w.coefficient(o) for o in range(-1, top - 1)])
+            for w in (local.g_series, local.h_series)
+        )
+        den, re, im = to_gaussian_ints(square + b + c)
+        a, b, c = ((re[j : j + top], im[j : j + top]) for j in range(0, 3 * top, top))
+        omega, ar, ai, e = _recursion(a, b, c)
+        got = from_gaussian_ints(*omega), tuple(from_gaussian_ints(x, y, e) for x, y in zip(ar, ai))
+        assert got == ref.obstruction(local, DEFAULT_DEPTH), k
         omegas.append(got[0])
     assert any(omegas) and not all(omegas)
 

@@ -2,6 +2,8 @@
 
 - The verifier stays independent of construction: besides the standard
   library, `frobenius` imports only `model`, `polynomials` and `scalars`.
+- The verifier divides no series: from `polynomials` it takes exactly the
+  frame and Taylor-head kernels `FROBENIUS_FROM_POLYNOMIALS`.
 - The local analysis at the points is one loop: the public functions
   `frobenius` defines are exactly `verify` and `report_to_json_obj`, and
   `dimension` imports only `verify` from it.
@@ -50,6 +52,7 @@ POLYNOMIAL_NAMES = [
 DIMENSION_FROM_BUILDER = [
     "VerificationFailed", "fredholm_terms", "fredholm_values", "solve_g", "solve_h",
 ]
+FROBENIUS_FROM_POLYNOMIALS = ["_in_frame", "_taylor_head_ints"]
 FROZEN_RULE = ("__setattr__", "__delattr__", "__reduce__")
 TEST_MODULES = {path.stem for path in Path(__file__).parent.glob("*.py")}
 
@@ -80,6 +83,16 @@ def test_frobenius_imports_only_model_polynomials_scalars():
         top, _, rest = name.partition(".")
         if top == "fuchsian":
             assert rest in {"model", "polynomials", "scalars"}, name
+
+
+def test_frobenius_divides_no_series():
+    imported = [
+        name
+        for module, names in _package_imports()["frobenius"]
+        if module == "fuchsian.polynomials"
+        for name in names
+    ]
+    assert sorted(imported) == FROBENIUS_FROM_POLYNOMIALS
 
 
 def test_verify_is_the_one_local_analysis():
