@@ -59,12 +59,44 @@ def parse_rational(text) -> Fraction:
     raise ValueError(f"not a rational: {quoted}")
 
 
-class GaussianRational:
+class _Frozen:
+    """Read-only value object: its state is `_value()`, the constructor's
+    arguments, which equality (only within one class), the hash and pickle
+    read.  Copies and unpickling call the constructor again, so nothing is
+    restored past its checks; fields are set once, via object.__setattr__
+    (GaussianRational's through its slot descriptors, which cost less).
+    GaussianRational, Polynomial, ExponentPair, Matrix, the instance, the
+    equation and the reports derive from it, so every value reachable from an
+    instance is read-only."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
+
+    def __reduce__(self):
+        return type(self), self._value()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GaussianRational(_Frozen):
     """An exact complex scalar re + im*i with rational re, im.
 
-    Values are immutable; all operators return new instances.  Mixing with
-    ``int`` and ``Fraction`` is supported, mixing with floats is rejected so
-    no inexact value can leak into a computation.
+    Values are read-only _Frozen ones, whose state is (re, im); all
+    operators return new instances.  Equality and the hash are its own, as a
+    value equals the int or Fraction it is.  Mixing with ``int`` and
+    ``Fraction`` is supported, mixing with floats is rejected so no inexact
+    value can leak into a computation.
     """
 
     __slots__ = ("_r", "_i", "_d")
@@ -72,7 +104,9 @@ class GaussianRational:
     def __init__(self, re=0, im=0):
         (a, b), (c, e) = self._parts(re), self._parts(im)
         d = lcm(b, e)  # both parts are in lowest terms, so the triple is canonical
-        self._r, self._i, self._d = a * (d // b), c * (d // e), d
+        _set_r(self, a * (d // b))
+        _set_i(self, c * (d // e))
+        _set_d(self, d)
 
     @staticmethod
     def _parts(value) -> tuple:
@@ -97,6 +131,9 @@ class GaussianRational:
         if isinstance(value, Fraction):
             return _triple(value.numerator, 0, value.denominator)
         return None
+
+    def _value(self) -> tuple:
+        return self.re, self.im
 
     @property
     def re(self) -> Fraction:
@@ -257,10 +294,17 @@ class GaussianRational:
         return cls(parse_rational(obj[0]), parse_rational(obj[1]))
 
 
+# the slot descriptors write past _Frozen.__setattr__, as only the
+# constructors below and __init__ may
+_set_r, _set_i, _set_d = (GaussianRational.__dict__[name].__set__ for name in ("_r", "_i", "_d"))
+
+
 def _triple(r: int, i: int, d: int) -> GaussianRational:
     """The value (r + i*sqrt(-1)) / d of a triple that is already canonical."""
     value = _new(GaussianRational)
-    value._r, value._i, value._d = r, i, d
+    _set_r(value, r)
+    _set_i(value, i)
+    _set_d(value, d)
     return value
 
 
@@ -270,7 +314,9 @@ def _canon(r: int, i: int, d: int) -> GaussianRational:
     if g != 1:
         r, i, d = r // g, i // g, d // g
     value = _new(GaussianRational)
-    value._r, value._i, value._d = r, i, d
+    _set_r(value, r)
+    _set_i(value, i)
+    _set_d(value, d)
     return value
 
 
@@ -294,35 +340,6 @@ def from_gaussian_ints(re: int, im: int, den: int, den_im: int = 0) -> GaussianR
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-
-
-class _Frozen:
-    """Read-only value object: its state is `_value()`, the constructor's
-    arguments, which equality (only within one class), the hash and pickle
-    read.  Copies and unpickling call the constructor again, so nothing is
-    restored past its checks; fields are set once, via object.__setattr__.
-    Polynomial, ExponentPair, Matrix, the instance, the equation and the
-    reports derive from it; with GaussianRational, whose slots only its
-    constructors write, every value reachable from an instance is read-only."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._value() == other._value()
-
-    def __hash__(self):
-        return hash(self._value())
-
-    def __reduce__(self):
-        return type(self), self._value()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class _Record(_Frozen):

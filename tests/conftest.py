@@ -1,6 +1,7 @@
-"""Seeded instances shared by the builder and verifier suites, adapters
-that run verify's private integer kernels on fraction_reference's windows,
-and psi read off the instance's point frame."""
+"""Adapters that run verify's private integer kernels on
+fraction_reference's windows, seeded apparent-shaped locals for them, and
+psi read off the instance's point frame.  The instances themselves are drawn
+in strategies.py."""
 
 import random
 from fractions import Fraction
@@ -8,77 +9,10 @@ from fractions import Fraction
 import pytest
 
 import fraction_reference as ref
-from fuchsian.dimension import quadratic_constraints
 from fuchsian.frobenius import DEFAULT_DEPTH, _cleared_residual, _recursion
-from fuchsian.model import FuchsianInstance, _psi_ints
+from fuchsian.model import _psi_ints
 from fuchsian.polynomials import Polynomial
-from fuchsian.sampling import random_instance
 from fuchsian.scalars import ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
-
-
-def _small_gaussian(rng):
-    return GaussianRational(
-        Fraction(rng.randint(-5, 5), rng.randint(1, 3)), Fraction(rng.randint(-3, 3), 2)
-    )
-
-
-def _consistent_over(base, rng):
-    """An instance with base's positions and N = n - 1 whose momenta pass its
-    one constraint.
-
-    The finite exponent products are made zero (keeping the sums, hence g),
-    the pair at infinity becomes (x, s - x) and only p_N may be nonzero, so
-    the constraint reads a p^2 + b p + gamma x (s - x) = 0.  (p, x) = (0, 0)
-    lies on that conic, and the line x = m p meets it again at a
-    Gaussian-rational point.
-    """
-    n = base.n
-    finite = [(t, (0, pair.sum)) for t, pair in base.finite_points]
-    s = base.infinity_exponents.sum
-    qs = base.apparent_positions
-
-    def instance(x, p):
-        apparent = [(q, ZERO) for q in qs[:-1]] + [(qs[-1], p)]
-        return FuchsianInstance(finite, (x, s - x), apparent)
-
-    (c,) = quadratic_constraints(instance(ZERO, ZERO))
-    assert c.const_term == ZERO
-    a, b = c.quad[n - 1], c.lin.get(n - 1, ZERO)
-    x = GaussianRational(1 if s == 2 else 2)  # any x with x (s - x) != 0
-    (c2,) = quadratic_constraints(instance(x, ZERO))
-    gamma = c2.const_term / (x * (s - x))
-    m = _small_gaussian(rng)
-    while not a - gamma * m * m:
-        m = _small_gaussian(rng)
-    p = -(b + gamma * m * s) / (a - gamma * m * m)
-    return instance(m * p, p)
-
-
-def _regime_instances(seed, count):
-    """Yield (case, instance, free values) for `count` seeded instances with
-    n <= 6, cycling square, under and consistent over, every other one moved
-    to Gaussian positions."""
-    rng = random.Random(seed)
-    for k in range(count):
-        case = ("square", "under", "over")[k % 3]
-        n = rng.randint(3 if case == "under" else 2, 4 if case == "over" else 6)
-        num = rng.randint(0, n - 3) if case == "under" else n - 2 + (case == "over")
-        inst = random_instance(n, num, seed=rng.randint(0, 10**6))
-        if k % 2:
-            inst = inst.shifted(
-                GaussianRational(rng.randint(-3, 3), rng.choice([-2, -1, 1, 2]))
-            )
-        if case == "over":
-            inst = _consistent_over(inst, rng)
-        free = [_small_gaussian(rng) for _ in range(max(n - 2 - num, 0))]
-        yield case, inst, free
-
-
-@pytest.fixture
-def regime_instances():
-    """The seeded square/under/consistent-over generator, as a function of
-    (seed, count)."""
-    return _regime_instances
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ import elimination_reference
 import fraction_reference as ref
 import pytest
 from elimination_reference import build_g_system
+from strategies import regime_instances, violating_over
 
 import fuchsian.builder
 import fuchsian.model
@@ -302,7 +303,7 @@ def test_redundancy_tracks_defect():
             solve_g(bumped)
 
 
-def test_solve_h_all_regimes(regime_instances):
+def test_solve_h_all_regimes():
     # 108 seeded instances with n <= 6, a third each square, under and
     # consistent over, every other one at Gaussian positions.  The one solve
     # must satisfy its own system exactly, put free_k on z^(n+3N+k), and
@@ -323,7 +324,7 @@ def test_solve_h_all_regimes(regime_instances):
             assert verify(FuchsianEquation(g, h, inst)).overall, (k, case)
 
 
-def test_solve_g_matches_vandermonde_oracle(regime_instances):
+def test_solve_g_matches_vandermonde_oracle():
     # The partial-fraction g against the eliminated Vandermonde system on 120
     # seeded square/under/consistent-over instances, half at Gaussian
     # positions.  With the first exponent bumped, solve_g must raise the
@@ -404,17 +405,11 @@ def test_solve_h_rejects_wrong_nullity():
         solve_h(N2N1)
 
 
-def test_residuals_equal_plain_dot_products(regime_instances):
-    # consistent over instances (every other one Gaussian-shifted) and random
-    # momenta, which violate the constraints, half of them Gaussian-shifted
+def test_residuals_equal_plain_dot_products():
+    # consistent over instances (every other one Gaussian-shifted) and
+    # violating ones, half of them Gaussian-shifted
     cases = [inst for case, inst, _ in regime_instances(606, 36) if case == "over"]
-    rng = random.Random(607)
-    for k in range(16):
-        n = rng.randint(2, 5)
-        inst = random_instance(n, n - 1 + k % 3 // 2, seed=rng.randint(0, 10**6))
-        if k % 2:
-            inst = inst.shifted(GaussianRational(rng.randint(-3, 3), rng.choice([-2, -1, 1])))
-        cases.append(inst)
+    cases += violating_over(607, 16)
     violated = 0
     for inst in cases:
         g = solve_g(inst)

@@ -7,9 +7,15 @@ from fractions import Fraction
 
 import elimination_reference as ref
 import pytest
-from conftest import _consistent_over
 from hypothesis import given, settings
-from hypothesis import strategies as st
+from strategies import (
+    SingularMove,
+    consistent,
+    domain_draws,
+    layout_instances,
+    regime_instances,
+    violating_over,
+)
 
 import fuchsian.builder
 import fuchsian.dimension
@@ -37,7 +43,7 @@ from fuchsian.dimension import (
 )
 from fuchsian.frobenius import verify
 from fuchsian.linalg import Matrix, eliminate, rank
-from fuchsian.model import FuchsianEquation, FuchsianInstance
+from fuchsian.model import FuchsianEquation, FuchsianInstance, fuchs_defect
 from fuchsian.polynomials import Polynomial
 from fuchsian.sampling import random_instance
 from fuchsian.scalars import ONE, ZERO, GaussianRational
@@ -138,16 +144,65 @@ def test_constraint_records_do_not_share_the_memo():
     assert fredholm_terms(inst) is terms
 
 
+def _assert_constraint_shape(inst):
+    """One constraint per dependent row, j = n - 1 .. N, whose p_k^2 terms
+    are those of the free momenta k <= n - 2 and of its own p_j, with p_j^2's
+    coefficient delta_j = -2 psi'(q_j)^2 exactly."""
+    n, num = inst.n, inst.num_apparent
+    constraints = quadratic_constraints(inst)
+    assert [c.j for c in constraints] == list(range(n - 1, num + 1))
+    points = inst.finite_positions + inst.apparent_positions
+    for c in constraints:
+        assert set(c.quad) <= set(range(1, n - 1)) | {c.j}, c.j
+        q, slope = inst.apparent_positions[c.j - 1], ONE
+        for x in points:
+            if x != q:
+                slope *= q - x
+        assert c.quad[c.j] == -2 * slope * slope, c.j
+
+
 def test_constraint_counts_random():
     rng = random.Random(8191)
     for n in (2, 3, 4):
         for num in range(n - 1, n + 2):
-            inst = random_instance(n, num, seed=rng.randint(0, 10**6))
-            constraints = quadratic_constraints(inst)
-            assert len(constraints) == num - n + 2
-            for c in constraints:
-                assert c.quad.get(c.j), "own quadratic term must survive"
-                assert n - 1 <= c.j <= num
+            _assert_constraint_shape(random_instance(n, num, seed=rng.randint(0, 10**6)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(domain_draws().filter(lambda draw: draw[0].num_apparent > draw[0].n - 2))
+def test_constraint_shape_over_the_whole_domain(draw):
+    # Gaussian positions, 0 among them, denominators up to 10^12
+    _assert_constraint_shape(draw[0])
+
+
+def test_the_move_makes_every_shape_consistent():
+    # n = 2..6 and N = n - 1 .. 2n - 2, every other draw at Gaussian
+    # positions, momenta as drawn: the move keeps positions and momenta and
+    # the exponent sum, and check_momenta finds the result consistent with a
+    # witness that verifies.  A singular system raises SingularMove here.
+    for n in range(2, 7):
+        for num in range(n - 1, 2 * n - 1):
+            for seed in range(4):
+                base = random_instance(n, num, seed=seed)
+                if seed % 2:
+                    base = base.shifted(gr(1, 2))
+                inst = consistent(base)
+                assert inst.apparent_points == base.apparent_points
+                assert inst.finite_positions == base.finite_positions
+                assert fuchs_defect(inst) == ZERO
+                result = check_momenta(inst)
+                assert result.consistent, (n, num, seed)
+                assert verify(result.equation).overall, (n, num, seed)
+
+
+def test_a_singular_move_raises():
+    # p = 0, and the second exponents at t_1 and at infinity are 0: no
+    # exponent product moves with x_1 and g enters only times p, so the
+    # constraint's value 8 cannot move
+    inst = FuchsianInstance([(0, (1, 0)), (1, (2, -1))], (-2, 0), [(2, 0)])
+    assert fredholm_values(inst, inst.momenta) == ((1, gr(8)),)
+    with pytest.raises(SingularMove, match="singular"):
+        consistent(inst)
 
 
 def test_check_momenta_paths():
@@ -226,6 +281,8 @@ def test_zero_exponent_over_instance_admits_zero_momentum():
     assert result.consistent
     assert result.equation.h.is_zero
     assert verify(result.equation).overall
+    # consistent already, so the move is x = 0
+    assert consistent(inst) is inst
 
 
 def test_solve_quadratic_float_examples():
@@ -261,42 +318,17 @@ def test_float_roots_give_small_obstruction():
             assert abs(omega) < 1e-9
 
 
-def _over_instances(regime_instances, seed):
-    """Seeded over instances: consistent ones from regime_instances, violating
-    random ones with complex momenta (n = 2..5, N = n - 1..n + 2, half
-    Gaussian-shifted), the same with small random momenta (N = n - 1), and
-    the over instances of the imaginary-axis layout."""
-    rng = random.Random(seed)
-    for case, inst, _ in regime_instances(seed, 120):
-        if case == "over":
-            yield inst
-    for k in range(48):
-        n = 2 + k % 4
-        inst = random_instance(n, n - 1 + (k // 4) % 4, seed=rng.randint(0, 10**6))
-        if k % 2:
-            inst = inst.shifted(gr(rng.randint(-3, 3), rng.choice([-2, -1, 1, 2])))
-        yield inst
-    for _ in range(8):
-        n = rng.choice([2, 3])
-        base = random_instance(n, n - 1, seed=rng.randint(0, 10**6))
-        yield base.with_momenta(
-            [
-                gr(Fraction(rng.randint(-4, 4), rng.randint(1, 2)), rng.randint(-1, 1))
-                for _ in range(n - 1)
-            ]
-        )
-    for k, inst in enumerate(_layout_instances(seed, 120)):
-        if k // 24 == 4 and inst.num_apparent > inst.n - 2:
-            yield inst
-
-
-def test_constraints_equivalent_to_full_system_consistency(regime_instances):
+def test_constraints_equivalent_to_full_system_consistency():
     # The constraints must capture solvability exactly: at the momenta, the
     # nonzero constraint values are check_momenta's violations, and there
     # are none iff eliminating the full overdetermined system is consistent,
     # its solution being check_momenta's witness and solve_h's result.
+    over = [inst for case, inst, _ in regime_instances(2468, 120) if case == "over"]
+    over += violating_over(2469, 56)
+    layouts = list(layout_instances(2468, 120))[96:]  # apparent points on the imaginary axis
+    over += [inst for inst in layouts if inst.num_apparent > inst.n - 2]
     seen = {True: 0, False: 0}
-    for k, inst in enumerate(_over_instances(regime_instances, 2468)):
+    for k, inst in enumerate(over):
         g = solve_g(inst)
         full = eliminate(*build_h_system(inst, g))
         consistent = full.kind != "inconsistent"
@@ -334,43 +366,6 @@ def test_constraint_json_shape():
     }
 
 
-def _small_gaussian(rng):
-    return gr(Fraction(rng.randint(-6, 6), rng.randint(1, 3)), rng.randint(-3, 3))
-
-
-def _layout_instances(seed, count):
-    """Seeded admissible instances with N >= n - 2, cycling n = 2..5 and
-    N = n - 2 .. n + 3 through five point layouts: random rationals, the same
-    moved to Gaussian positions, a point at 0, symmetric +-x nodes, and
-    apparent points on the imaginary axis."""
-    rng = random.Random(seed)
-    for k in range(count):
-        n = 2 + k % 4
-        num = n - 2 + (k // 4) % 6
-        layout = (k // 24) % 5
-        size, den = n + num, rng.randint(1, 3)
-        if layout == 3:
-            half = rng.sample(range(1, 21), (size + 1) // 2)
-            xs = [Fraction(sign * v, den) for v in half for sign in (1, -1)][:size]
-        else:
-            xs = [Fraction(v, den) for v in rng.sample(range(-20, 21), size)]
-            if layout == 2 and 0 not in xs:
-                xs[rng.randrange(size)] = Fraction(0)
-        rng.shuffle(xs)
-        points = [gr(x) for x in xs]
-        if layout == 1:
-            shift = gr(rng.randint(-3, 3), rng.choice([-2, -1, 1, 2]))
-            points = [x + shift for x in points]
-        if layout == 4:
-            points[n:] = [gr(0, x) for x in xs[n:]]
-        pairs = [(_small_gaussian(rng), _small_gaussian(rng)) for _ in range(n)]
-        first = _small_gaussian(rng)
-        total = sum((a + b for a, b in pairs), first)
-        infinity = (first, GaussianRational(n - num - 1) - total)
-        apparent = [(q, _small_gaussian(rng)) for q in points[n:]]
-        yield FuchsianInstance(list(zip(points[:n], pairs)), infinity, apparent)
-
-
 def test_leading_block_is_regular_and_the_rest_depends_on_it():
     # With N >= n - 2 the first 2(n + N) - 1 rows (infinity, every value, every
     # first derivative, second derivatives at q_1 .. q_(n-2)) are Hermite data
@@ -379,7 +374,7 @@ def test_leading_block_is_regular_and_the_rest_depends_on_it():
     # dependent.  builder.solve_h interpolates that block; builder.fredholm_terms
     # sums one left-nullspace vector per remaining row against the right-hand
     # side, and quadratic_constraints gives one constraint per vector.
-    for inst in _layout_instances(4242, 120):
+    for inst in layout_instances(4242, 120):
         matrix = h_matrix(inst)
         size = matrix.cols
         block = Matrix(size, size, matrix.entries[: size * size])
@@ -400,7 +395,7 @@ def test_float_obstructions_equal_scaled_constraints():
     # q_j's second-derivative row is in the leading block and C_j(p) /
     # delta_j elsewhere.
     rng = random.Random(9090)
-    for inst in _layout_instances(3131, 64):
+    for inst in layout_instances(3131, 64):
         momenta = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in inst.momenta]
         exact = inst.with_momenta([gr(Fraction(p.real), Fraction(p.imag)) for p in momenta])
         g = solve_g(exact)
@@ -419,24 +414,20 @@ def test_float_obstructions_equal_scaled_constraints():
         assert float_obstructions(inst, momenta) == expected
 
 
-def test_float_obstructions_vanish_exactly_when_log_free(regime_instances):
+def test_float_obstructions_vanish_exactly_when_log_free():
     square = random_instance(4, seed=3)
     assert float_obstructions(square, [p.to_complex() for p in square.momenta]) == [0j, 0j]
-    # z -> mu z keeps every exponent and divides each momentum by mu, so with
-    # mu = p_N a consistent instance stays consistent and its momenta become
-    # (0, .., 0, 1): binary fractions, which floats carry exactly.  Every
-    # constraint then vanishes, and so must every omega_j = C_j / delta_j.
-    for case, inst, _ in regime_instances(77, 60):
-        if case != "over":
+    # strategies.consistent keeps the momenta, so over instances made
+    # consistent at binary-fraction momenta, which floats carry exactly, have
+    # every constraint vanish, and so must every omega_j = C_j / delta_j.
+    rng = random.Random(77)
+    for inst in violating_over(77, 40):
+        if inst.num_apparent > 2 * inst.n - 2:
             continue
-        mu = inst.momenta[-1] or ONE
-        scaled = FuchsianInstance(
-            [(t * mu, pair) for t, pair in inst.finite_points],
-            inst.infinity_exponents,
-            [(q * mu, p / mu) for q, p in inst.apparent_points],
-        )
-        momenta = [p.to_complex() for p in scaled.momenta]
-        assert float_obstructions(scaled, momenta) == [0j] * inst.num_apparent
+        binary = [gr(Fraction(rng.randint(-8, 8), 4), rng.randint(-2, 2)) for _ in inst.momenta]
+        inst = consistent(inst.with_momenta(binary))
+        momenta = [p.to_complex() for p in inst.momenta]
+        assert float_obstructions(inst, momenta) == [0j] * inst.num_apparent
 
 
 def test_float_obstructions_rejects_what_has_no_leading_block():
@@ -522,7 +513,7 @@ def _same_as_elimination(inst, free=()):
     return consistent
 
 
-def test_closed_form_matches_elimination_oracle(regime_instances):
+def test_closed_form_matches_elimination_oracle():
     # 330 instances: square, under with free values and consistent over from
     # the regime generator; violating over ones with N = n - 1 .. n + 3, half
     # Gaussian-shifted; and all five layouts with N = n - 2 .. n + 3, n = 2
@@ -531,61 +522,31 @@ def test_closed_form_matches_elimination_oracle(regime_instances):
     for case, inst, free in regime_instances(8080, 150):
         assert _same_as_elimination(inst, free), case
         count += 1
-    rng = random.Random(8081)
-    for k in range(60):
-        n = 2 + k % 4
-        inst = random_instance(n, n - 1 + k % 5, seed=rng.randint(0, 10**6))
-        if k % 2:
-            inst = inst.shifted(gr(rng.randint(-3, 3), rng.choice([-2, -1, 1, 2])))
+    for k, inst in enumerate(violating_over(8081, 60)):
         assert not _same_as_elimination(inst), k
         count += 1
-    for inst in _layout_instances(8082, 120):
+    for inst in layout_instances(8082, 120):
         _same_as_elimination(inst)
         count += 1
     assert count == 330
 
 
-_DENOMINATOR = st.one_of(st.integers(1, 6), st.integers(1, 10**12))
-_RATIONAL = st.builds(Fraction, st.integers(-40, 40), _DENOMINATOR)
-_POSITION = st.one_of(
-    st.just(ZERO),
-    st.builds(GaussianRational, _RATIONAL, st.one_of(st.just(Fraction(0)), _RATIONAL)),
-)
-_SMALL = st.builds(GaussianRational, st.integers(-4, 4), st.integers(-2, 2))
-
-
-@st.composite
-def _domain_draws(draw):
-    """(instance, free values): n = 2..6, N = 0..n + 3, distinct Gaussian
-    rational positions (0 allowed, denominators up to 10^12), small Gaussian
-    exponents and momenta, admissible exponent sum."""
-    n = draw(st.integers(2, 6))
-    num = draw(st.integers(0, n + 3))
-    points = draw(st.lists(_POSITION, min_size=n + num, max_size=n + num, unique=True))
-    pairs = [(draw(_SMALL), draw(_SMALL)) for _ in range(n)]
-    first = draw(_SMALL)
-    total = sum((a + b for a, b in pairs), first)
-    infinity = (first, GaussianRational(n - num - 1) - total)
-    apparent = [(q, draw(_SMALL)) for q in points[n:]]
-    free = [draw(_SMALL) for _ in range(max(n - 2 - num, 0))]
-    return FuchsianInstance(list(zip(points[:n], pairs)), infinity, apparent), free
-
-
 @settings(max_examples=30, deadline=None)
-@given(_domain_draws(), st.randoms(use_true_random=False))
-def test_closed_form_over_the_whole_domain(draw, rng):
+@given(domain_draws())
+def test_closed_form_over_the_whole_domain(draw):
     # Every draw agrees with elimination.  Square and under equations pass
     # verification; an over draw with N = n - 1 is also made consistent
-    # (conftest's construction keeps its positions), and its witness passes.
+    # (strategies.consistent keeps its positions and momenta), and its
+    # witness passes.  test_the_move_makes_every_shape_consistent covers larger N.
     inst, free = draw
     case = classify(inst).case
     _same_as_elimination(inst, free)
     if case == "over" and inst.num_apparent == inst.n - 1:
-        inst, case = _consistent_over(inst, rng), "consistent over"
+        inst, case = consistent(inst), "consistent over"
         assert _same_as_elimination(inst)
     if case == "square":
         assert verify(construct(inst)).overall
     elif case == "under":
         assert verify(solve_under(inst, free)).overall
     elif case == "consistent over":
-        assert verify(check_momenta(inst).equation).overall
+        assert check_momenta(inst).consistent  # which verifies its witness

@@ -1,14 +1,15 @@
 """Byte-identical outputs: one sha256 per command over a fixed seeded set.
 
 Sixty instances cover every regime: 15 square, 15 under with free values,
-15 consistent over (all from the shared regime generator, every other one at
-Gaussian positions) and 15 over instances whose random momenta violate
-their constraints, every other one Gaussian-shifted.  Each command's
-outputs are serialized as the CLI and the JSON schemas write them, and the
-digest of the whole list is pinned.  The elimination oracle is pinned the
-same way: `eliminate` on each instance's h-system, `rank` and `det` on its
-h-matrix, and the `det-check` JSON for n = 2..6.  A change that alters any
-output, even by a formatting detail or the order of a dict, fails here.
+15 consistent over with N = n - 1 .. 2n - 2 (all from
+strategies.regime_instances, every other one at Gaussian positions) and 15
+from strategies.violating_over, whose momenta violate their constraints.
+Each command's outputs are serialized as the CLI and the JSON schemas write
+them, and the digest of the whole list is pinned.  The elimination oracle
+is pinned the same way: `eliminate` on each instance's h-system, `rank` and
+`det` on its h-matrix, and the `det-check` JSON for n = 2..6.  So are
+verify's reports on equations with g or h tampered.  A change that alters
+any output, even by a formatting detail or the order of a dict, fails here.
 
 When an output is meant to change, print the new digests with
 
@@ -20,42 +21,37 @@ and say in the change log why they moved.
 import hashlib
 import io
 import json
-import random
 from contextlib import redirect_stdout
 
-from conftest import _regime_instances
-from fuchsian.builder import build_h_system, construct, solve_g
+from fraction_reference import poly_add, poly_from_roots
+from fuchsian.builder import build_h_system, construct, solve_g, solve_h
 from fuchsian.cli import main
 from fuchsian.dimension import check_momenta, float_obstructions, quadratic_constraints, solve_under
 from fuchsian.frobenius import report_to_json_obj, verify
 from fuchsian.linalg import det, eliminate, rank
-from fuchsian.model import equation_to_json_obj
-from fuchsian.sampling import random_instance
-from fuchsian.scalars import GaussianRational
+from fuchsian.model import FuchsianEquation, FuchsianInstance, equation_to_json_obj
+from fuchsian.polynomials import Polynomial
+from strategies import regime_instances, violating_over
 
 GOLDEN = {
-    "construct": "6dc3d7bd7aee8c31fe1b2c0e959648579675cf9cc2346b72ec2316162174a724",
-    "solve_under": "d28268deb8726182fba8dd104e6c415826d58836952dc9eeb44b9f898fcd8fe2",
-    "check_momenta": "f4ed30196e3cd5739d0175e40ae009f8cb50a50252986c18cc6ff237d230f92e",
-    "quadratic_constraints": "a4093df00ec2bea279343c79f1e71a49b59f8038cdc9a6c740c0dd781c778a92",
-    "float_obstructions": "2100a2304c4294b0da030f1740475e3b3354b9826a473adbe426b251ed4c2687",
-    "verify": "79c93e2e8222b5fcd090b0620f1ef176b11bf86d76defe3f0067dbd0dab2d932",
-    "eliminate": "0843616bcd85cbdd84f7670b55fc6ce2a843bf5fd226abb15b6f43dbb6eabdb7",
-    "rank": "de6df774b9257387c3cc1928d28302a9b5405e5799d90ddfea11a7e83f773ed3",
-    "det": "c403138b1ebe79710d5aaf8827d50cb6fee59318dd758e4740c38573fc3f0db6",
+    "construct": "d050bc007d1715e868c84ea0e10f03b7250fc3ef3e8c5c17051730b19a54e6ca",
+    "solve_under": "5ed75391bd1ed219975efd5b7d09ed1e0e4ee58712a63c0a8c3b4709d2e0cf07",
+    "check_momenta": "ee667eb47016e62075dedc260458752ee1e2eb467565a4887405f131c8cf45e3",
+    "quadratic_constraints": "5f5b05b40482a7ea16369e0c1cc8a0793e9d0df3e71c40c47164dc9bb39ed1a1",
+    "float_obstructions": "b1ce630fc40c6a7d780b64faff3163524017cc57e0a8a1392937187e3fccb371",
+    "verify": "582e2bef71af1f88c81d4b3b3e44c51e43fc7c6a7375c79b39bc86cf1d670657",
+    "eliminate": "1d948104c62ee405582abc8c40f70cddc4adeb36aa447240bebb4371753ecdf0",
+    "rank": "a54cf7ddfbb2fc8f1ebd9432e0879c39e2473f2e865724172d7531f93c75f283",
+    "det": "bf3849ce317e5150e703c43c339322a5b61fd2cedd733970c0b1c05e41c25e2a",
     "det_check": "ec22b05aec72eaa964d8a61290ed6cbf6e74389012b53f0374f0f07eb22e9c2e",
+    "tampered_reports": "433653ea16d2276a5e3f2027ce9f081c42711ad9812d44bab44304f069861b60",
 }
 
 
 def _instances():
     """(case, instance, free values) for the 60 golden instances."""
-    yield from _regime_instances(5150, 45)
-    rng = random.Random(5151)
-    for k in range(15):
-        n = 2 + k % 4
-        inst = random_instance(n, n - 1 + k % 3, seed=rng.randint(0, 10**6))
-        if k % 2:
-            inst = inst.shifted(GaussianRational(rng.randint(-3, 3), rng.choice([-2, -1, 1, 2])))
+    yield from regime_instances(5150, 45)
+    for inst in violating_over(5151, 15):
         yield "violating", inst, []
 
 
@@ -68,6 +64,27 @@ def _det_check(n: int) -> str:
     with redirect_stdout(stdout):
         main(["det-check", "--n", str(n), "--trials", "3"])
     return stdout.getvalue()
+
+
+def _tampered_reports() -> list:
+    """verify's reports on 30 seeded square/under/over equations, each also
+    with g tampered (by the product over the apparent points, so the residue
+    stays -1 and the recursion runs to a nonzero omega) and with h tampered,
+    plus the all-zero equation: their bytes must not move when verify's
+    arithmetic changes."""
+    reports = []
+    for _, inst, free in regime_instances(4711, 30):
+        eq = FuchsianEquation(solve_g(inst), solve_h(inst, free), inst)
+        q_prod = poly_from_roots(inst.apparent_positions)
+        for tampered in (
+            eq,
+            FuchsianEquation(poly_add(eq.g, q_prod), eq.h, inst),
+            FuchsianEquation(eq.g, poly_add(eq.h, Polynomial((1, 0, 1))), inst),
+        ):
+            reports.append(report_to_json_obj(verify(tampered)))
+    zero = FuchsianInstance([(0, (0, 1)), (1, (0, 1)), (2, (0, 1))], (-1, -1), [(3, 0)])
+    reports.append(report_to_json_obj(verify(FuchsianEquation(Polynomial(), Polynomial(), zero))))
+    return reports
 
 
 def _outputs() -> dict:
@@ -117,6 +134,7 @@ def _outputs() -> dict:
             )
     out["verify"] = [report_to_json_obj(verify(eq)) for eq in equations]
     out["det_check"] = [_det_check(n) for n in range(2, 7)]
+    out["tampered_reports"] = _tampered_reports()
     return out
 
 

@@ -18,9 +18,9 @@ outside.
 import copy
 import pickle
 import random
-from fractions import Fraction
 
 import pytest
+from strategies import regime_instances, small_gaussian
 
 import fuchsian.builder
 from fuchsian.builder import FuchsViolation, construct
@@ -40,11 +40,7 @@ def _fresh(instance):
     return pickle.loads(pickle.dumps(instance))
 
 
-def _small(rng):
-    return GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 3)), rng.randint(-2, 2))
-
-
-def _cases(regime_instances):
+def _cases():
     """Four each of square, under and consistent over, every other one at
     Gaussian positions, plus each over one at momenta that violate it.  The
     violating sibling comes from with_momenta after the caller has run its
@@ -53,7 +49,7 @@ def _cases(regime_instances):
     for case, inst, _ in regime_instances(2424, 12):
         yield inst
         if case == "over":
-            yield inst.with_momenta([_small(rng) for _ in inst.momenta])
+            yield inst.with_momenta([small_gaussian(rng) for _ in inst.momenta])
 
 
 def _calls(instance, rng):
@@ -63,7 +59,7 @@ def _calls(instance, rng):
     if case == "under":
         free = instance.n - 2 - instance.num_apparent
         for _ in range(20):
-            values = [_small(rng) for _ in range(free)]
+            values = [small_gaussian(rng) for _ in range(free)]
             yield "solve_under", lambda inst, values=values: solve_under(inst, values)
         return
     if case == "square":
@@ -76,9 +72,9 @@ def _calls(instance, rng):
         yield "float_obstructions", lambda inst, p=momenta: float_obstructions(inst, p)
 
 
-def test_solved_instance_is_indistinguishable_from_a_fresh_copy(regime_instances):
+def test_solved_instance_is_indistinguishable_from_a_fresh_copy():
     rng = random.Random(7)
-    for k, inst in enumerate(_cases(regime_instances)):
+    for k, inst in enumerate(_cases()):
         before = pickle.dumps(inst), repr(inst), hash(inst)
         for _, call in _calls(inst, rng):
             call(inst)
@@ -89,12 +85,12 @@ def test_solved_instance_is_indistinguishable_from_a_fresh_copy(regime_instances
         assert copy.deepcopy(inst) == inst and copy.copy(inst) == inst, k
 
 
-def test_repeated_calls_equal_calls_on_fresh_copies(regime_instances):
+def test_repeated_calls_equal_calls_on_fresh_copies():
     # the violating over siblings from _cases share the memo their consistent
     # parent filled, so this compares shared builds with fresh ones too
     rng = random.Random(8)
     seen = set()
-    for k, inst in enumerate(_cases(regime_instances)):
+    for k, inst in enumerate(_cases()):
         for name, call in _calls(inst, rng):
             first, again, fresh = call(inst), call(inst), call(_fresh(inst))
             assert first == again == fresh, (k, name)
@@ -116,16 +112,16 @@ def _at_gaussian_positions(instance):
 MOMENTUM_FREE = {"_psi_ints", "solve_g", "h_rhs_terms", "_hermite_frame", "fredholm_terms"}
 
 
-def test_the_memo_keeps_momentum_free_builds_and_only_siblings_share_it(regime_instances):
+def test_the_memo_keeps_momentum_free_builds_and_only_siblings_share_it():
     # every entry of _calls on every regime fills the memo with exactly these
     # builds, so one that reads the momenta cannot enter it unnoticed
     rng = random.Random(10)
     seen = set()
-    for k, inst in enumerate(_cases(regime_instances)):
+    for k, inst in enumerate(_cases()):
         for _, call in _calls(inst, rng):
             call(inst)
         assert {build.__name__ for build in inst._memo} == MOMENTUM_FREE, k
-        sibling = inst.with_momenta([_small(rng) for _ in inst.momenta])
+        sibling = inst.with_momenta([small_gaussian(rng) for _ in inst.momenta])
         assert sibling._memo is inst._memo, k
         assert sibling.with_momenta(inst.momenta)._memo is inst._memo, k
         others = [
@@ -142,7 +138,7 @@ def test_the_memo_keeps_momentum_free_builds_and_only_siblings_share_it(regime_i
     assert seen == {(case, at) for case in ("under", "square", "over") for at in (False, True)}
 
 
-def test_a_momentum_scan_builds_the_right_hand_side_once(regime_instances, monkeypatch):
+def test_a_momentum_scan_builds_the_right_hand_side_once(monkeypatch):
     # ten siblings of one point set: nine at violating momenta and, mid-scan,
     # the consistent set (over), or ten momentum choices (square); the whole
     # scan builds the right-hand-side terms once, and every result equals the
@@ -160,7 +156,7 @@ def test_a_momentum_scan_builds_the_right_hand_side_once(regime_instances, monke
         if case == "under":
             continue
         scan = check_momenta if case == "over" else construct
-        momenta = [tuple(_small(rng) for _ in base.momenta) for _ in range(9)]
+        momenta = [tuple(small_gaussian(rng) for _ in base.momenta) for _ in range(9)]
         momenta.insert(4, base.momenta)
         floats = [[x.to_complex() for x in p] for p in momenta]
         root = _fresh(base)

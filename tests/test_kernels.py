@@ -14,6 +14,7 @@ from fractions import Fraction
 from conftest import cleared_residual, frame_psi, recursion, reference_local
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from strategies import regime_instances
 
 import fraction_reference as ref
 from elimination_reference import build_g_system
@@ -96,7 +97,7 @@ def test_zero_and_unit_edge_cases():
         _assert_same_outcome(matrix, [ZERO] * matrix.rows)
 
 
-def test_g_and_h_systems_match_fraction_reference(regime_instances):
+def test_g_and_h_systems_match_fraction_reference():
     for _, inst, _ in regime_instances(505, 24):
         g_matrix, g_rhs = build_g_system(inst)
         _assert_same_outcome(g_matrix, g_rhs)
@@ -234,7 +235,7 @@ def test_psi_matches_fraction_reference(points, apparent):
     assert frame_psi(inst) == ref.psi(inst)
 
 
-def _apparent_locals(regime_instances, terms):
+def _apparent_locals(terms):
     """(label, reference local) at every apparent point of 60 seeded
     square/under/over equations."""
     for case, inst, free in regime_instances(5150, 60):
@@ -244,15 +245,13 @@ def _apparent_locals(regime_instances, terms):
             yield (case, q), reference_local(eq, q, terms)
 
 
-def test_frobenius_recursion_matches_fraction_reference(
-    regime_instances, random_apparent_locals
-):
+def test_frobenius_recursion_matches_fraction_reference(random_apparent_locals):
     # omega and every a_s, on arbitrary apparent-shaped data (the locals of
     # the closed-form test) and at constructed apparent points, both with the
     # window verify uses and with the shortest, 3-term one that reaches s = 2
     cases = [(("random", k), local) for k, local in enumerate(random_apparent_locals)]
-    cases += list(_apparent_locals(regime_instances, 10))
-    cases += list(_apparent_locals(regime_instances, 3))
+    cases += list(_apparent_locals(10))
+    cases += list(_apparent_locals(3))
     assert len(cases) > 400
     omegas = []
     for label, local in cases:
@@ -294,7 +293,7 @@ def test_frobenius_recursion_reads_the_leading_window(random_apparent_locals):
     assert any(omegas) and not all(omegas)
 
 
-def test_cleared_residual_vanishes_with_series_residual(regime_instances):
+def test_cleared_residual_vanishes_with_series_residual():
     # At every apparent point of untampered, g-tampered and h-tampered
     # equations: the recursion's own series, the series with a_4 bumped, and
     # the untampered equation's series.  Both residuals must agree on
@@ -345,7 +344,7 @@ def _with_tampering(eq):
     )
 
 
-def test_verify_matches_fraction_reference(regime_instances):
+def test_verify_matches_fraction_reference():
     # every field of the report, on square, under and over equations, half at
     # Gaussian positions, untampered and tampered
     outcomes = []

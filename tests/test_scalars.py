@@ -1,6 +1,8 @@
 """Exact scalar field: arithmetic, normalization, square roots, serialization."""
 
+import copy
 import operator
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -18,6 +20,7 @@ from fuchsian.scalars import (
     parse_rational,
     to_gaussian_ints,
 )
+from fuchsian.sampling import random_instance
 
 
 def gr(re, im=0):
@@ -27,6 +30,25 @@ def gr(re, im=0):
 def test_modulus_identity():
     a = GaussianRational(Fraction(1, 2), Fraction(1))
     assert a * a.conjugate() == gr(Fraction(5, 4))
+
+
+def test_values_are_read_only():
+    # an instance's memo is keyed by nothing but its values, so a value that
+    # could change under it would leave construct a stale equation
+    inst = random_instance(4, seed=21)
+    value, key = inst.finite_points[0][0], hash(inst)
+    state = (value._r, value._i, value._d)
+    for name in ("_r", "_i", "_d"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 7)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value._r += 7
+    assert (value._r, value._i, value._d) == state
+    assert hash(inst) == key
+    for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert copied == value and (copied._r, copied._i, copied._d) == state
 
 
 def test_rational_addition():
