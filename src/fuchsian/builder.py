@@ -68,7 +68,9 @@ from operator import mul
 
 from .linalg import Matrix
 from .model import FuchsianEquation, FuchsianInstance, _per_instance, _psi_ints, fuchs_defect
-from .polynomials import Polynomial, _deflate, _in_frame, _monic_ints, _taylor_head_ints
+from .polynomials import (
+    Polynomial, _deflate, _from_frame, _in_frame, _monic_ints, _taylor_head_ints,
+)
 from .scalars import ONE, ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
 
 
@@ -102,7 +104,7 @@ def solve_g(instance: FuchsianInstance) -> Polynomial:
         for j, (x, y) in enumerate(zip(qr, qi)):
             gr[j] += c * x - s * y
             gi[j] += c * y + s * x
-    g = Polynomial(map(from_gaussian_ints, gr, gi, [den * e ** (d - 1 - j) for j in range(d)]))
+    g = _from_frame(den, gr, gi, e, d - 1)
     expected_top = ONE + instance.infinity_exponents.sum
     if g.coefficient(d - 1) != expected_top:
         defect = fuchs_defect(instance)
@@ -130,7 +132,7 @@ def _rhs_terms(instance: FuchsianInstance, g: Polynomial) -> tuple:
     """
     e, xr, xi, (pr, pi) = _psi_ints(instance)
     n, d = instance.n, len(xr)
-    gd, gr, gi = _in_frame(*to_gaussian_ints(g.padded(d)), e)
+    gd, gr, gi = _in_frame(g.padded(d), e)
     heads = [_taylor_head_ints(pr, pi, a, b, 3) for a, b in zip(xr, xi)]
     slopes = [from_gaussian_ints(re[1], im[1], e ** (d - 1)) for re, im in heads]
     halves = [from_gaussian_ints(re[2], im[2], e ** (d - 2)) for re, im in heads[n:]]
@@ -241,12 +243,11 @@ def _hermite_frame(instance: FuchsianInstance):
     pr, pi = _monic_ints(pr, pi, xr, xi, [m - 1 for m in mults])  # Omega~ = Psi~ prod (Z - Q)^(m-1)
     nodes = []
     for k, (a, b, m) in enumerate(zip(xr, xi, mults)):
-        chain, w = [(pr, pi)], []
-        for i in range(m + (1 if m == 1 else 3)):  # m deflations, then W~'s Taylor terms
-            *quotient, re, im = _deflate(*chain[-1], a, b)
-            chain.append(quotient)
-            if i >= m:
-                w.append(from_gaussian_ints(re, im, 1))
+        chain = [(pr, pi)]
+        for _ in range(m):
+            chain.append(_deflate(*chain[-1], a, b)[:2])
+        head = _taylor_head_ints(*chain[-1], a, b, 1 if m == 1 else 3)  # W~'s Taylor data
+        w = [from_gaussian_ints(re, im, 1) for re, im in zip(*head)]
         if not w[0]:
             raise VerificationFailed("h-system is singular: two Hermite nodes coincide")
         v = [ONE / w[0]]  # sum_l w_l v_(i-l) = 0 for i > 0
@@ -291,10 +292,7 @@ def solve_h(instance: FuchsianInstance, free_values=()) -> Polynomial:
             for k, (x, y) in enumerate(zip(pr, pi), shift):
                 hr[k] += a * x - b * y
                 hi[k] += a * y + b * x
-    top, up = deg + free, e**free  # h_k = H_k E^k / (L E^D) = H_k E^free / (L E^(top-k))
-    dens = [den * e ** (top - k) for k in range(top + 1)]
-    coeffs = [from_gaussian_ints(a * up, b * up, d) for a, b, d in zip(hr, hi, dens)]
-    return Polynomial(coeffs)
+    return _from_frame(den, hr, hi, e, deg)  # h_k = H_k E^k / (L E^D)
 
 
 def construct(instance: FuchsianInstance) -> FuchsianEquation:

@@ -51,7 +51,7 @@ then A_0 s (s-2), and no series is divided.
 The truncated series is then substituted into the cleared equation on the
 left, read off the raw heads.  The recursion reads the window products A, B
 and C and the residual reads the raw heads, so a wrong product shows up in
-the residual.
+the residual.  Both take their products from one kernel, _product_sum.
 """
 
 from __future__ import annotations
@@ -60,10 +60,11 @@ from math import gcd
 
 from .model import ExponentPair, FuchsianEquation, _psi_ints
 from .polynomials import _in_frame, _taylor_head_ints
-from .scalars import GaussianRational, _Record, from_gaussian_ints, to_gaussian_ints
+from .scalars import GaussianRational, _Record, from_gaussian_ints
 
-#: Series depth of the recursion verify() runs; the resonance sits at s = 2,
-#: so the depth beyond it is pure safety margin.
+#: Series depth of the recursion verify() runs.  Omega is read at s = 2; the
+#: orders past it let the cleared residual re-check the window products: an
+#: error at order 2 of B or C leaves omega alone, and only the residual sees it.
 DEFAULT_DEPTH = 8
 
 
@@ -91,16 +92,17 @@ def _indicial(root_sum: GaussianRational, root_product: GaussianRational) -> Ind
 def _recursion(a: tuple, b: tuple, c: tuple) -> tuple:
     """The power-series recursion of A u w'' + B w' + C w = 0 at an apparent
     point, fraction-free on Gaussian integers: a, b and c are the windows of
-    A, B and C from order 0 ((re, im) int lists, a no shorter than b), with
-    A_0 a positive integer and B_0 = -A_0, so that the coefficient of a_s in
-    order s-1 is A_0 s (s-2).  The a_k share one denominator e, with a_0 = 1.
-    It stops at the resonance s = 2 when omega there is nonzero, and
-    otherwise sets a_2 = 0 and runs on to s = top, the length of b.
+    A, B and C from order 0 ((re, im) int lists), with A_0 a positive integer
+    and B_0 = -A_0, so that the coefficient of a_s in order s-1 is A_0 s (s-2).
+    The a_k share one denominator e, with a_0 = 1.  It stops at the resonance
+    s = 2 when omega there is nonzero, and otherwise sets a_2 = 0 and runs on
+    to s = top, the length of b and c; A is read against a_k with k > 2 only,
+    so top - 2 terms of it suffice.
 
     Returns ((re, im, den) of omega, ar, ai, e) with a_k = (ar[k] + ai[k]*i)
     / e and omega = acc / (A_0 e) at s = 2, the resonance value of the
-    equation divided by A_0.  Step s != 2 scales every a_k by the known divisor A_0 s (s-2),
-    appends -acc and divides out the integer content.
+    equation divided by A_0.  Step s != 2 scales every a_k by the known
+    divisor A_0 s (s-2), appends -acc and divides out the integer content.
     """
     (a_re, a_im), (b_re, b_im), (c_re, c_im) = a, b, c
     lead, top = a_re[0], len(b_re)
@@ -110,8 +112,12 @@ def _recursion(a: tuple, b: tuple, c: tuple) -> tuple:
         # acc / e = sum_k (k (k-1) A_(s-k) + k B_(s-k) + C_(s-1-k)) * a_k
         acc_r, acc_i = 0, 0
         for k in range(s):
+            if k == 2:  # a_2 = 0 past the resonance
+                continue
             cr, ci = c_re[s - 1 - k], c_im[s - 1 - k]
-            if k:
+            if k == 1:
+                cr, ci = cr + b_re[s - 1], ci + b_im[s - 1]
+            elif k:
                 cr += k * (b_re[s - k] + (k - 1) * a_re[s - k])
                 ci += k * (b_im[s - k] + (k - 1) * a_im[s - k])
             acc_r += cr * ar[k] - ci * ai[k]
@@ -147,24 +153,20 @@ def _cleared_residual(p: tuple, g: tuple, h: tuple, w: tuple, weights: tuple) ->
     size = len(w[0])
     w1 = tuple([b * k * x for k, x in enumerate(part) if k] for part in w)
     w2 = tuple([a * k * (k - 1) * x for k, x in enumerate(part) if k > 1] for part in w)
-    inner = _mul_add(p, w2, g, w1, size - 1)
-    return _mul_add(p, inner, h, tuple([c * x for x in part] for part in w), size)
+    inner = _product_sum(size - 1, (p, w2), (g, w1))
+    return _product_sum(size, (p, inner), (h, tuple([c * x for x in part] for part in w)))
 
 
-def _mul_add(f, u, g, v, size: int) -> tuple:
-    """Orders 0 .. size-1 of f*u + g*v for Gaussian-integer windows, each an
-    (re, im) pair of int lists from order 0; entries past the end of a window
-    are left out of the sums."""
-    out_r, out_i = [], []
-    for m in range(size):
-        re = im = 0
-        for (xr, xi), (yr, yi) in ((f, u), (g, v)):
-            for j in range(max(0, m - len(yr) + 1), min(m + 1, len(xr))):
-                k = m - j
-                re += xr[j] * yr[k] - xi[j] * yi[k]
-                im += xr[j] * yi[k] + xi[j] * yr[k]
-        out_r.append(re)
-        out_i.append(im)
+def _product_sum(size: int, *pairs) -> tuple:
+    """Orders 0 .. size-1 of the sum of f*u over the pairs (f, u) of
+    Gaussian-integer windows, each an (re, im) pair of int lists from order
+    0; entries past the end of a window are left out of the sums."""
+    out_r, out_i = [0] * size, [0] * size
+    for (fr, fi), (ur, ui) in pairs:
+        for j, (x, y) in enumerate(zip(fr[:size], fi)):
+            for k, (v, w) in enumerate(zip(ur[: size - j], ui), j):
+                out_r[k] += x * v - y * w
+                out_i[k] += x * w + y * v
     return out_r, out_i
 
 
@@ -296,8 +298,7 @@ def _frame(eq: FuchsianEquation) -> tuple:
     d = eq.instance.n + eq.instance.num_apparent
     e, xr, xi, psi_ints = _psi_ints(eq.instance)
     (dg, *g_ints), (dh, *h_ints) = [
-        _in_frame(*to_gaussian_ints(f.padded(size)), e)
-        for f, size in ((eq.g, d), (eq.h, 2 * d - 1))
+        _in_frame(f.padded(size), e) for f, size in ((eq.g, d), (eq.h, 2 * d - 1))
     ]
     return e, xr, xi, (psi_ints, g_ints, h_ints), (dg, dh)
 
@@ -340,7 +341,8 @@ def _log_free_check(scales: tuple, e: int, heads: tuple) -> tuple:
 
     The recursion runs on A u w'' + B w' + C w with U = Psi / u, c = U_0 =
     Psi_1 and A = dg dh U^2, B = dh U G, C = dg H / u, all times conj(c)^2:
-    window products of the raw heads, which no series divides.  Its a_k are
+    window products of the raw heads, which no series divides, each as long
+    as the recursion reads it (A depth - 2 terms, B and C depth).  Its a_k are
     the coefficients in u, omega in z - x is E^2 times its value in u, and
     the cleared residual dg dh Psi^2 w'' + dh Psi G w' + dg H w reads the
     a_k with the raw heads, so a wrong window product shows up there.
@@ -348,15 +350,16 @@ def _log_free_check(scales: tuple, e: int, heads: tuple) -> tuple:
     dg, dh = scales
     (pr, pi), g, (hr, hi) = heads
     depth = len(g[0])
-    cr, ci = pr[1], pi[1]
-    unit, none = (pr[1:], pi[1:]), ([], [])
+    unit, cr, ci = (pr[1:], pi[1:]), pr[1], pi[1]
+    sr, si = cr * cr - ci * ci, -2 * cr * ci  # conj(c)^2
 
     def scaled(x, window):  # x conj(c)^2 times the window
-        return _mul_add(([x * (cr * cr - ci * ci)], [-2 * x * cr * ci]), window, none, none, depth)
+        xr, xi, terms = x * sr, x * si, list(zip(*window))
+        return [xr * v - xi * w for v, w in terms], [xr * w + xi * v for v, w in terms]
 
     (wr, wi, wden), ar, ai, _ = _recursion(
-        scaled(dg * dh, _mul_add(unit, unit, none, none, depth)),
-        scaled(dh, _mul_add(unit, g, none, none, depth)),
+        scaled(dg * dh, _product_sum(depth - 2, (unit, unit))),
+        scaled(dh, _product_sum(depth, (unit, g))),
         scaled(dg, (hr[1:], hi[1:])),
     )
     omega = from_gaussian_ints(wr * e * e, wi * e * e, wden)

@@ -18,8 +18,8 @@ An instance is checked once, when it is built: at least two finite points,
 all points pairwise distinct, or InvalidInstance.  Instances and equations
 are read-only, so a built one stays valid; they compare, hash and pickle by
 value.  That rule is written once, as scalars._Frozen, and every value
-reachable from an instance follows it (its exponent pairs, an equation's
-polynomials) but GaussianRational, whose slots only its constructors write.
+reachable from an instance follows it: its exponent pairs, an equation's
+polynomials and every GaussianRational in them.
 
 An instance also keeps a memo of what is computed from its points and
 exponents alone, each value on first use: the point frame (_psi_ints) here,

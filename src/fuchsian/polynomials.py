@@ -21,17 +21,17 @@ its reduced denominator); its head at x is then plain repeated synthetic
 division by Z - X (_taylor_head_ints), the remainders being the Taylor
 coefficients in u = Z - X = E (z - x), with no power of E inside the kernel.
 The verifier and the builder read these raw values in the instance's point
-frame; Polynomial.shift frames at its point's own denominator and divides
-the powers of E out.  No kernel divides one series by another.  The test
-suite checks every kernel against a plain Fraction reference and reads its
-independent Laurent expansions off that reference, not off these kernels.
+frame.  _from_frame is the one way back: coefficient k times E^(k-deg)
+makes a Polynomial, for solve_g, solve_h and Polynomial.shift, which frames
+at its point's own denominator.  No kernel divides one series by another.
+The test suite checks every kernel against a plain Fraction reference and
+reads its independent Laurent expansions off that reference, not off these
+kernels.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, repeat
 from math import gcd
-from operator import mul
 
 from .scalars import ONE, ZERO, GaussianRational, _Frozen, from_gaussian_ints, to_gaussian_ints
 
@@ -79,15 +79,12 @@ class Polynomial(_Frozen):
     def shift(self, a) -> Polynomial:
         """Taylor shift: the polynomial q with q(x) = p(x + a).
 
-        With a = A/e and p framed at e by _in_frame, over den, q_k is the
-        frame's Taylor coefficient of order k at A over den e^(deg-k)."""
+        With a = A/e and p framed at e by _in_frame, q_k is the frame's
+        Taylor coefficient of order k at A, read back by _from_frame."""
         e, (ar,), (ai,) = to_gaussian_ints([GaussianRational.coerce(a)])
-        den, re, im = _in_frame(*to_gaussian_ints(self.coeffs), e)
+        den, re, im = _in_frame(self.coeffs, e)
         deg = len(re) - 1
-        head = _taylor_head_ints(re, im, ar, ai, deg + 1)
-        return Polynomial(
-            from_gaussian_ints(x, y, den * e ** (deg - k)) for k, (x, y) in enumerate(zip(*head))
-        )
+        return _from_frame(den, *_taylor_head_ints(re, im, ar, ai, deg + 1), e, deg)
 
     def __str__(self):
         if self.is_zero:
@@ -137,16 +134,24 @@ def _deflate(pr: list, pi: list, a: int, b: int) -> tuple:
     return qr, qi, pr[0] + a * x - b * y, pi[0] + a * y + b * x
 
 
-def _in_frame(den: int, re: list, im: list, e: int) -> tuple:
-    """(den', re', im'): E^deg F(Z/E) for F = (re + im*i) / den given as
-    ascending int lists, deg = len(re) - 1, in lowest terms: coefficient k is
-    multiplied by e^(deg-k), then the integer content is divided out."""
-    deg = len(re) - 1
-    powers = _powers(e, deg + 1)
-    re = [c * powers[deg - k] for k, c in enumerate(re)]
-    im = [c * powers[deg - k] for k, c in enumerate(im)]
+def _in_frame(coeffs, e: int) -> tuple:
+    """(den, re, im): E^deg F(Z/E) for F with the GaussianRational coeffs,
+    deg = len(coeffs) - 1, as ascending int lists over den in lowest terms:
+    coefficient k is multiplied by e^(deg-k), then the integer content is
+    divided out.  _from_frame reads it back."""
+    den, re, im = to_gaussian_ints(coeffs)
+    powers = [e ** (len(re) - 1 - k) for k in range(len(re))]
+    re, im = [c * x for c, x in zip(re, powers)], [c * x for c, x in zip(im, powers)]
     content = gcd(den, *re, *im)
     return den // content, [x // content for x in re], [x // content for x in im]
+
+
+def _from_frame(den: int, re: list, im: list, e: int, deg: int) -> Polynomial:
+    """The Polynomial whose coefficient k is (re[k] + im[k]*i) / den times
+    E^(k-deg), deg at most len(re) - 1: _in_frame's inverse at deg."""
+    top, up = len(re) - 1, e ** (len(re) - 1 - deg)
+    dens = [den * e ** (top - k) for k in range(top + 1)]
+    return Polynomial(map(from_gaussian_ints, [x * up for x in re], [y * up for y in im], dens))
 
 
 def _taylor_head_ints(re: list, im: list, a: int, b: int, terms: int) -> tuple:
@@ -171,8 +176,3 @@ def _taylor_head_ints(re: list, im: list, a: int, b: int, terms: int) -> tuple:
                 wi[i] += a * y + b * x
     pad = [0] * (terms - deg - 1)
     return wr[:terms] + pad, wi[:terms] + pad
-
-
-def _powers(e: int, count: int) -> list:
-    """[1, e, e^2, ..., e^(count-1)]."""
-    return list(accumulate(repeat(e, count - 1), mul, initial=1))

@@ -379,7 +379,7 @@ def test_one_point_frame_per_instance(monkeypatch):
     eq = construct(inst)
     assert verify(eq).overall
     assert (len(factors), sum(factors)) == (2, 18)
-    assert len(deflations) == 10 + 6 * 2 + 4 * 6  # g, then m + 1 or m + 3 per node, m = 1 or 3
+    assert len(deflations) == 10 + 6 + 4 * 3  # g, then m per node, m = 1 or 3
     factors.clear()
     deflations.clear()
     solve_g(inst)

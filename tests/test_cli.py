@@ -194,8 +194,9 @@ def test_gen_deterministic_and_constructible(tmp_path, capsys):
     assert main(["construct", "-i", str(src), "-o", str(tmp_path / "eq.json")]) == 0
 
 
-def test_gen_rejects_small_n():
+def test_gen_rejects_small_n(capsys):
     assert main(["gen", "--n", "1"]) == 1
+    assert capsys.readouterr() == ("", "fuchsian: need n >= 2, got 1\n")
 
 
 def test_gen_rejects_more_points_than_the_pool(capsys):

@@ -10,6 +10,7 @@ polynomial from the series-form one, so only its vanishing is compared.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from conftest import cleared_residual, frame_psi, recursion, reference_local
 from hypothesis import example, given, settings
@@ -19,10 +20,10 @@ from strategies import regime_instances
 import fraction_reference as ref
 from elimination_reference import build_g_system
 from fuchsian.builder import build_h_system, construct, solve_g, solve_h
-from fuchsian.frobenius import DEFAULT_DEPTH, _mul_add, _recursion, verify
+from fuchsian.frobenius import DEFAULT_DEPTH, _product_sum, _recursion, verify
 from fuchsian.linalg import Matrix, det, eliminate, rank
 from fuchsian.model import FuchsianEquation, FuchsianInstance
-from fuchsian.polynomials import Polynomial, _deflate, _monic_ints
+from fuchsian.polynomials import Polynomial, _deflate, _from_frame, _in_frame, _monic_ints
 from fuchsian.sampling import random_instance
 from fuchsian.scalars import ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
 
@@ -161,14 +162,15 @@ def _values(re, im) -> list:
        size=st.integers(0, 9))
 @example(a=[(1, 0)], b=[(0, 1)] * 5, c=[], d=[(2, -1)], size=5)
 def test_series_product_matches_convolution(a, b, c, d, size):
-    # _mul_add, the cleared residual's products: orders 0 .. size-1 of
-    # a*b + c*d, entries past a window's end counting as zero
+    # _product_sum, verify's one product kernel: orders 0 .. size-1 of a*b
+    # and of a*b + c*d, entries past a window's end counting as zero
     def padded(window):
         return (_values(*_parts(window)) + [ZERO] * size)[:size]
 
     product = ref.series_product(padded(a), padded(b))
+    assert _values(*_product_sum(size, (_parts(a), _parts(b)))) == product
     product = [x + y for x, y in zip(product, ref.series_product(padded(c), padded(d)))]
-    got = _mul_add(_parts(a), _parts(b), _parts(c), _parts(d), size)
+    got = _product_sum(size, (_parts(a), _parts(b)), (_parts(c), _parts(d)))
     assert _values(*got) == product
 
 
@@ -186,6 +188,24 @@ def test_taylor_head_matches_fraction_reference(coeffs, at, terms):
     shifted = p.shift(at)
     assert shifted.degree == p.degree
     assert [shifted.coefficient(k) for k in range(order + terms)] == [ZERO] * order + head
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=st.lists(_coefficients, max_size=10), e=st.integers(1, 12))
+@example(coeffs=[], e=1)
+@example(coeffs=[], e=6)
+@example(coeffs=[ZERO, GaussianRational(Fraction(1, 3), -2)], e=1)
+def test_frame_round_trip(coeffs, e):
+    # _in_frame writes E^deg p(Z/E) in lowest terms and _from_frame reads it
+    # back; read at deg - 1, every coefficient comes back times E, and
+    # padding with zeros, as verify's frame does, changes nothing
+    p = Polynomial(coeffs)
+    deg = len(p.coeffs) - 1
+    den, re, im = _in_frame(p.coeffs, e)
+    assert den > 0 and gcd(den, *re, *im) == 1 and len(re) == len(im) == deg + 1
+    assert _from_frame(den, re, im, e, deg) == p
+    assert _from_frame(den, re, im, e, deg - 1) == Polynomial([c * e for c in p.coeffs])
+    assert _from_frame(*_in_frame(p.padded(deg + 3), e), e, deg + 2) == p
 
 
 _nodes = st.lists(st.tuples(_coefficients, st.integers(1, 3)), min_size=1, max_size=6)
@@ -261,15 +281,13 @@ def test_frobenius_recursion_matches_fraction_reference(random_apparent_locals):
     assert any(omegas) and not all(omegas)
 
 
-def test_frobenius_recursion_reads_the_leading_window(random_apparent_locals):
-    # The equation times a unit window U^2 has the same series solution and
-    # omega.  A = U^2, B = U^2 (u g) and C = U^2 (u h), scaled by conj(U_0)^2,
-    # run the k (k-1) A term, which conftest.recursion's constant leading
-    # window never reaches.  Every other local is made log-free by its
-    # closed form h_0 = -(g_0 + h_(-1)) h_(-1), so that the recursion runs
-    # past s = 2, where that term starts.
+def _leading_windows(random_apparent_locals):
+    """(local, (a, b, c)) for each local, the equation times a unit window
+    U^2, which has the same series solution and omega: A = U^2, B = U^2 (u g)
+    and C = U^2 (u h), scaled by conj(U_0)^2.  Every other local is made
+    log-free by its closed form h_0 = -(g_0 + h_(-1)) h_(-1), so that the
+    recursion runs past s = 2."""
     rng = random.Random(2718)
-    omegas = []
     for k, local in enumerate(random_apparent_locals):
         if k % 2:
             g, (h_pole, _, *h_rest) = local.g_series, local.h_series.coeffs
@@ -285,12 +303,55 @@ def test_frobenius_recursion_reads_the_leading_window(random_apparent_locals):
             for w in (local.g_series, local.h_series)
         )
         den, re, im = to_gaussian_ints(square + b + c)
-        a, b, c = ((re[j : j + top], im[j : j + top]) for j in range(0, 3 * top, top))
-        omega, ar, ai, e = _recursion(a, b, c)
+        yield local, tuple((re[j : j + top], im[j : j + top]) for j in range(0, 3 * top, top))
+
+
+def test_frobenius_recursion_reads_the_leading_window(random_apparent_locals):
+    # The windows of _leading_windows run the k (k-1) A term, which
+    # conftest.recursion's constant leading window never reaches.
+    omegas = []
+    for k, (local, windows) in enumerate(_leading_windows(random_apparent_locals)):
+        omega, ar, ai, e = _recursion(*windows)
         got = from_gaussian_ints(*omega), tuple(from_gaussian_ints(x, y, e) for x, y in zip(ar, ai))
         assert got == ref.obstruction(local, DEFAULT_DEPTH), k
         omegas.append(got[0])
     assert any(omegas) and not all(omegas)
+
+
+def test_recursion_reads_a_to_two_orders_short(random_apparent_locals):
+    # A is read against a_k for k > 2 only (k (k-1) vanishes at k = 1, and
+    # a_2 = 0 past the resonance), so its last two orders are never read
+    runs = []
+    for local, (a, b, c) in _leading_windows(random_apparent_locals):
+        got = _recursion(tuple(part[: len(b[0]) - 2] for part in a), b, c)
+        assert got == _recursion(a, b, c)
+        runs.append(len(got[1]))
+    assert max(runs) == DEFAULT_DEPTH + 1 and min(runs) == 2
+
+
+_gaussian_int = st.tuples(st.integers(-30, 30), st.integers(-30, 30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(top=st.integers(3, 10), lead=st.integers(1, 6), log_free=st.booleans(), data=st.data())
+def test_recursion_ignores_the_tail_of_a(top, lead, log_free, data):
+    # arbitrary windows with A_0 = lead and B_0 = -lead, half of them made
+    # log-free at s = 2 (C_0 = lead t and C_1 = -(B_1 + C_0) t make omega
+    # vanish); A's last two orders are drawn and never read
+    def window():
+        return _parts(data.draw(st.lists(_gaussian_int, min_size=top, max_size=top)))
+
+    (ar, ai), (br, bi), (cr, ci) = window(), window(), window()
+    ar[0], ai[0], br[0], bi[0] = lead, 0, -lead, 0
+    if log_free:
+        tr, ti = cr[0], ci[0]
+        cr[0], ci[0] = lead * tr, lead * ti
+        xr, xi = br[1] + cr[0], bi[1] + ci[0]
+        cr[1], ci[1] = -(xr * tr - xi * ti), -(xr * ti + xi * tr)
+    got = _recursion((ar, ai), (br, bi), (cr, ci))
+    assert _recursion((ar[: top - 2], ai[: top - 2]), (br, bi), (cr, ci)) == got
+    if log_free:
+        assert got[0][:2] == (0, 0) and len(got[1]) == top + 1
 
 
 def test_cleared_residual_vanishes_with_series_residual():

@@ -4,6 +4,10 @@
   library, `frobenius` imports only `model`, `polynomials` and `scalars`.
 - The verifier divides no series: from `polynomials` it takes exactly the
   frame and Taylor-head kernels `FROBENIUS_FROM_POLYNOMIALS`.
+- One kernel per job: the module-level functions `polynomials` and
+  `frobenius` define are exactly `MODULE_FUNCTIONS`, so `polynomials` holds
+  the frame rule both ways (`_in_frame`, `_from_frame`) and `frobenius` one
+  product kernel (`_product_sum`); a second one shows up as an edit here.
 - The local analysis at the points is one loop: the public functions
   `frobenius` defines are exactly `verify` and `report_to_json_obj`, and
   `dimension` imports only `verify` from it.
@@ -53,6 +57,13 @@ DIMENSION_FROM_BUILDER = [
     "VerificationFailed", "fredholm_terms", "fredholm_values", "solve_g", "solve_h",
 ]
 FROBENIUS_FROM_POLYNOMIALS = ["_in_frame", "_taylor_head_ints"]
+MODULE_FUNCTIONS = {
+    "polynomials": ["_deflate", "_from_frame", "_in_frame", "_monic_ints", "_taylor_head_ints"],
+    "frobenius": [
+        "_cleared_residual", "_frame", "_heads", "_indicial", "_log_free_check", "_momentum",
+        "_pole_terms", "_product_sum", "_recursion", "report_to_json_obj", "verify",
+    ],
+}
 FROZEN_RULE = ("__setattr__", "__delattr__", "__reduce__")
 TEST_MODULES = {path.stem for path in Path(__file__).parent.glob("*.py")}
 
@@ -93,6 +104,13 @@ def test_frobenius_divides_no_series():
         for name in names
     ]
     assert sorted(imported) == FROBENIUS_FROM_POLYNOMIALS
+
+
+def test_kernel_set_is_pinned():
+    for stem, names in MODULE_FUNCTIONS.items():
+        tree = ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+        defined = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+        assert sorted(defined) == names, stem
 
 
 def test_verify_is_the_one_local_analysis():
