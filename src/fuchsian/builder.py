@@ -9,7 +9,8 @@ apparent point q_j.  With deg g < deg psi this is the partial-fraction sum
 so g needs no linear system: each term is psi deflated by one root.  In
 the instance's point frame, model._psi_ints, x_k = X_k / E over the lcm E
 of the point denominators and Psi~ = prod (Z - X_k) on Gaussian integers;
-with c_k = C_k / L, solve_g sums G~ = sum_k C_k Psi~ / (Z - X_k) and g_j =
+with c_k = C_k / L, solve_g sums G~ = sum_k C_k Psi~ / (Z - X_k) with
+polynomials._product_sum, each quotient from _taylor_head_ints, and g_j =
 G~_j / (L E^(d-1-j)).  The top coefficient of g is sum_k c_k, the condition
 at infinity asks for 1 + l1 + l2, and they differ by the exponent-sum
 defect, so solve_g re-checks it and rejects an inadmissible instance.
@@ -40,12 +41,12 @@ is given and 2 elsewhere, h = S Omega + R, deg R < D = deg Omega, and
 C_(x,i) the i-th Taylor coefficient of h / (Omega / (z - x)^m) at x (Stoer
 and Bulirsch, section 2.1.5).  S is l1 * l2, or for N < n - 2 of degree
 n - 2 - N with lower coefficients set by free_k, h's coefficient of z^(D+k).
-solve_h sums this on Gaussian integers: with Z = E z, Omega~(Z) =
-E^D Omega(z) = Psi~ prod (Z - Q_j)^(m_j - 1) and each deflation
-Omega~ / (Z - X)^k have Gaussian-integer coefficients.  For N > n - 2
-each later row h''(q_j) has a closed-form left-nullspace vector y, and the
-h-system has a solution exactly when every y . rhs, quadratic in the
-momenta, vanishes: fredholm_terms is the one statement of the over case,
+solve_h sums this on Gaussian integers with the same _product_sum: with
+Z = E z, Omega~(Z) = E^D Omega(z) = Psi~ prod (Z - Q_j)^(m_j - 1) and each
+deflation Omega~ / (Z - X)^k have Gaussian-integer coefficients.  For
+N > n - 2 each later row h''(q_j) has a closed-form left-nullspace vector y,
+and the h-system has a solution exactly when every y . rhs, quadratic in
+the momenta, vanishes: fredholm_terms is the one statement of the over case,
 and fredholm_values its value at given momenta.  h_matrix and
 build_h_system stay for det-check and for the tests, which compare every
 closed form here with elimination and Laurent series.
@@ -69,7 +70,7 @@ from operator import mul
 from .linalg import Matrix
 from .model import FuchsianEquation, FuchsianInstance, _per_instance, _psi_ints, fuchs_defect
 from .polynomials import (
-    Polynomial, _deflate, _from_frame, _in_frame, _monic_ints, _taylor_head_ints,
+    Polynomial, _from_frame, _in_frame, _monic_ints, _product_sum, _taylor_head_ints,
 )
 from .scalars import ONE, ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
 
@@ -98,13 +99,9 @@ def solve_g(instance: FuchsianInstance) -> Polynomial:
     residues = [ONE - pair.sum for _, pair in instance.finite_points]
     den, cr, ci = to_gaussian_ints(residues + [-ONE] * instance.num_apparent)
     d = len(xr)
-    gr, gi = [0] * d, [0] * d
-    for a, b, c, s in zip(xr, xi, cr, ci):
-        qr, qi, _, _ = _deflate(*product, a, b)
-        for j, (x, y) in enumerate(zip(qr, qi)):
-            gr[j] += c * x - s * y
-            gi[j] += c * y + s * x
-    g = _from_frame(den, gr, gi, e, d - 1)
+    quotients = [_taylor_head_ints(*product, a, b, 1) for a, b in zip(xr, xi)]
+    pairs = [(([c], [s]), (re[1:], im[1:])) for c, s, (re, im) in zip(cr, ci, quotients)]
+    g = _from_frame(den, *_product_sum(d, *pairs), e, d - 1)
     expected_top = ONE + instance.infinity_exponents.sum
     if g.coefficient(d - 1) != expected_top:
         defect = fuchs_defect(instance)
@@ -243,11 +240,12 @@ def _hermite_frame(instance: FuchsianInstance):
     pr, pi = _monic_ints(pr, pi, xr, xi, [m - 1 for m in mults])  # Omega~ = Psi~ prod (Z - Q)^(m-1)
     nodes = []
     for k, (a, b, m) in enumerate(zip(xr, xi, mults)):
-        chain = [(pr, pi)]
+        chain, size = [(pr, pi)], 1 if m == 1 else 3
         for _ in range(m):
-            chain.append(_deflate(*chain[-1], a, b)[:2])
-        head = _taylor_head_ints(*chain[-1], a, b, 1 if m == 1 else 3)  # W~'s Taylor data
-        w = [from_gaussian_ints(re, im, 1) for re, im in zip(*head)]
+            re, im = _taylor_head_ints(*chain[-1], a, b, 1)
+            chain.append((re[1:], im[1:]))
+        re, im = _taylor_head_ints(*chain[-1], a, b, size)  # W~'s Taylor data
+        w = [from_gaussian_ints(x, y, 1) for x, y in zip(re[:size], im[:size])]
         if not w[0]:
             raise VerificationFailed("h-system is singular: two Hermite nodes coincide")
         v = [ONE / w[0]]  # sum_l w_l v_(i-l) = 0 for i > 0
@@ -286,13 +284,9 @@ def solve_h(instance: FuchsianInstance, free_values=()) -> Polynomial:
         scaled += [sum([tau[l] * v[i - l] for l in range(i + 1) if tau[l]], ZERO) for i in range(m)]
         terms += [(0, deflations[m - i - 1]) for i in range(m)]
     den, cr, ci = to_gaussian_ints(scaled)
-    hr, hi = [0] * (deg + free + 1), [0] * (deg + free + 1)
-    for (shift, (pr, pi)), a, b in zip(terms, cr, ci):
-        if a or b:
-            for k, (x, y) in enumerate(zip(pr, pi), shift):
-                hr[k] += a * x - b * y
-                hi[k] += a * y + b * x
-    return _from_frame(den, hr, hi, e, deg)  # h_k = H_k E^k / (L E^D)
+    pairs = [(([0] * k + [a], [0] * k + [b]), window) for (k, window), a, b in zip(terms, cr, ci)]
+    # h_k = H_k E^k / (L E^D)
+    return _from_frame(den, *_product_sum(deg + free + 1, *pairs), e, deg)
 
 
 def construct(instance: FuchsianInstance) -> FuchsianEquation:

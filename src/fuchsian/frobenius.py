@@ -51,7 +51,8 @@ then A_0 s (s-2), and no series is divided.
 The truncated series is then substituted into the cleared equation on the
 left, read off the raw heads.  The recursion reads the window products A, B
 and C and the residual reads the raw heads, so a wrong product shows up in
-the residual.  Both take their products from one kernel, _product_sum.
+the residual.  Both take their products from polynomials._product_sum, the
+package's one product kernel.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from __future__ import annotations
 from math import gcd
 
 from .model import ExponentPair, FuchsianEquation, _psi_ints
-from .polynomials import _in_frame, _taylor_head_ints
+from .polynomials import _in_frame, _product_sum, _taylor_head_ints
 from .scalars import GaussianRational, _Record, from_gaussian_ints
 
 #: Series depth of the recursion verify() runs.  Omega is read at s = 2; the
@@ -155,19 +156,6 @@ def _cleared_residual(p: tuple, g: tuple, h: tuple, w: tuple, weights: tuple) ->
     w2 = tuple([a * k * (k - 1) * x for k, x in enumerate(part) if k > 1] for part in w)
     inner = _product_sum(size - 1, (p, w2), (g, w1))
     return _product_sum(size, (p, inner), (h, tuple([c * x for x in part] for part in w)))
-
-
-def _product_sum(size: int, *pairs) -> tuple:
-    """Orders 0 .. size-1 of the sum of f*u over the pairs (f, u) of
-    Gaussian-integer windows, each an (re, im) pair of int lists from order
-    0; entries past the end of a window are left out of the sums."""
-    out_r, out_i = [0] * size, [0] * size
-    for (fr, fi), (ur, ui) in pairs:
-        for j, (x, y) in enumerate(zip(fr[:size], fi)):
-            for k, (v, w) in enumerate(zip(ur[: size - j], ui), j):
-                out_r[k] += x * v - y * w
-                out_i[k] += x * w + y * v
-    return out_r, out_i
 
 
 class FinitePointReport(_Record):
@@ -306,8 +294,10 @@ def _frame(eq: FuchsianEquation) -> tuple:
 def _heads(polys: tuple, a: int, b: int, sizes: tuple) -> list:
     """For each Gaussian-integer polynomial of polys ((re, im) int lists) its
     first sizes[k] Taylor coefficients at X = a + b*i: the coefficients in
-    u = Z - X = E (z - x)."""
-    return [_taylor_head_ints(re, im, a, b, size) for (re, im), size in zip(polys, sizes)]
+    u = Z - X = E (z - x), without the quotient _taylor_head_ints returns
+    past them."""
+    heads = [_taylor_head_ints(re, im, a, b, size) for (re, im), size in zip(polys, sizes)]
+    return [(re[:size], im[:size]) for (re, im), size in zip(heads, sizes)]
 
 
 def _pole_terms(scales: tuple, heads: tuple) -> tuple:

@@ -9,7 +9,7 @@ A row that carries no pivot eliminates to (0 .. 0 | r), and the system is
 consistent exactly when every such r vanishes.  The package solves g and h
 in closed form; elimination is the oracle its tests, and det-check, use, so
 it is plain Gaussian elimination on canonical GaussianRational rows: one
-forward pass serves `eliminate`, `rank` and `det`.
+forward pass serves `eliminate`, whose outcome carries the rank, and `det`.
 """
 
 from __future__ import annotations
@@ -150,11 +150,6 @@ def eliminate(matrix: Matrix, rhs) -> SolveOutcome:
         pivot_rows=tuple(r for r, _ in pivots),
         pivot_cols=tuple(c for _, c in pivots),
     )
-
-
-def rank(matrix: Matrix) -> int:
-    """Exact rank."""
-    return len(_echelon([list(matrix.row(r)) for r in range(matrix.rows)], matrix.cols))
 
 
 def det(matrix: Matrix) -> GaussianRational:

@@ -8,9 +8,11 @@ distinguished value -inf (never the -1 convention).  It is read-only, by
 the package's one rule (scalars._Frozen), because one g is shared by every
 equation built on an instance (model._per_instance).
 
-_monic_ints multiplies by prod (Z - X)^m: it builds the point frame's
-Psi~ = prod (Z - X) and continues it to the Hermite frame's Omega~; _deflate
-divides by Z - X, its remainder the value at X.
+The package's Gaussian-integer kernels are here, one per job:
+_monic_ints multiplies by prod (Z - X)^m (it builds the point frame's
+Psi~ = prod (Z - X) and continues it to the Hermite frame's Omega~),
+_taylor_head_ints divides by (Z - X)^k, _product_sum sums products of
+windows, and _in_frame and _from_frame write the frame rule both ways.
 
 The kernels run on plain ints: the inputs are written over a common
 denominator once, the inner loops multiply and add Gaussian integers, and
@@ -19,11 +21,14 @@ Taylor heads follow one rule.  A polynomial is written once in the frame
 Z = E z of the points it is read at, x = X/E (_in_frame: E^deg F(Z/E) over
 its reduced denominator); its head at x is then plain repeated synthetic
 division by Z - X (_taylor_head_ints), the remainders being the Taylor
-coefficients in u = Z - X = E (z - x), with no power of E inside the kernel.
-The verifier and the builder read these raw values in the instance's point
-frame.  _from_frame is the one way back: coefficient k times E^(k-deg)
-makes a Polynomial, for solve_g, solve_h and Polynomial.shift, which frames
-at its point's own denominator.  No kernel divides one series by another.
+coefficients in u = Z - X = E (z - x), with no power of E inside the kernel,
+and what is left past them the quotient.  The verifier and the builder read
+these raw values in the instance's point frame.  _product_sum gives the
+verifier its window products and the builder g and h, each a sum of
+Gaussian-integer coefficients times frame polynomials.  _from_frame is the
+one way back: coefficient k times E^(k-deg) makes a Polynomial, for solve_g,
+solve_h and Polynomial.shift, which frames at its point's own denominator.
+No kernel divides one series by another.
 The test suite checks every kernel against a plain Fraction reference and
 reads its independent Laurent expansions off that reference, not off these
 kernels.
@@ -122,18 +127,6 @@ def _monic_ints(pr: list, pi: list, xr: list, xi: list, mults) -> tuple:
     return pr, pi
 
 
-def _deflate(pr: list, pi: list, a: int, b: int) -> tuple:
-    """Synthetic division of pr + pi i by Z - (a + b i) on Gaussian integers:
-    the quotient's int lists and the remainder, the value at a + b i."""
-    qr, qi = pr[1:], pi[1:]
-    x = y = 0
-    for k in range(len(qr) - 1, -1, -1):
-        qr[k] += a * x - b * y
-        qi[k] += a * y + b * x
-        x, y = qr[k], qi[k]
-    return qr, qi, pr[0] + a * x - b * y, pi[0] + a * y + b * x
-
-
 def _in_frame(coeffs, e: int) -> tuple:
     """(den, re, im): E^deg F(Z/E) for F with the GaussianRational coeffs,
     deg = len(coeffs) - 1, as ascending int lists over den in lowest terms:
@@ -156,11 +149,13 @@ def _from_frame(den: int, re: list, im: list, e: int, deg: int) -> Polynomial:
 
 def _taylor_head_ints(re: list, im: list, a: int, b: int, terms: int) -> tuple:
     """Taylor coefficients of orders 0 .. terms-1 at X = a + b*i of the
-    Gaussian-integer polynomial re + im*i (ascending int lists), as (re, im)
-    int lists; orders past the degree are 0.
+    Gaussian-integer polynomial re + im*i (ascending int lists), followed by
+    its quotient by (Z - X)^terms, as (re, im) int lists of length
+    max(len(re), terms); orders past the degree are 0.
 
     Order k is the remainder of the (k+1)-th synthetic division by Z - X,
-    run in place on a copy: pass k leaves orders 0 .. k final.
+    run in place on a copy: pass k leaves orders 0 .. k final and the
+    quotient by (Z - X)^(k+1) above them.
     """
     wr, wi = re[:], im[:]
     deg = len(wr) - 1
@@ -175,4 +170,19 @@ def _taylor_head_ints(re: list, im: list, a: int, b: int, terms: int) -> tuple:
                 wr[i] += a * x - b * y
                 wi[i] += a * y + b * x
     pad = [0] * (terms - deg - 1)
-    return wr[:terms] + pad, wi[:terms] + pad
+    return wr + pad, wi + pad
+
+
+def _product_sum(size: int, *pairs) -> tuple:
+    """Orders 0 .. size-1 of the sum of f*u over the pairs (f, u) of
+    Gaussian-integer windows, each an (re, im) pair of int lists from order
+    0; entries past the end of a window are left out of the sums, and so
+    are the zero entries of f."""
+    out_r, out_i = [0] * size, [0] * size
+    for (fr, fi), (ur, ui) in pairs:
+        for j, x, y in zip(range(size), fr, fi):
+            if x or y:
+                for k, v, w in zip(range(j, size), ur, ui):
+                    out_r[k] += x * v - y * w
+                    out_i[k] += x * w + y * v
+    return out_r, out_i

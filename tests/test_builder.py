@@ -357,45 +357,46 @@ def test_one_point_frame_per_instance(monkeypatch):
     # Omega~ with (Z - Q)^(m - 1): n = 6, N = 4 multiplies 10 + 8 factors.
     # g and the Hermite frame are kept on the instance too, so a second
     # construct, solve_under or quadratic_constraints call on the same object
-    # multiplies and deflates nothing: only the interpolation sum and verify
+    # multiplies and divides nothing: only the interpolation sum and verify
     # run again.
-    original, deflate = fuchsian.polynomials._monic_ints, fuchsian.polynomials._deflate
-    factors, deflations = [], []
+    original, divide = fuchsian.polynomials._monic_ints, fuchsian.builder._taylor_head_ints
+    factors, divisions = [], []
 
     def counting(*args):  # mults may be endless; the points bound the factors
         factors.append(sum(m for _, m in zip(args[-2], args[-1])))
         return original(*args)
 
-    def counting_deflate(*args):
-        deflations.append(args)
-        return deflate(*args)
+    def counting_divide(*args):
+        divisions.append(args)
+        return divide(*args)
 
     for module in (fuchsian.polynomials, fuchsian.model, fuchsian.builder):
         if hasattr(module, "_monic_ints"):
             monkeypatch.setattr(module, "_monic_ints", counting)
-        if hasattr(module, "_deflate"):
-            monkeypatch.setattr(module, "_deflate", counting_deflate)
+    monkeypatch.setattr(fuchsian.builder, "_taylor_head_ints", counting_divide)
     inst = random_instance(6, seed=3)
     eq = construct(inst)
     assert verify(eq).overall
     assert (len(factors), sum(factors)) == (2, 18)
-    assert len(deflations) == 10 + 6 + 4 * 3  # g, then m per node, m = 1 or 3
+    # g, the right-hand sides' heads of Psi~ and g, then m deflations and
+    # W~'s Taylor data per node, m = 1 or 3
+    assert len(divisions) == 10 + (10 + 4) + (6 * 2 + 4 * 4)
     factors.clear()
-    deflations.clear()
+    divisions.clear()
     solve_g(inst)
     assert construct(inst) == eq
-    assert (factors, deflations) == ([], [])
+    assert (factors, divisions) == ([], [])
     under, over = random_instance(7, 2, seed=5), random_instance(4, 3, seed=8)
     for first, again in (
         (lambda: solve_under(under, [1, 2, 3]), lambda: solve_under(under, [gr(1, 2), 0, -3])),
         (lambda: quadratic_constraints(over), lambda: quadratic_constraints(over)),
     ):
         first()
-        assert factors and deflations
+        assert factors and divisions
         factors.clear()
-        deflations.clear()
+        divisions.clear()
         again()
-        assert (factors, deflations) == ([], [])
+        assert (factors, divisions) == ([], [])
 
 
 def test_solve_h_rejects_wrong_nullity():

@@ -6,7 +6,7 @@ strategies.regime_instances, every other one at Gaussian positions) and 15
 from strategies.violating_over, whose momenta violate their constraints.
 Each command's outputs are serialized as the CLI and the JSON schemas write
 them, and the digest of the whole list is pinned.  The elimination oracle
-is pinned the same way: `eliminate` on each instance's h-system, `rank` and
+is pinned the same way: `eliminate` on each instance's h-system, its rank,
 `det` on its h-matrix, and the `det-check` JSON for n = 2..6.  So are
 verify's reports on equations with g or h tampered; their digest sits in the
 same table and test_frobenius checks it.  A change that alters any output,
@@ -29,7 +29,7 @@ from fuchsian.builder import build_h_system, construct, solve_g, solve_h
 from fuchsian.cli import main
 from fuchsian.dimension import check_momenta, float_obstructions, quadratic_constraints, solve_under
 from fuchsian.frobenius import report_to_json_obj, verify
-from fuchsian.linalg import det, eliminate, rank
+from fuchsian.linalg import det, eliminate
 from fuchsian.model import FuchsianEquation, FuchsianInstance, equation_to_json_obj
 from fuchsian.polynomials import Polynomial
 from strategies import regime_instances, violating_over
@@ -103,7 +103,7 @@ def _outputs() -> dict:
                 "pivot_cols": list(outcome.pivot_cols),
             }
         )
-        out["rank"].append(rank(matrix))
+        out["rank"].append(outcome.rank)
         if matrix.rows == matrix.cols:
             out["det"].append(det(matrix).to_pair())
         if case == "square":

@@ -1,8 +1,8 @@
 """Elimination and the integer kernels against the Fraction algorithms.
 
-Elimination, rank, determinant, the monic product prod (Z - X)^m and its
-deflation, psi, Taylor shifts, series products and the Frobenius
-recursion are each uniquely determined, so the package must
+Elimination, rank, determinant, the monic product prod (Z - X)^m, the
+Taylor head with its quotient, psi, Taylor shifts, series products and the
+Frobenius recursion are each uniquely determined, so the package must
 return exactly what `fraction_reference` computes one canonical
 GaussianRational step at a time.  The cleared residual is a different
 polynomial from the series-form one, so only its vanishing is compared.
@@ -20,10 +20,12 @@ from strategies import regime_instances
 import fraction_reference as ref
 from elimination_reference import build_g_system
 from fuchsian.builder import build_h_system, construct, solve_g, solve_h
-from fuchsian.frobenius import DEFAULT_DEPTH, _product_sum, _recursion, verify
-from fuchsian.linalg import Matrix, det, eliminate, rank
+from fuchsian.frobenius import DEFAULT_DEPTH, _recursion, verify
+from fuchsian.linalg import Matrix, det, eliminate
 from fuchsian.model import FuchsianEquation, FuchsianInstance
-from fuchsian.polynomials import Polynomial, _deflate, _from_frame, _in_frame, _monic_ints
+from fuchsian.polynomials import (
+    Polynomial, _from_frame, _in_frame, _monic_ints, _product_sum, _taylor_head_ints,
+)
 from fuchsian.sampling import random_instance
 from fuchsian.scalars import ZERO, GaussianRational, from_gaussian_ints, to_gaussian_ints
 
@@ -73,7 +75,7 @@ def _assert_same_outcome(matrix, rhs):
 
 
 def _assert_same_rank_det(matrix):
-    assert rank(matrix) == ref.rank(matrix)
+    assert eliminate(matrix, [ZERO] * matrix.rows).rank == ref.rank(matrix)
     if matrix.rows == matrix.cols:
         assert det(matrix) == ref.det(matrix)
 
@@ -146,6 +148,13 @@ _coefficients = st.one_of(_gaussians, _reals)
 
 
 _int_windows = st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)), max_size=9)
+_real_windows = st.lists(st.tuples(st.integers(-30, 30), st.just(0)), max_size=9)
+# leading zeros, as solve_h's shifted scalars have, and zero entries
+_shifted_windows = st.builds(
+    lambda k, window: [(0, 0)] * k + window,
+    st.integers(0, 4),
+    st.lists(st.just((0, 0)) | st.tuples(st.integers(-30, 30), st.integers(-30, 30)), max_size=9),
+)
 
 
 def _parts(window) -> tuple:
@@ -158,12 +167,16 @@ def _values(re, im) -> list:
 
 
 @settings(max_examples=200, deadline=None)
-@given(a=_int_windows, b=_int_windows, c=_int_windows, d=_int_windows,
+@given(a=_shifted_windows, b=_int_windows, c=_shifted_windows, d=_int_windows,
        size=st.integers(0, 9))
 @example(a=[(1, 0)], b=[(0, 1)] * 5, c=[], d=[(2, -1)], size=5)
+@example(a=[(0, 0), (0, 0), (3, -1), (0, 0), (2, 0)], b=[(1, 2), (0, 0), (-4, 1)],
+         c=[(0, 0), (0, 0), (0, 0), (0, 5)], d=[(7, 0)] * 6, size=8)
 def test_series_product_matches_convolution(a, b, c, d, size):
-    # _product_sum, verify's one product kernel: orders 0 .. size-1 of a*b
-    # and of a*b + c*d, entries past a window's end counting as zero
+    # _product_sum, the package's one product kernel: orders 0 .. size-1 of
+    # a*b and of a*b + c*d, entries past a window's end counting as zero;
+    # a and c start with zeros, as solve_h's shifted scalars do, and hold
+    # zero entries, which the kernel skips
     def padded(window):
         return (_values(*_parts(window)) + [ZERO] * size)[:size]
 
@@ -229,15 +242,23 @@ def test_monic_product_matches_fraction_reference(nodes):
 
 
 @settings(max_examples=200, deadline=None)
-@given(window=_int_windows.filter(bool), at=st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
-@example(window=[(5, -1)], at=(0, 0))
-@example(window=[(0, 0), (0, 0), (1, 0)], at=(2, -3))
-def test_deflate_times_linear_factor_plus_remainder_is_the_input(window, at):
-    qr, qi, re, im = _deflate(*_parts(window), *at)
-    assert len(qr) == len(qi) == len(window) - 1
-    factor = Polynomial((-GaussianRational(*at), 1))
-    quotient, remainder = Polynomial(_values(qr, qi)), Polynomial((GaussianRational(re, im),))
-    rebuilt = ref.poly_add(ref.poly_mul(quotient, factor), remainder)
+@given(window=_int_windows | _real_windows,
+       at=st.tuples(st.integers(-9, 9), st.just(0) | st.integers(-9, 9)), terms=st.integers(1, 3))
+@example(window=[(5, -1)], at=(0, 0), terms=1)
+@example(window=[(0, 0), (0, 0), (1, 0)], at=(2, -3), terms=3)
+@example(window=[(4, 0), (-1, 0), (3, 0), (2, 0), (-5, 0)], at=(-2, 0), terms=2)
+def test_taylor_head_and_quotient_rebuild_the_input(window, at, terms):
+    # _taylor_head_ints returns the head of k = terms Taylor coefficients at
+    # X and past it the quotient by (Z - X)^k: sum_(i<k) head_i (Z - X)^i +
+    # (Z - X)^k quotient is the input, at real and non-real X
+    re, im = _taylor_head_ints(*_parts(window), *at, terms)
+    assert len(re) == len(im) == max(len(window), terms)
+    values = _values(re, im)
+    powers = [ref.poly_from_roots([GaussianRational(*at)] * i) for i in range(terms + 1)]
+    rebuilt = ref.poly_add(
+        *[ref.poly_mul(Polynomial((c,)), power) for c, power in zip(values[:terms], powers)],
+        ref.poly_mul(powers[terms], Polynomial(values[terms:])),
+    )
     assert rebuilt == Polynomial(_values(*_parts(window)))
 
 

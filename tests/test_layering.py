@@ -3,11 +3,13 @@
 - The verifier stays independent of construction: besides the standard
   library, `frobenius` imports only `model`, `polynomials` and `scalars`.
 - The verifier divides no series: from `polynomials` it takes exactly the
-  frame and Taylor-head kernels `FROBENIUS_FROM_POLYNOMIALS`.
-- One kernel per job: the module-level functions `polynomials` and
-  `frobenius` define are exactly `MODULE_FUNCTIONS`, so `polynomials` holds
-  the frame rule both ways (`_in_frame`, `_from_frame`) and `frobenius` one
-  product kernel (`_product_sum`); a second one shows up as an edit here.
+  frame, Taylor-head and product kernels `FROBENIUS_FROM_POLYNOMIALS`.
+- One kernel per job: the module-level functions `polynomials`, `frobenius`
+  and `builder` define are exactly `MODULE_FUNCTIONS`, so `polynomials`
+  holds the frame rule both ways (`_in_frame`, `_from_frame`), the one
+  division kernel (`_taylor_head_ints`) and the one product kernel
+  (`_product_sum`); a second one, or a private loop helper in `builder`,
+  shows up as an edit here.
 - The local analysis at the points is one loop: the public functions
   `frobenius` defines are exactly `verify` and `report_to_json_obj`, and
   `dimension` imports only `verify` from it.
@@ -56,12 +58,18 @@ POLYNOMIAL_NAMES = [
 DIMENSION_FROM_BUILDER = [
     "VerificationFailed", "fredholm_terms", "fredholm_values", "solve_g", "solve_h",
 ]
-FROBENIUS_FROM_POLYNOMIALS = ["_in_frame", "_taylor_head_ints"]
+FROBENIUS_FROM_POLYNOMIALS = ["_in_frame", "_product_sum", "_taylor_head_ints"]
 MODULE_FUNCTIONS = {
-    "polynomials": ["_deflate", "_from_frame", "_in_frame", "_monic_ints", "_taylor_head_ints"],
+    "polynomials": [
+        "_from_frame", "_in_frame", "_monic_ints", "_product_sum", "_taylor_head_ints",
+    ],
     "frobenius": [
         "_cleared_residual", "_frame", "_heads", "_indicial", "_log_free_check", "_momentum",
-        "_pole_terms", "_product_sum", "_recursion", "report_to_json_obj", "verify",
+        "_pole_terms", "_recursion", "report_to_json_obj", "verify",
+    ],
+    "builder": [
+        "_hermite_frame", "_rhs_terms", "_rhs_values", "build_h_system", "construct",
+        "fredholm_terms", "fredholm_values", "h_matrix", "h_rhs_terms", "solve_g", "solve_h",
     ],
 }
 FROZEN_RULE = ("__setattr__", "__delattr__", "__reduce__")
