@@ -19,7 +19,6 @@ from fuchsian import (
     exact_quadratic_roots,
     float_obstructions,
     quadratic_constraints,
-    solve_quadratic_float,
     solve_under,
     verify,
 )
@@ -62,11 +61,6 @@ for root in roots:
           f"verified={verify(fixed.equation).overall}")
 
 # The same roots found numerically, with the float-side obstruction check.
-float_roots = solve_quadratic_float(
-    complex(constraint.quad[1].to_complex()),
-    complex(constraint.lin[1].to_complex()),
-    complex(constraint.const_term.to_complex()),
-)
-for root in float_roots:
+for root in constraint.float_roots():
     (omega,) = float_obstructions(over, [root])
     print(f"  float root {root:.6g}: |obstruction| = {abs(omega):.2e}")

@@ -14,13 +14,7 @@ import json
 import sys
 
 from .builder import FuchsViolation, VerificationFailed, construct, h_matrix
-from .dimension import (
-    check_momenta,
-    classify,
-    quadratic_constraints,
-    solve_quadratic_float,
-    solve_under,
-)
+from .dimension import check_momenta, classify, quadratic_constraints, solve_under
 from .frobenius import report_to_json_obj, verify
 from .linalg import det
 from .model import (
@@ -153,30 +147,20 @@ def _cmd_constraints(args, instance) -> int:
         _diag(f"constraints requires an overdetermined instance; this one is {report.case}")
         return 1
     constraints = quadratic_constraints(instance)
-    float_roots = []
-    for constraint in constraints:
-        if not constraint.single_variable():
-            continue
-        a = constraint.quad[constraint.j]
-        b = constraint.lin.get(constraint.j, ZERO)
-        roots = solve_quadratic_float(
-            a.to_complex(), b.to_complex(), constraint.const_term.to_complex()
-        )
-        float_roots.append(
-            {
-                "j": constraint.j,
-                "roots": [[root.real, root.imag] for root in roots],
-            }
-        )
+    float_roots = [
+        {"j": c.j, "roots": [[root.real, root.imag] for root in roots]}
+        for c in constraints
+        if (roots := c.float_roots()) is not None
+    ]
     payload = {
         "constraints": [c.to_json_obj() for c in constraints],
         "float_roots": float_roots,
     }
     lines = []
     for c in constraints:
-        quad = " + ".join(f"({v})*p_{k}^2" for k, v in c.quad.items())
-        lin = " + ".join(f"({v})*p_{k}" for k, v in c.lin.items())
-        lines.append(f"constraint {c.j}: {quad} + {lin} + ({c.const_term}) = 0\n")
+        terms = [f"({v})*p_{k}^2" for k, v in c.quad.items()]
+        terms += [f"({v})*p_{k}" for k, v in c.lin.items()] + [f"({c.const_term})"]
+        lines.append(f"constraint {c.j}: {' + '.join(terms)} = 0\n")
     _emit(args, payload, "".join(lines))
     return 0
 

@@ -31,10 +31,12 @@ row h''(q_j), whose right-hand side is quadratic in p_j.  So each vector
 gives one quadratic equation in the momenta that carries p_j^2, and
 builder.fredholm_terms states them once per point set, without any h.
 
-Floats appear only at the edges.  solve_quadratic_float finds the roots of
-a scalar constraint numerically.  float_obstructions takes float momenta at
-their exact binary values, computes exactly and converts its results to
-complex at the end; nothing exact depends on either.
+Floats appear only at the edges.  QuadraticConstraint.float_roots finds the
+roots of a constraint in one momentum by solve_quadratic_float, on
+coefficients scaled exactly by a power of two; exact_quadratic_roots,
+imported from scalars, finds exact ones.  float_obstructions takes float
+momenta at their exact binary values, computes exactly and converts its
+results to complex at the end; nothing exact depends on either.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from fractions import Fraction
 from .builder import VerificationFailed, fredholm_terms, fredholm_values, solve_g, solve_h
 from .frobenius import verify
 from .model import FuchsianEquation, FuchsianInstance
-from .scalars import GaussianRational, _Record
+from .scalars import ZERO, GaussianRational, _Record, exact_quadratic_roots
 
 
 class CaseReport(_Record):
@@ -119,9 +121,21 @@ class QuadraticConstraint(_Record):
     lin: dict
     const_term: GaussianRational
 
-    def single_variable(self) -> bool:
-        """True when only p_j appears, so the constraint is a scalar quadratic."""
-        return set(self.quad) | set(self.lin) <= {self.j}
+    def float_roots(self) -> tuple | None:
+        """Both complex float roots in p_j when only p_j appears, else None:
+        solve_quadratic_float on the coefficients scaled exactly by a power of
+        two (which moves no root) to a largest part near 1, so none overflows.
+        None too when the leading one then rounds to 0 or a root is not finite."""
+        if not set(self.quad) | set(self.lin) <= {self.j}:
+            return None
+        coeffs = (self.quad[self.j], self.lin.get(self.j, ZERO), self.const_term)
+        parts = [x for v in coeffs for x in (v.re, v.im) if x]
+        top = max(abs(x.numerator).bit_length() - x.denominator.bit_length() for x in parts)
+        a, b, c = ((v * Fraction(2) ** -top).to_complex() for v in coeffs)
+        if not a:
+            return None
+        roots = solve_quadratic_float(a, b, c)
+        return roots if all(map(cmath.isfinite, roots)) else None
 
     def to_json_obj(self) -> dict:
         return {
@@ -170,20 +184,6 @@ def check_momenta(instance: FuchsianInstance) -> MomentaCheck:
     return MomentaCheck(consistent=True, equation=eq, violations=())
 
 
-def exact_quadratic_roots(a, b, c):
-    """Roots of a p^2 + b p + c within the Gaussian rationals, or None."""
-    a = GaussianRational.coerce(a)
-    b = GaussianRational.coerce(b)
-    c = GaussianRational.coerce(c)
-    if not a:
-        raise ZeroDivisionError("leading coefficient is zero")
-    disc = b * b - 4 * a * c
-    root = disc.sqrt()
-    if root is None:
-        return None
-    return ((-b + root) / (2 * a), (-b - root) / (2 * a))
-
-
 def solve_quadratic_float(a: complex, b: complex, c: complex):
     """Both roots of a z^2 + b z + c in floats, numerically stable.
 
@@ -212,8 +212,10 @@ def float_obstructions(instance: FuchsianInstance, momenta) -> list:
     h-system's leading rows, unique for N >= n - 2: exactly 0 where h''(q_j)
     is interpolated, C_j(p) / delta_j elsewhere (C_j the constraint of q_j,
     delta_j = -2 psi'(q_j)^2 its p_j^2 coefficient), so it is read off the
-    Fredholm constraints and no h is built.  Raises ValueError for an underdetermined instance and for
-    momenta not finite, and FuchsViolation for an inadmissible exponent sum.
+    Fredholm constraints and no h is built.  Raises ValueError for an
+    underdetermined instance and for momenta not finite, FuchsViolation for
+    an inadmissible exponent sum, and OverflowError (from to_complex) for an
+    obstruction beyond the float range, as at momenta near 1e200.
     """
     case = classify(instance).case
     if case == "under":

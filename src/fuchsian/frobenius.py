@@ -61,7 +61,7 @@ from math import gcd
 
 from .model import ExponentPair, FuchsianEquation, _psi_ints
 from .polynomials import _in_frame, _product_sum, _taylor_head_ints
-from .scalars import GaussianRational, _Record, from_gaussian_ints
+from .scalars import ONE, GaussianRational, _Record, exact_quadratic_roots, from_gaussian_ints
 
 #: Series depth of the recursion verify() runs.  Omega is read at s = 2; the
 #: orders past it let the cleared residual re-check the window products: an
@@ -79,14 +79,11 @@ class Indicial(_Record):
 
 
 def _indicial(root_sum: GaussianRational, root_product: GaussianRational) -> Indicial:
-    """The root pair is exact when the discriminant has a Gaussian-rational
-    square root; otherwise comparisons fall back to (sum, product), which
-    for a quadratic determines the root multiset, so nothing is lost."""
-    disc = root_sum * root_sum - 4 * root_product
-    sqrt_disc = disc.sqrt()
-    pair = None
-    if sqrt_disc is not None:
-        pair = ExponentPair((root_sum + sqrt_disc) / 2, (root_sum - sqrt_disc) / 2)
+    """The root pair is exact_quadratic_roots of r^2 - sum r + product when
+    they are Gaussian rationals; otherwise comparisons fall back to (sum,
+    product), which for a quadratic determines the root multiset."""
+    roots = exact_quadratic_roots(ONE, -root_sum, root_product)
+    pair = ExponentPair(*roots) if roots else None
     return Indicial(sum=root_sum, product=root_product, pair=pair)
 
 

@@ -16,7 +16,8 @@ The exact kernels of the interpolation and series code do their inner
 arithmetic on plain ints: ``to_gaussian_ints`` writes a vector over one
 common denominator, and ``from_gaussian_ints`` turns each result back into a
 canonical value, so gcds are paid once per output rather than once per
-operation.
+operation.  exact_quadratic_roots, on GaussianRational.sqrt, is the one
+exact quadratic solver: verify's indicial pairs and exact momenta.
 
 The package's one read-only rule, _Frozen (and _Record on it), lives here
 too: this is the lowest module, so every value type can import it.
@@ -340,6 +341,20 @@ def from_gaussian_ints(re: int, im: int, den: int, den_im: int = 0) -> GaussianR
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
+
+
+def exact_quadratic_roots(a, b, c):
+    """Roots of a p^2 + b p + c within the Gaussian rationals, or None."""
+    a = GaussianRational.coerce(a)
+    b = GaussianRational.coerce(b)
+    c = GaussianRational.coerce(c)
+    if not a:
+        raise ZeroDivisionError("leading coefficient is zero")
+    disc = b * b - 4 * a * c
+    root = disc.sqrt()
+    if root is None:
+        return None
+    return ((-b + root) / (2 * a), (-b - root) / (2 * a))
 
 
 class _Record(_Frozen):

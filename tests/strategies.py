@@ -155,14 +155,20 @@ _SMALL = st.builds(GaussianRational, st.integers(-4, 4), st.integers(-2, 2))
 def domain_draws(draw, extra=3):
     """(instance, free values): n = 2..6, N = 0..n + extra, distinct Gaussian
     rational positions (0 allowed, denominators up to 10^12), small Gaussian
-    exponents and momenta, admissible exponent sum."""
+    exponents and momenta, admissible exponent sum.  About a third of the
+    draws give one finite point an equal pair rho1 = rho2, and another third
+    give one to infinity, so the indicial discriminant is sometimes 0."""
     n = draw(st.integers(2, 6))
     num = draw(st.integers(0, n + extra))
     points = draw(st.lists(_POSITION, min_size=n + num, max_size=n + num, unique=True))
     pairs = [(draw(_SMALL), draw(_SMALL)) for _ in range(n)]
-    first = draw(_SMALL)
-    total = sum((a + b for a, b in pairs), first)
-    infinity = (first, GaussianRational(n - num - 1) - total)
+    equal = draw(st.sampled_from(("none", "finite", "infinity")))
+    if equal == "finite":
+        i = draw(st.integers(0, n - 1))
+        pairs[i] = (pairs[i][0], pairs[i][0])
+    rest = GaussianRational(n - num - 1) - sum((a + b for a, b in pairs), ZERO)
+    first = rest / 2 if equal == "infinity" else draw(_SMALL)
+    infinity = (first, rest - first)
     apparent = [(q, draw(_SMALL)) for q in points[n:]]
     free = [draw(_SMALL) for _ in range(max(n - 2 - num, 0))]
     return FuchsianInstance(list(zip(points[:n], pairs)), infinity, apparent), free

@@ -21,7 +21,6 @@ from fuchsian.dimension import (
     exact_quadratic_roots,
     float_obstructions,
     quadratic_constraints,
-    solve_quadratic_float,
 )
 from fuchsian.frobenius import verify
 from fuchsian.linalg import det, eliminate
@@ -169,13 +168,9 @@ def test_criterion_6_over_case_end_to_end():
     for seed in (0, 1, 2):
         instance = random_instance(2, 1, seed=seed)
         (constraint,) = quadratic_constraints(instance)
-        ok = ok and constraint.single_variable() and bool(constraint.quad.get(1))
-        roots = solve_quadratic_float(
-            constraint.quad[1].to_complex(),
-            constraint.lin.get(1, ZERO).to_complex(),
-            constraint.const_term.to_complex(),
-        )
-        for root in roots:
+        roots = constraint.float_roots()
+        ok = ok and roots is not None and bool(constraint.quad.get(1))
+        for root in roots or ():
             (omega,) = float_obstructions(instance, [root])
             ok = ok and abs(omega) < 1e-9
     # exact route on the frozen seed whose constraint has Gaussian-rational roots

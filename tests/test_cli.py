@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -126,6 +127,48 @@ def test_constraints_of_several_momenta_have_no_float_roots(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["float_roots"] == []
     assert payload["constraints"] == [c.to_json_obj() for c in constraints]
+    assert [c.float_roots() for c in constraints] == [None, None]
+
+
+def _reject_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+def _norm(value):
+    return value.re * value.re + value.im * value.im
+
+
+@pytest.mark.parametrize(
+    "q", [10**54, 10**77, Fraction(1, 10**200)], ids=["1e54", "1e77", "1e-200"]
+)
+def test_constraints_float_roots_at_extreme_positions(tmp_path, capsys, q):
+    # In-cap positions whose constraint coefficients overflow a float (or,
+    # at 1/10^200, whose leading one underflows): the roots are found on the
+    # coefficients scaled by a power of two, and stay JSON.
+    inst = FuchsianInstance([(0, (0, 1)), (1, (0, 1))], (1, -3), [(q, 1)])
+    src = tmp_path / "over.json"
+    _write_instance(src, inst)
+    assert main(["constraints", "-i", str(src)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    payload = json.loads(out, parse_constant=_reject_constant)
+    ((c,), (entry,)) = quadratic_constraints(inst), payload["float_roots"]
+    assert entry["j"] == 1 and len(entry["roots"]) == 2
+    for re, im in entry["roots"]:
+        # each root leaves a relative residual of rounding size, read exactly
+        p = GaussianRational(Fraction(re), Fraction(im))
+        terms = [c.quad[1] * p * p, c.lin.get(1, ZERO) * p, c.const_term]
+        assert _norm(sum(terms, ZERO)) < Fraction(1, 10**20) * max(map(_norm, terms))
+
+
+def test_constraints_text_without_linear_term(tmp_path, capsys):
+    inst = FuchsianInstance(
+        [(-1, (0, Fraction(1, 2))), (1, (0, Fraction(1, 2)))], (0, -1), [(0, 1)]
+    )
+    src = tmp_path / "over.json"
+    _write_instance(src, inst)
+    assert main(["constraints", "-i", str(src), "--format", "text"]) == 0
+    assert capsys.readouterr().out == "constraint 1: (-2)*p_1^2 + (0) = 0\n"
 
 
 def test_constraints_requires_over_case(tmp_path):

@@ -112,7 +112,7 @@ def test_quadratic_constraint_n2n1():
     c = constraints[0]
     assert c.j == 1
     assert c.quad[1] == h_rhs_terms(N2N1)[-1][3] == gr(-8)  # delta_1
-    assert c.single_variable()
+    assert set(c.float_roots()) == {1 + 0j, 0.5 + 0j}  # only p_1 appears
     assert (c.lin, c.const_term) == ({1: gr(12)}, gr(-4))
     # the value at the instance momentum p=3: -8*9 + 12*3 - 4 = -40
     assert fredholm_values(N2N1, [gr(3)]) == ((1, gr(-40)),)
@@ -307,15 +307,26 @@ def test_float_roots_give_small_obstruction():
     for _ in range(4):
         inst = random_instance(2, 1, seed=rng.randint(0, 10**6))
         (c,) = quadratic_constraints(inst)
-        assert c.single_variable()
-        roots = solve_quadratic_float(
-            c.quad[1].to_complex(),
-            c.lin.get(1, ZERO).to_complex(),
-            c.const_term.to_complex(),
-        )
+        roots = c.float_roots()
+        assert roots is not None
         for root in roots:
             (omega,) = float_obstructions(inst, [root])
             assert abs(omega) < 1e-9
+
+
+def test_float_roots_are_the_unscaled_recipe_bit_for_bit():
+    # Away from underflow the power-of-two scaling commutes with every float
+    # operation, so the roots equal those of the unscaled coefficients.
+    positions = set()
+    for case, inst, _ in regime_instances(3535, 240):
+        if case != "over" or (inst.n, inst.num_apparent) != (2, 1):
+            continue
+        (c,) = quadratic_constraints(inst)
+        coeffs = (c.quad[1], c.lin.get(1, ZERO), c.const_term)
+        recipe = solve_quadratic_float(*(v.to_complex() for v in coeffs))
+        assert repr(c.float_roots()) == repr(recipe)
+        positions.add(any(x.im for x in inst.finite_positions))
+    assert positions == {False, True}  # real and Gaussian positions
 
 
 def test_constraints_equivalent_to_full_system_consistency():
@@ -551,3 +562,28 @@ def test_closed_form_over_the_whole_domain(draw):
         assert verify(solve_under(inst, free)).overall
     elif case == "consistent over":
         assert check_momenta(inst).consistent  # which verifies its witness
+
+
+@settings(max_examples=30, deadline=None)
+@given(domain_draws())
+def test_indicial_pairs_are_the_prescribed_ones_over_the_whole_domain(draw):
+    # verify reads every pair back from the equation, at a finite point or
+    # infinity whose pair domain_draws made equal too (discriminant 0); over
+    # draws with N = n - 1 are made consistent first, as above.
+    inst, free = draw
+    case = classify(inst).case
+    if case == "square":
+        eq = construct(inst)
+    elif case == "under":
+        eq = solve_under(inst, free)
+    elif inst.num_apparent == inst.n - 1:
+        try:
+            eq = check_momenta(consistent(inst)).equation
+        except SingularMove:
+            return
+    else:
+        return
+    report = verify(eq)
+    pairs = [r.indicial.pair for r in report.finite] + [report.infinity.indicial.pair]
+    expected = [pair for _, pair in eq.instance.finite_points]
+    assert pairs == expected + [eq.instance.infinity_exponents]

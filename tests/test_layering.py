@@ -10,6 +10,10 @@
   division kernel (`_taylor_head_ints`) and the one product kernel
   (`_product_sum`); a second one, or a private loop helper in `builder`,
   shows up as an edit here.
+- One solver per quadratic: only `scalars` defines `exact_quadratic_roots`,
+  `frobenius` takes no square root of its own, and `cli` leaves the float
+  roots to `QuadraticConstraint.float_roots` (no `to_complex` or
+  `solve_quadratic_float` of its own).
 - The local analysis at the points is one loop: the public functions
   `frobenius` defines are exactly `verify` and `report_to_json_obj`, and
   `dimension` imports only `verify` from it.
@@ -119,6 +123,29 @@ def test_kernel_set_is_pinned():
         tree = ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
         defined = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
         assert sorted(defined) == names, stem
+
+
+def _names(stem: str) -> set:
+    """Every name and attribute name the module's source mentions."""
+    tree = ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_one_solver_per_quadratic():
+    definers = [
+        path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and node.name == "exact_quadratic_roots"
+    ]
+    assert definers == ["scalars"]
+    assert {"exact_quadratic_roots"} <= _names("frobenius")
+    assert "sqrt" not in _names("frobenius")
+    assert not {"to_complex", "solve_quadratic_float"} & _names("cli")
 
 
 def test_verify_is_the_one_local_analysis():
